@@ -9,11 +9,13 @@ The three benchmark families are a sparse quadratic bowl (``distance``),
 a magnitude-ranking objective flat in most directions (``magnitude``),
 and a graph-connectivity attack over edge perturbations (``attack``);
 ``sparse-linear`` is the exactly-solvable family used by tests and the
-scaling probe.
+scaling probe.  :data:`FAMILIES` holds, per family name, the keys, types
+and defaults that experiment specs and instance descriptions share.
 """
 
 from __future__ import annotations
 
+import ast
 import configparser
 import io
 from dataclasses import dataclass, field
@@ -38,6 +40,8 @@ __all__ = [
     "make_attack",
     "make_sparse_linear",
     "make_planted_linear",
+    "Family",
+    "FAMILIES",
     "describe_instance",
     "instance_from_description",
 ]
@@ -353,37 +357,78 @@ def make_sparse_linear(d: int, coeffs: dict) -> BenchmarkInstance:
     return BenchmarkInstance(BlackBoxFunction(d, evaluate), np.zeros(d), metadata)
 
 
-# --- instance descriptions (exact re-instantiation from a text document) ---
+# --- the family table: spec keys, defaults, exact re-instantiation ---
 
-_GENERATED_FAMILIES = {"distance", "magnitude", "planted-linear"}
+
+@dataclass(frozen=True)
+class Family:
+    """One row of :data:`FAMILIES`: everything decided per family name.
+
+    keys maps each parameter a spec or a description may set to the type
+    that parses its text; required lists those without a default.
+    build(params, rng) calls the maker with the defaults filled in.  The
+    harness reads the rest: whether specs may name the family, the
+    estimator's first divisor d1, and whether degenerate degrees read as +inf.
+    """
+
+    keys: dict
+    build: Callable[[dict, RngStream], BenchmarkInstance]
+    required: tuple = ("d", "s")
+    in_specs: bool = True
+    grace_d1: int = 20
+    degenerate_inf: bool = False
+
+
+# The builders look make_* up in this module when called, so that a maker
+# replaced here (by a tracer or a test double) is the one they call.
+FAMILIES = {
+    "distance": Family({"d": int, "s": int}, lambda p, rng: make_distance(p["d"], p["s"], rng)),
+    "magnitude": Family(
+        {"d": int, "s": int, "lam": float, "w": float},
+        lambda p, rng: make_magnitude(p["d"], p["s"], p.get("lam", 0.1), p.get("w", 0.2), rng),
+    ),
+    "attack": Family(
+        {"graph": str, "u": int, "v": int, "hops": int, "lam": float},
+        lambda p, rng: make_attack(
+            p["graph"], p.get("u", 1), p.get("v", 2), p.get("hops", 4),
+            p.get("lam", 100.0 / p["graph"].n ** 2),
+        ),
+        required=("graph",),
+        grace_d1=10,
+        degenerate_inf=True,
+    ),
+    "planted-linear": Family(
+        {"d": int, "s": int}, lambda p, rng: make_planted_linear(p["d"], p["s"], rng)
+    ),
+    "sparse-linear": Family(
+        {"d": int, "coeffs": ast.literal_eval},
+        lambda p, rng: make_sparse_linear(p["d"], p.get("coeffs", {})),
+        required=("d",),
+        in_specs=False,
+    ),
+}
 
 
 def describe_instance(instance: BenchmarkInstance) -> str:
     """Serialize the generating parameters of an instance to an INI document.
 
-    Captures family, dimensions, and for generated families the rng key,
-    which re-runs the maker's draws exactly.  The maker must have been
-    given a freshly derived stream; a stream with consumed state cannot
-    be reconstructed from its key.
+    Writes the family, the keys of its row that the metadata holds (str
+    shows floats, also inside a dict, exactly), and for generated families
+    the rng key, which re-runs the maker's draws exactly.  The maker must
+    have been given a freshly derived stream; a stream with consumed state
+    cannot be reconstructed from its key.
     """
     meta = instance.metadata
-    parser = configparser.ConfigParser()
-    parser["instance"] = {}
-    section = parser["instance"]
-    section["family"] = meta["family"]
-    section["d"] = str(meta["d"])
-    for key in ("s", "n", "u", "v", "hops"):
+    section = {"family": meta["family"]}
+    for key in FAMILIES[meta["family"]].keys:
         if key in meta:
             section[key] = str(meta[key])
-    for key in ("lam", "w"):
-        if key in meta:
-            section[key] = repr(meta[key])
-    if meta["family"] in _GENERATED_FAMILIES:
+    if "seed" in meta:
         section["seed"] = str(meta["seed"])
         section["stream"] = str(meta["stream"])
         section["path"] = " ".join(str(k) for k in meta["path"])
-    if meta["family"] == "sparse-linear":
-        section["coeffs"] = " ".join(f"{j}:{repr(c)}" for j, c in sorted(meta["coeffs"].items()))
+    parser = configparser.ConfigParser()
+    parser["instance"] = section
     out = io.StringIO()
     parser.write(out)
     return out.getvalue()
@@ -399,25 +444,17 @@ def instance_from_description(text: str, graph: Graph | None = None) -> Benchmar
     parser.read_string(text)
     section = parser["instance"]
     family = section["family"]
-    d = int(section["d"])
-    if family in _GENERATED_FAMILIES:
+    row = FAMILIES.get(family)
+    if row is None:
+        raise ValueError(f"unknown family {family!r}")
+    params = {key: kind(section[key]) for key, kind in row.keys.items() if key in section}
+    if graph is not None:
+        params["graph"] = graph
+    missing = [key for key in row.required if key not in params]
+    if missing:
+        raise ValueError(f"{family} instances need {missing}; a graph is passed, never described")
+    rng = None
+    if "seed" in section:
         path = tuple(int(k) for k in section.get("path", "").split())
         rng = RngStream(int(section["seed"]), int(section["stream"]), path)
-        if family == "distance":
-            return make_distance(d, int(section["s"]), rng)
-        if family == "planted-linear":
-            return make_planted_linear(d, int(section["s"]), rng)
-        return make_magnitude(d, int(section["s"]), float(section["lam"]), float(section["w"]), rng)
-    if family == "attack":
-        if graph is None:
-            raise ValueError("attack instances need their graph passed explicitly")
-        return make_attack(
-            graph, int(section["u"]), int(section["v"]), int(section["hops"]), float(section["lam"])
-        )
-    if family == "sparse-linear":
-        coeffs = {}
-        for token in section.get("coeffs", "").split():
-            j, _, c = token.partition(":")
-            coeffs[int(j)] = float(c)
-        return make_sparse_linear(d, coeffs)
-    raise ValueError(f"unknown family {family!r}")
+    return row.build(params, rng)

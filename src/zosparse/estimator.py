@@ -187,30 +187,27 @@ def locate_in_group(
     stop_size: int = 2,
     max_iterations: int | None = None,
     rng: RngStream = None,
-) -> tuple[np.ndarray, int]:
+) -> np.ndarray:
     """Shrink one group until at most stop_size candidates remain.
 
-    Returns the surviving indices (sorted) and the queries spent, two
-    per executed iteration.  An empty survivor set means the group
-    showed no usable signal.  If the iteration safeguard fires first,
-    the stop_size smallest indices are returned.
+    Returns the surviving indices (sorted), at a cost of two queries per
+    executed iteration.  An empty survivor set means the group showed no
+    usable signal.  If the iteration safeguard fires first, the
+    stop_size smallest indices are returned.
     """
     current = np.sort(np.asarray(members, dtype=np.int64).ravel())
     if current.size == 0:
         raise ValueError("empty group")
     if max_iterations is None:
         max_iterations = default_max_iterations(int(current.size))
-    queries = 0
     iteration = 0
     while current.size > stop_size:
         if iteration >= max_iterations:
-            return current[:stop_size], queries
+            return current[:stop_size]
         iteration += 1
         divisor = min(max(schedule.value(iteration), 2), int(current.size))
-        outcome = shrink_step(f, x, f_x, epsilon, current, divisor, rng)
-        queries += 2
-        current = outcome.surviving
-    return current, queries
+        current = shrink_step(f, x, f_x, epsilon, current, divisor, rng).surviving
+    return current
 
 
 def grace_estimate(
@@ -245,16 +242,9 @@ def grace_estimate(
         for _repeat in range(cfg.m):
             omega = random_permutation(d, rng)
             for group in partition_groups(d, cfg.n, omega):
-                survivors, _ = locate_in_group(
-                    counting,
-                    x,
-                    base_value,
-                    cfg.epsilon,
-                    group,
-                    cfg.schedule,
-                    cfg.shrink_stop_size,
-                    cfg.max_shrink_iterations,
-                    rng,
+                survivors = locate_in_group(
+                    counting, x, base_value, cfg.epsilon, group, cfg.schedule,
+                    cfg.shrink_stop_size, cfg.max_shrink_iterations, rng,
                 )
                 candidates.update(int(j) for j in survivors)
         for j in sorted(candidates):

@@ -20,22 +20,16 @@ import io
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .blackbox import (
-    BenchmarkInstance,
-    BlackBoxFunction,
-    DegenerateDegreeError,
-    Graph,
-    load_graph,
-    make_attack,
-    make_distance,
-    make_magnitude,
-    make_planted_linear,
-)
+# Instances are built through FAMILIES; make_attack and make_distance stay
+# bound because the benchmark's tracer (perfbench/tracing.py) replaces the
+# makers, load_graph and run_optimizer on this module by name.
+from .blackbox import FAMILIES, BlackBoxFunction, DegenerateDegreeError, load_graph
+from .blackbox import make_attack, make_distance, make_planted_linear  # noqa: F401
 from .estimator import GraceConfig, grace_estimate
 from .optimizer import OptimizerConfig, run_optimizer
 from .rng import RngStream
@@ -74,11 +68,13 @@ __all__ = [
 
 OUTPUT_DIR_VAR = "ZOSPARSE_OUT"
 
-FAMILIES = ("distance", "magnitude", "attack", "planted-linear")
-
-_INT_KEYS = {"d", "s", "u", "v", "hops", "n", "d1", "m", "directions", "batch", "scales"}
-_FLOAT_KEYS = {"lam", "w", "epsilon", "mu"}
-_STR_KEYS = {"graph"}
+# The spec keys each method reads, with their types; scales sets gld_scales.
+METHOD_KEYS = {
+    "grace": {"s": int, "epsilon": float, "n": int, "m": int, "d1": int},
+    "rs": {"mu": float},
+    "zo-signsgd": {"mu": float, "directions": int},
+    "gld": {"scales": int},
+}
 
 
 class ExperimentSpecError(ValueError):
@@ -109,17 +105,39 @@ class ExperimentSpec:
     output: str | None = None
 
 
-def _typed_value(section: str, key: str, raw: str):
-    try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _STR_KEYS:
-            return raw
-    except ValueError as err:
-        raise ExperimentSpecError(f"[{section}] {key}: {err}") from None
-    raise ExperimentSpecError(f"[{section}] unknown key {key!r}")
+def _typed(section: str, keys: dict, required: tuple, params: dict) -> dict:
+    """params with each value in its key's type; unknown and missing keys raise."""
+    typed = {}
+    for key, value in params.items():
+        if key not in keys:
+            raise ExperimentSpecError(f"[{section}] unknown key {key!r}; expected {sorted(keys)}")
+        try:
+            typed[key] = keys[key](value)
+        except (TypeError, ValueError) as err:
+            raise ExperimentSpecError(f"[{section}] {key}: {err}") from None
+    for key in required:
+        if key not in typed:
+            raise ExperimentSpecError(f"[{section}] needs a {key} key")
+    return typed
+
+
+def _checked(spec: ExperimentSpec) -> ExperimentSpec:
+    """spec with typed parameters; rejects what would fail or be ignored in every cell."""
+    families = tuple(name for name, row in FAMILIES.items() if row.in_specs)
+    if spec.family not in families:
+        raise ExperimentSpecError(f"[family] unknown family {spec.family!r}; expected {families}")
+    if spec.budget < 1 or (spec.max_steps is not None and spec.max_steps < 1):
+        raise ExperimentSpecError("[experiment] budget and max-steps: need integers >= 1")
+    row = FAMILIES[spec.family]
+    methods = []
+    for method in spec.methods:
+        section = f"method:{method.name}"
+        if method.method not in METHOD_KEYS:
+            raise ExperimentSpecError(f"[{section}] unknown method {method.method!r}")
+        params = _typed(section, METHOD_KEYS[method.method], (), method.params)
+        methods.append(replace(method, params=params))
+    family_params = _typed("family", row.keys, row.required, spec.family_params)
+    return replace(spec, family_params=family_params, methods=methods)
 
 
 def _int_list(section: str, key: str, raw: str) -> list:
@@ -144,12 +162,8 @@ def parse_spec(text: str) -> ExperimentSpec:
         raise ExperimentSpecError("need [experiment] and [family] sections")
 
     exp = parser["experiment"]
-    try:
-        budget = exp.getint("budget")
-    except (ValueError, TypeError):
-        raise ExperimentSpecError("[experiment] budget: expected an integer") from None
-    if budget is None or budget < 1:
-        raise ExperimentSpecError("[experiment] budget: need an integer >= 1")
+    counts = {key: exp[key] for key in ("budget", "max-steps") if key in exp}
+    counts = _typed("experiment", {"budget": int, "max-steps": int}, ("budget",), counts)
     try:
         eta_grid = [float(tok) for tok in exp.get("eta-grid", "").split()]
     except ValueError:
@@ -158,16 +172,12 @@ def parse_spec(text: str) -> ExperimentSpec:
         raise ExperimentSpecError("[experiment] eta-grid: need positive step sizes")
     instance_seeds = _int_list("experiment", "instance-seeds", exp.get("instance-seeds", ""))
     run_seeds = _int_list("experiment", "run-seeds", exp.get("run-seeds", ""))
-    max_steps = exp.getint("max-steps") if "max-steps" in exp else None
     output = exp.get("output") if "output" in exp else None
 
     fam = parser["family"]
     if "name" not in fam:
         raise ExperimentSpecError("[family] needs a name")
-    family = fam["name"]
-    if family not in FAMILIES:
-        raise ExperimentSpecError(f"[family] unknown family {family!r}; expected one of {FAMILIES}")
-    family_params = {k: _typed_value("family", k, v) for k, v in fam.items() if k != "name"}
+    family_params = {k: v for k, v in fam.items() if k != "name"}
 
     methods = []
     for section in parser.sections():
@@ -177,23 +187,23 @@ def parse_spec(text: str) -> ExperimentSpec:
         body = parser[section]
         if "method" not in body:
             raise ExperimentSpecError(f"[{section}] needs a method key")
-        algorithm = body["method"]
-        params = {k: _typed_value(section, k, v) for k, v in body.items() if k != "method"}
-        methods.append(MethodSpec(name, algorithm, params))
+        params = {k: v for k, v in body.items() if k != "method"}
+        methods.append(MethodSpec(name, body["method"], params))
     if not methods:
         raise ExperimentSpecError("need at least one [method:NAME] section")
 
-    return ExperimentSpec(
-        family=family,
+    spec = ExperimentSpec(
+        family=fam["name"],
         family_params=family_params,
         methods=methods,
         instance_seeds=instance_seeds,
         run_seeds=run_seeds,
-        budget=budget,
+        budget=counts["budget"],
         eta_grid=eta_grid,
-        max_steps=max_steps,
+        max_steps=counts.get("max-steps"),
         output=output,
     )
+    return _checked(spec)
 
 
 def serialize_spec(spec: ExperimentSpec) -> str:
@@ -240,23 +250,6 @@ class ExperimentResult:
     num_failures: int
 
 
-def _build_instance(spec: ExperimentSpec, graph: Graph | None, instance_seed: int) -> BenchmarkInstance:
-    params = spec.family_params
-    rng = RngStream(instance_seed)
-    if spec.family == "distance":
-        return make_distance(params["d"], params["s"], rng)
-    if spec.family == "magnitude":
-        return make_magnitude(
-            params["d"], params["s"], params.get("lam", 0.1), params.get("w", 0.2), rng
-        )
-    if spec.family == "planted-linear":
-        return make_planted_linear(params["d"], params["s"], rng)
-    lam = params.get("lam", 100.0 / graph.n**2)
-    return make_attack(
-        graph, params.get("u", 1), params.get("v", 2), params.get("hops", 4), lam
-    )
-
-
 def _infinite_on_degenerate(f: BlackBoxFunction) -> BlackBoxFunction:
     """Degenerate degrees read as +inf, preserving minimization semantics."""
 
@@ -270,49 +263,34 @@ def _infinite_on_degenerate(f: BlackBoxFunction) -> BlackBoxFunction:
 
 
 def _optimizer_config(method: MethodSpec, eta: float, spec: ExperimentSpec) -> OptimizerConfig:
-    params = method.params
-    kwargs = {}
-    if "mu" in params:
-        kwargs["mu"] = params["mu"]
-    if "directions" in params:
-        kwargs["directions"] = params["directions"]
-    if "batch" in params:
-        kwargs["batch"] = params["batch"]
-    if "scales" in params:
-        kwargs["gld_scales"] = params["scales"]
+    knobs = {} if method.method == "grace" else method.params
     return OptimizerConfig(
         method=method.method,
         step_size=eta,
         budget=spec.budget,
         max_steps=spec.max_steps,
-        **kwargs,
+        **{"gld_scales" if key == "scales" else key: value for key, value in knobs.items()},
     )
 
 
 def _grace_config(method: MethodSpec, spec: ExperimentSpec, d: int) -> GraceConfig:
     params = method.params
     s = params.get("s", spec.family_params.get("s", 1))
-    d1 = params.get("d1", 10 if spec.family == "attack" else 20)
-    n = params.get("n", max(1, 7 * d // (10 * s)))
-    return GraceConfig(
-        s=s,
-        epsilon=params.get("epsilon", 1e-6),
-        n=n,
-        m=params.get("m", 1),
-        schedule=practical_schedule(d1),
-    )
+    cfg = GraceConfig.defaults(d, s, d1=params.get("d1", FAMILIES[spec.family].grace_d1))
+    return replace(cfg, **{key: params[key] for key in ("epsilon", "n", "m") if key in params})
 
 
 def _execute_unit(payload):
     """One (instance seed, run seed, method, eta) cell; runs in a worker."""
-    spec, graph, instance_seed, run_seed, method_index, eta_index = payload
+    spec, family_params, instance_seed, run_seed, method_index, eta_index = payload
+    row = FAMILIES[spec.family]
     method = spec.methods[method_index]
     eta = spec.eta_grid[eta_index]
     key = (method_index, instance_seed, run_seed, eta_index)
     try:
-        instance = _build_instance(spec, graph, instance_seed)
+        instance = row.build(family_params, RngStream(instance_seed))
         f = instance.objective
-        if spec.family == "attack":
+        if row.degenerate_inf:
             f = _infinite_on_degenerate(f)
         opt = _optimizer_config(method, eta, spec)
         grace = _grace_config(method, spec, f.dim) if method.method == "grace" else None
@@ -353,14 +331,13 @@ def run_experiment(
     sweep proceeds; startup problems (unreadable graph, bad spec) raise
     instead.
     """
-    graph = None
-    if spec.family == "attack":
-        if "graph" not in spec.family_params:
-            raise ExperimentSpecError("[family] attack needs a graph key")
-        graph = load_graph(Path(spec.family_params["graph"]).read_text(encoding="utf-8"))
+    spec = _checked(spec)
+    family_params = dict(spec.family_params)
+    if "graph" in family_params:
+        family_params["graph"] = load_graph(Path(family_params["graph"]).read_text("utf-8"))
 
     payloads = [
-        (spec, graph, instance_seed, run_seed, method_index, eta_index)
+        (spec, family_params, instance_seed, run_seed, method_index, eta_index)
         for method_index in range(len(spec.methods))
         for instance_seed in spec.instance_seeds
         for run_seed in spec.run_seeds

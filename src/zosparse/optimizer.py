@@ -51,9 +51,9 @@ class OptimizerConfig:
     difference per step when given (a callable of the 1-based step
     number); the default keeps it constant.  mu is the smoothing radius
     of the Gaussian baselines, directions the number of averaged
-    estimates per sign-descent step, and batch its replica count, which
-    is vacuous for deterministic objectives and kept only for interface
-    parity.  At least one of budget and max_steps must be set.
+    estimates per sign-descent step, and gld_scales the number of radii
+    tried per local-search step.  At least one of budget and max_steps
+    must be set.
     """
 
     method: str
@@ -63,7 +63,6 @@ class OptimizerConfig:
     epsilon_schedule: Callable[[int], float] | None = None
     mu: float = 1e-3
     directions: int = 10
-    batch: int = 1
     gld_scales: int = 4
 
     def __post_init__(self):
@@ -79,8 +78,8 @@ class OptimizerConfig:
             raise ValueError(f"need max_steps >= 1, got {self.max_steps}")
         if not self.mu > 0:
             raise ValueError(f"need mu > 0, got {self.mu}")
-        if self.directions < 1 or self.batch < 1 or self.gld_scales < 1:
-            raise ValueError("need directions, batch, and gld_scales >= 1")
+        if self.directions < 1 or self.gld_scales < 1:
+            raise ValueError("need directions and gld_scales >= 1")
 
 
 @dataclass
@@ -181,7 +180,6 @@ def step_zo_signsgd(
     x: np.ndarray,
     f_x: float,
     mu: float,
-    batch: int,
     directions: int,
     eta: float,
     rng: RngStream,
@@ -189,12 +187,10 @@ def step_zo_signsgd(
     """Average several smoothing estimates and move by the sign pattern.
 
     sign(0) = 0, so coordinates with a perfectly balanced estimate stay
-    put.  Queries: directions per call.  batch replicates each estimate
-    against the same deterministic objective, so it only repeats values
-    and is not queried.
+    put.  Queries: directions per call.
     """
-    if batch < 1 or directions < 1:
-        raise ValueError("need batch >= 1 and directions >= 1")
+    if directions < 1:
+        raise ValueError(f"need directions >= 1, got {directions}")
     total = np.zeros(f.dim)
     for _ in range(directions):
         total += estimate_rs(f, x, f_x, mu, rng)
@@ -247,7 +243,7 @@ def _run_baseline(
             else:  # zo-signsgd
                 f_x = counted(x)
                 next_x = step_zo_signsgd(
-                    counted, x, f_x, opt.mu, opt.batch, opt.directions, opt.step_size, step_rng
+                    counted, x, f_x, opt.mu, opt.directions, opt.step_size, step_rng
                 )
         except BudgetExhaustedError:
             # f(x_t) from the interrupted step enters the trace only if it is

@@ -27,6 +27,12 @@ def linear(d, coeffs):
     return make_sparse_linear(d, coeffs).objective
 
 
+def located(f, *args, **kwargs):
+    """locate_in_group's survivors and the queries a ledger counted for it."""
+    counted, ledger = with_ledger(f)
+    return locate_in_group(counted, *args, **kwargs), ledger.count
+
+
 class TestShrinkStep:
     def test_isolates_single_signal_with_unit_blocks(self):
         # Block size 1 reads the signal's label exactly; any seed works.
@@ -115,7 +121,7 @@ class TestShrinkStep:
 class TestLocateInGroup:
     def test_tiny_group_needs_no_queries(self):
         f = linear(4, {2: 1.0})
-        survivors, queries = locate_in_group(
+        survivors, queries = located(
             f, np.zeros(4), 0.0, 1e-3, np.array([2, 4]), practical_schedule(20), rng=RngStream(0)
         )
         assert survivors.tolist() == [2, 4]
@@ -123,7 +129,7 @@ class TestLocateInGroup:
 
     def test_single_member_group(self):
         f = linear(4, {2: 1.0})
-        survivors, queries = locate_in_group(
+        survivors, queries = located(
             f, np.zeros(4), 0.0, 1e-3, np.array([3]), practical_schedule(20), rng=RngStream(0)
         )
         assert survivors.tolist() == [3]
@@ -131,7 +137,7 @@ class TestLocateInGroup:
 
     def test_degenerate_group_dies_in_one_iteration(self):
         f = BlackBoxFunction(8, lambda x: 0.0)
-        survivors, queries = locate_in_group(
+        survivors, queries = located(
             f, np.zeros(8), 0.0, 1e-3, np.arange(1, 9), practical_schedule(20), rng=RngStream(0)
         )
         assert survivors.size == 0
@@ -140,7 +146,7 @@ class TestLocateInGroup:
     def test_signal_survives_with_dominant_coordinate(self):
         f = linear(16, {11: 4.0})
         for seed in range(10):
-            survivors, queries = locate_in_group(
+            survivors, queries = located(
                 f,
                 np.zeros(16),
                 0.0,
@@ -155,7 +161,7 @@ class TestLocateInGroup:
 
     def test_zero_iteration_budget_truncates(self):
         f = linear(8, {5: 1.0})
-        survivors, queries = locate_in_group(
+        survivors, queries = located(
             f,
             np.zeros(8),
             0.0,
@@ -170,7 +176,7 @@ class TestLocateInGroup:
 
     def test_iteration_safeguard_returns_stop_sized_set(self):
         f = linear(8, {5: 1.0})
-        survivors, queries = locate_in_group(
+        survivors, queries = located(
             f,
             np.zeros(8),
             0.0,

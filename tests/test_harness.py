@@ -1,12 +1,23 @@
 """Experiment files, sweep execution, CSV output, CLI, verification."""
 
 import csv
+import dataclasses
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from zosparse.blackbox import (
+    FAMILIES,
+    describe_instance,
+    instance_from_description,
+    load_graph,
+    make_attack,
+    make_distance,
+    make_magnitude,
+    make_planted_linear,
+)
 from zosparse.cli import main
 from zosparse.harness import (
     ExperimentSpec,
@@ -21,8 +32,20 @@ from zosparse.harness import (
     verify_theory,
     write_scaling_csv,
 )
+from zosparse.rng import RngStream
 
 PATH_3 = "3 2\n1 2\n2 3\n"
+
+# Spec keys that break no range check but that no family or method reads,
+# each with the section it goes into.
+UNREAD_KEYS = [
+    ("[method:odd]\nmethod = rs", "color = red"),
+    ("[method:odd]\nmethod = grace", "batch = 2"),
+    ("[method:odd]\nmethod = grace", "directions = 3"),
+    ("[method:odd]\nmethod = gld", "mu = 0.5"),
+    ("[family]", "hops = 4"),
+    ("[family]", "lam = 0.5"),
+]
 
 
 def small_spec(**overrides):
@@ -78,9 +101,14 @@ class TestSpecDocuments:
             parse_spec(text)
 
     def test_unknown_key_rejected(self):
-        text = serialize_spec(small_spec()) + "\n[method:odd]\nmethod = rs\ncolor = red\n"
-        with pytest.raises(ExperimentSpecError, match="color"):
-            parse_spec(text)
+        for header, line in UNREAD_KEYS:
+            text = serialize_spec(small_spec())
+            if header == "[family]":
+                text = text.replace("[family]\n", f"[family]\n{line}\n")
+            else:
+                text += f"\n{header}\n{line}\n"
+            with pytest.raises(ExperimentSpecError, match=line.split()[0]):
+                parse_spec(text)
 
     def test_needs_a_method_section(self):
         spec = small_spec()
@@ -218,6 +246,46 @@ class TestRunExperiment:
         assert read_csv(result.runs_path)[0]["status"] == "ok"
 
 
+# Per spec family: its keys in a spec, and the same instance made by the
+# maker with the defaults spelled out, at instance seed 4.
+EXPECTED_BUILDS = {
+    "distance": ({"d": 16, "s": 3}, lambda graph: make_distance(16, 3, RngStream(4))),
+    "magnitude": ({"d": 16, "s": 3}, lambda graph: make_magnitude(16, 3, 0.1, 0.2, RngStream(4))),
+    "attack": ({"graph": "g.txt"}, lambda graph: make_attack(graph, 1, 2, 4, 100.0 / 3**2)),
+    "planted-linear": ({"d": 16, "s": 3}, lambda graph: make_planted_linear(16, 3, RngStream(4))),
+}
+
+
+@pytest.mark.parametrize("family", [name for name, row in FAMILIES.items() if row.in_specs])
+def test_spec_and_description_build_the_same_objective(family, tmp_path, monkeypatch):
+    (tmp_path / "g.txt").write_text(PATH_3, encoding="utf-8")
+    params, make = EXPECTED_BUILDS[family]
+    params = {k: str(tmp_path / v) if k == "graph" else v for k, v in params.items()}
+    row, built = FAMILIES[family], []
+
+    def build(p, rng):
+        built.append(row.build(p, rng))
+        return built[-1]
+
+    monkeypatch.setitem(FAMILIES, family, dataclasses.replace(row, build=build))
+    spec = small_spec(
+        family=family,
+        family_params=params,
+        methods=[MethodSpec("gld", "gld", {})],
+        instance_seeds=[4],
+        eta_grid=[0.1],
+        budget=10,
+    )
+    run_experiment(spec, output_dir=tmp_path / "out")
+    (instance,) = built
+    graph = load_graph(PATH_3)
+    described = instance_from_description(describe_instance(make(graph)), graph=graph)
+    np.testing.assert_array_equal(instance.x1, described.x1)
+    points = 0.1 * RngStream(0).gen.standard_normal((4, instance.objective.dim))
+    for x in [instance.x1, *points]:
+        assert instance.objective(x) == described.objective(x)
+
+
 class TestOutputResolution:
     def test_explicit_wins(self, monkeypatch):
         monkeypatch.setenv("ZOSPARSE_OUT", "/env")
@@ -331,10 +399,22 @@ class TestCli:
         assert "error" in capsys.readouterr().err
 
     def test_run_invalid_spec_is_usage_error(self, tmp_path, capsys):
-        bad = tmp_path / "bad.ini"
-        bad.write_text("[experiment]\nbudget = -3\n", encoding="utf-8")
-        code = main(["run", str(bad)])
-        assert code == 2
+        good = serialize_spec(small_spec())
+        texts = [
+            "[experiment]\nbudget = -3\n",
+            good.replace("method = gld", "method = newton"),
+            good.replace("s = 3\n", ""),
+            good.replace("name = distance", "name = attack").replace("d = 16\ns = 3\n", ""),
+            good.replace("budget = 200", "budget = 200\nmax-steps = abc"),
+            good.replace("budget = 200", "budget = 200\nmax-steps = 0"),
+        ]
+        texts += [good.replace("[family]\n", f"[family]\n{line}\n") for _, line in UNREAD_KEYS[4:]]
+        for text in texts:
+            bad = tmp_path / "bad.ini"
+            bad.write_text(text, encoding="utf-8")
+            code = main(["run", str(bad), "--jobs", "1", "--output", str(tmp_path / "out")])
+            assert code == 2
+        assert not (tmp_path / "out").exists()  # rejected before any cell ran
 
     def test_verify_subcommand(self, capsys):
         assert main(["verify"]) == 0

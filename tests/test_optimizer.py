@@ -77,18 +77,18 @@ class TestStepZoSignsgd:
         # All estimates vanish; sign(0) = 0 keeps every coordinate put.
         f = BlackBoxFunction(4, lambda x: 11.5)
         x = np.array([1.0, -2.0, 0.5, 0.0])
-        moved = step_zo_signsgd(f, x, 11.5, 1e-3, 1, 5, 0.1, RngStream(0))
+        moved = step_zo_signsgd(f, x, 11.5, 1e-3, 5, 0.1, RngStream(0))
         np.testing.assert_array_equal(moved, x)
 
     def test_moves_by_eta_in_sign_direction(self):
         c = np.array([3.0, -4.0])
         f = BlackBoxFunction(2, lambda x: float(c @ x))
-        moved = step_zo_signsgd(f, np.zeros(2), 0.0, 1e-6, 1, 40, 0.1, RngStream(1))
+        moved = step_zo_signsgd(f, np.zeros(2), 0.0, 1e-6, 40, 0.1, RngStream(1))
         np.testing.assert_allclose(moved, [-0.1, 0.1])
 
     def test_queries_equal_directions(self):
         counted, ledger = with_ledger(quadratic_1d())
-        step_zo_signsgd(counted, np.zeros(1), 0.0, 1e-3, 1, 7, 0.1, RngStream(2))
+        step_zo_signsgd(counted, np.zeros(1), 0.0, 1e-3, 7, 0.1, RngStream(2))
         assert ledger.count == 7
 
 
