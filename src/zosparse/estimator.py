@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blackbox import BlackBoxFunction, BudgetExhaustedError
+# By name, so a tracer that replaces blackbox.with_ledger leaves this count alone.
+from .blackbox import BlackBoxFunction, BudgetExhaustedError, with_ledger
 from .rng import RngStream, dependent_partition, partition_groups, random_permutation
 from .theory import DivisionSchedule, practical_schedule
 
@@ -47,8 +48,8 @@ class GraceConfig:
     """Hyperparameters of one sparse estimate.
 
     n is the group size, m the number of independent repeats, and the
-    schedule supplies the divisor for each shrink iteration.  The
-    max_shrink_iterations safeguard defaults per group size; see
+    schedule supplies the divisor for each shrink iteration.  Each group
+    shrinks to at most two candidates, under the iteration safeguard of
     :func:`default_max_iterations`.
 
     Per repeat, a support coordinate is alone in its group with
@@ -65,8 +66,6 @@ class GraceConfig:
     n: int
     m: int = 1
     schedule: DivisionSchedule = field(default_factory=lambda: practical_schedule(20))
-    shrink_stop_size: int = 2
-    max_shrink_iterations: int | None = None
 
     @classmethod
     def defaults(cls, d: int, s: int, epsilon: float = 1e-6, d1: int = 20) -> "GraceConfig":
@@ -83,8 +82,6 @@ class GraceConfig:
             raise ValueError(f"need 1 <= n <= d, got n={self.n}, d={d}")
         if self.m < 1:
             raise ValueError(f"need m >= 1, got m={self.m}")
-        if self.shrink_stop_size < 1:
-            raise ValueError(f"need shrink_stop_size >= 1, got {self.shrink_stop_size}")
 
 
 @dataclass
@@ -186,7 +183,8 @@ def locate_in_group(
     schedule: DivisionSchedule,
     stop_size: int = 2,
     max_iterations: int | None = None,
-    rng: RngStream = None,
+    *,
+    rng: RngStream,
 ) -> np.ndarray:
     """Shrink one group until at most stop_size candidates remain.
 
@@ -225,34 +223,25 @@ def grace_estimate(
     d = f.dim
     cfg.validate(d)
     x = np.asarray(x, dtype=float)
-    used = 0
-
-    def counted(point):
-        nonlocal used
-        value = f(point)
-        used += 1
-        return value
-
-    counting = BlackBoxFunction(d, counted)
+    counting, ledger = with_ledger(f)
     entries: dict[int, float] = {}
     base_value = None
     try:
-        base_value = counted(x)
+        base_value = counting(x)
         candidates: set[int] = set()
         for _repeat in range(cfg.m):
             omega = random_permutation(d, rng)
             for group in partition_groups(d, cfg.n, omega):
                 survivors = locate_in_group(
-                    counting, x, base_value, cfg.epsilon, group, cfg.schedule,
-                    cfg.shrink_stop_size, cfg.max_shrink_iterations, rng,
+                    counting, x, base_value, cfg.epsilon, group, cfg.schedule, rng=rng
                 )
                 candidates.update(int(j) for j in survivors)
         for j in sorted(candidates):
             entries[j] = finite_difference(counting, x, base_value, j, cfg.epsilon)
     except BudgetExhaustedError as error:
-        error.partial = SparseGradient(d, entries, used, base_value)
+        error.partial = SparseGradient(d, entries, ledger.count, base_value)
         raise
-    return SparseGradient(d, entries, used, base_value)
+    return SparseGradient(d, entries, ledger.count, base_value)
 
 
 def finite_difference(

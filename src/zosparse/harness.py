@@ -68,13 +68,18 @@ __all__ = [
 
 OUTPUT_DIR_VAR = "ZOSPARSE_OUT"
 
-# The spec keys each method reads, with their types; scales sets gld_scales.
+# The spec keys each method reads, with their types; a baseline's keys are
+# the OptimizerConfig fields of the same name.
 METHOD_KEYS = {
     "grace": {"s": int, "epsilon": float, "n": int, "m": int, "d1": int},
     "rs": {"mu": float},
     "zo-signsgd": {"mu": float, "directions": int},
     "gld": {"scales": int},
 }
+
+# The [experiment] keys with their types; the three lists are split when read.
+EXPERIMENT_KEYS = {"budget": int, "max-steps": int, "output": str}
+EXPERIMENT_KEYS.update(dict.fromkeys(("eta-grid", "instance-seeds", "run-seeds"), str))
 
 
 class ExperimentSpecError(ValueError):
@@ -161,9 +166,7 @@ def parse_spec(text: str) -> ExperimentSpec:
     if "experiment" not in parser or "family" not in parser:
         raise ExperimentSpecError("need [experiment] and [family] sections")
 
-    exp = parser["experiment"]
-    counts = {key: exp[key] for key in ("budget", "max-steps") if key in exp}
-    counts = _typed("experiment", {"budget": int, "max-steps": int}, ("budget",), counts)
+    exp = _typed("experiment", EXPERIMENT_KEYS, ("budget",), dict(parser["experiment"]))
     try:
         eta_grid = [float(tok) for tok in exp.get("eta-grid", "").split()]
     except ValueError:
@@ -172,7 +175,6 @@ def parse_spec(text: str) -> ExperimentSpec:
         raise ExperimentSpecError("[experiment] eta-grid: need positive step sizes")
     instance_seeds = _int_list("experiment", "instance-seeds", exp.get("instance-seeds", ""))
     run_seeds = _int_list("experiment", "run-seeds", exp.get("run-seeds", ""))
-    output = exp.get("output") if "output" in exp else None
 
     fam = parser["family"]
     if "name" not in fam:
@@ -181,8 +183,12 @@ def parse_spec(text: str) -> ExperimentSpec:
 
     methods = []
     for section in parser.sections():
-        if not section.startswith("method:"):
+        if section in ("experiment", "family"):
             continue
+        if not section.startswith("method:"):
+            raise ExperimentSpecError(
+                f"unknown section [{section}]; expected [experiment], [family] and [method:NAME]"
+            )
         name = section.split(":", 1)[1]
         body = parser[section]
         if "method" not in body:
@@ -198,10 +204,10 @@ def parse_spec(text: str) -> ExperimentSpec:
         methods=methods,
         instance_seeds=instance_seeds,
         run_seeds=run_seeds,
-        budget=counts["budget"],
+        budget=exp["budget"],
         eta_grid=eta_grid,
-        max_steps=counts.get("max-steps"),
-        output=output,
+        max_steps=exp.get("max-steps"),
+        output=exp.get("output"),
     )
     return _checked(spec)
 
@@ -269,7 +275,7 @@ def _optimizer_config(method: MethodSpec, eta: float, spec: ExperimentSpec) -> O
         step_size=eta,
         budget=spec.budget,
         max_steps=spec.max_steps,
-        **{"gld_scales" if key == "scales" else key: value for key, value in knobs.items()},
+        **knobs,
     )
 
 

@@ -1,11 +1,12 @@
-"""Descent loops over black-box objectives with exact query accounting.
+"""One descent loop over black-box objectives with exact query accounting.
 
-The sparse-estimate descent touches only the estimated support each
-step.  The three dense baselines (Gaussian smoothing descent, sign
-descent, and local search over shrinking radii) share the same
-accounting conventions: f at the current iterate is measured once per
-step and cached, and every run stops on its query budget or step limit,
-whichever lands first.
+:func:`run_optimizer` runs every method through the same loop.  The
+sparse-estimate descent touches only the estimated support each step;
+the three dense baselines (Gaussian smoothing descent, sign descent, and
+local search over shrinking radii) move the whole iterate.  In every
+method f at the current iterate is measured once per step and cached,
+and every run stops on its query budget or step limit, whichever lands
+first.
 
 Trace rows carry (step, cumulative queries, f(x_t), f(x_t)/f(x_1)); the
 row for step t is written after the sampling performed at x_t, and the
@@ -16,8 +17,7 @@ objective, judged only from values already paid for.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,6 @@ __all__ = [
     "OptimizerConfig",
     "TraceRecord",
     "RunTrace",
-    "zo_gd_grace",
     "estimate_rs",
     "step_zo_signsgd",
     "step_gld",
@@ -47,23 +46,19 @@ ETA_GRID = (0.5, 0.2, 0.1, 0.05, 0.02, 0.01)
 class OptimizerConfig:
     """Settings of one descent run.
 
-    epsilon_schedule overrides the estimator's constant finite
-    difference per step when given (a callable of the 1-based step
-    number); the default keeps it constant.  mu is the smoothing radius
-    of the Gaussian baselines, directions the number of averaged
-    estimates per sign-descent step, and gld_scales the number of radii
-    tried per local-search step.  At least one of budget and max_steps
-    must be set.
+    mu is the smoothing radius of the Gaussian baselines, directions the
+    number of averaged estimates per sign-descent step, and scales the
+    number of radii tried per local-search step.  At least one of budget
+    and max_steps must be set.
     """
 
     method: str
     step_size: float
     budget: int | None = None
     max_steps: int | None = None
-    epsilon_schedule: Callable[[int], float] | None = None
     mu: float = 1e-3
     directions: int = 10
-    gld_scales: int = 4
+    scales: int = 4
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -78,8 +73,8 @@ class OptimizerConfig:
             raise ValueError(f"need max_steps >= 1, got {self.max_steps}")
         if not self.mu > 0:
             raise ValueError(f"need mu > 0, got {self.mu}")
-        if self.directions < 1 or self.gld_scales < 1:
-            raise ValueError("need directions and gld_scales >= 1")
+        if self.directions < 1 or self.scales < 1:
+            raise ValueError("need directions and scales >= 1")
 
 
 @dataclass
@@ -123,43 +118,6 @@ class _TraceBuilder:
 
     def finish(self) -> RunTrace:
         return RunTrace(self.records, self.best_point, self.best_value)
-
-
-def zo_gd_grace(
-    f: BlackBoxFunction,
-    x1: np.ndarray,
-    opt: OptimizerConfig,
-    grace: GraceConfig,
-    rng: RngStream,
-) -> RunTrace:
-    """Descend using sparse estimates: x <- x - eta * g on the estimated support.
-
-    Each step derives its own rng sub-stream, so a run is reproducible
-    from (x1, configs, rng key) alone.  On budget exhaustion mid
-    estimate the partial step is discarded; only its already-measured
-    f(x_t) still enters the trace.
-    """
-    counted, ledger = with_ledger(f, opt.budget)
-    x = np.array(x1, dtype=float)
-    trace = _TraceBuilder(x)
-    step = 0
-    while opt.max_steps is None or step < opt.max_steps:
-        step += 1
-        cfg = grace
-        if opt.epsilon_schedule is not None:
-            cfg = replace(grace, epsilon=opt.epsilon_schedule(step))
-        try:
-            estimate = grace_estimate(counted, x, cfg, rng.derive(step))
-        except BudgetExhaustedError as error:
-            partial = error.partial
-            if partial is not None and partial.base_value is not None:
-                trace.record(step, ledger.count, partial.base_value, x)
-            break
-        trace.record(step, ledger.count, estimate.base_value, x)
-        x = x.copy()
-        for j, g in estimate.entries.items():
-            x[j - 1] -= opt.step_size * g
-    return trace.finish()
 
 
 def estimate_rs(
@@ -218,44 +176,6 @@ def step_gld(
     return best_x, best_value
 
 
-def _run_baseline(
-    f: BlackBoxFunction, x1: np.ndarray, opt: OptimizerConfig, rng: RngStream
-) -> RunTrace:
-    counted, ledger = with_ledger(f, opt.budget)
-    x = np.array(x1, dtype=float)
-    trace = _TraceBuilder(x)
-    carried_value = None  # gld re-uses the accepted candidate's value as the next f_x
-    step = 0
-    while opt.max_steps is None or step < opt.max_steps:
-        step += 1
-        step_rng = rng.derive(step)
-        f_x = None
-        try:
-            if opt.method == "gld":
-                f_x = counted(x) if carried_value is None else carried_value
-                next_x, carried_value = step_gld(
-                    counted, x, f_x, opt.step_size, opt.gld_scales, step_rng
-                )
-            elif opt.method == "rs":
-                f_x = counted(x)
-                gradient = estimate_rs(counted, x, f_x, opt.mu, step_rng)
-                next_x = x - opt.step_size * gradient
-            else:  # zo-signsgd
-                f_x = counted(x)
-                next_x = step_zo_signsgd(
-                    counted, x, f_x, opt.mu, opt.directions, opt.step_size, step_rng
-                )
-        except BudgetExhaustedError:
-            # f(x_t) from the interrupted step enters the trace only if it is
-            # known; the builder drops it unless new queries back the row.
-            if f_x is not None:
-                trace.record(step, ledger.count, f_x, x)
-            break
-        trace.record(step, ledger.count, f_x, x)
-        x = next_x
-    return trace.finish()
-
-
 def run_optimizer(
     f: BlackBoxFunction,
     x1: np.ndarray,
@@ -263,9 +183,51 @@ def run_optimizer(
     rng: RngStream,
     grace: GraceConfig | None = None,
 ) -> RunTrace:
-    """Dispatch a run to the configured method."""
-    if opt.method == "grace":
-        if grace is None:
-            raise ValueError("method 'grace' needs a GraceConfig")
-        return zo_gd_grace(f, x1, opt, grace, rng)
-    return _run_baseline(f, x1, opt, rng)
+    """Descend with the configured method until the budget or step limit.
+
+    grace moves x <- x - eta * g on the estimated support only.  Each
+    step derives its own rng sub-stream, so a run is reproducible from
+    (x1, configs, rng key) alone.  On budget exhaustion mid step the
+    partial step is discarded; only its already-measured f(x_t) still
+    enters the trace.
+    """
+    if opt.method == "grace" and grace is None:
+        raise ValueError("method 'grace' needs a GraceConfig")
+    counted, ledger = with_ledger(f, opt.budget)
+    x = np.array(x1, dtype=float)
+    trace = _TraceBuilder(x)
+    carried = None  # gld re-uses the accepted candidate's value as the next f_x
+    step = 0
+    while opt.max_steps is None or step < opt.max_steps:
+        step += 1
+        step_rng = rng.derive(step)
+        f_x = carried
+        try:
+            if opt.method == "grace":
+                estimate = grace_estimate(counted, x, grace, step_rng)
+                f_x = estimate.base_value
+                next_x = x.copy()
+                for j, g in estimate.entries.items():
+                    next_x[j - 1] -= opt.step_size * g
+            else:
+                if f_x is None:
+                    f_x = counted(x)
+                if opt.method == "gld":
+                    next_x, carried = step_gld(counted, x, f_x, opt.step_size, opt.scales, step_rng)
+                elif opt.method == "rs":
+                    next_x = x - opt.step_size * estimate_rs(counted, x, f_x, opt.mu, step_rng)
+                else:  # zo-signsgd
+                    next_x = step_zo_signsgd(
+                        counted, x, f_x, opt.mu, opt.directions, opt.step_size, step_rng
+                    )
+        except BudgetExhaustedError as error:
+            # Only grace attaches a partial estimate, carrying its f(x_t) if
+            # measured; record() drops a row that no new queries back.
+            if error.partial is not None:
+                f_x = error.partial.base_value
+            if f_x is not None:
+                trace.record(step, ledger.count, f_x, x)
+            break
+        trace.record(step, ledger.count, f_x, x)
+        x = next_x
+    return trace.finish()

@@ -189,6 +189,11 @@ class TestLocateInGroup:
         assert survivors.size == 2
         assert queries == 2
 
+    def test_rng_is_required(self):
+        f = linear(4, {1: 1.0})
+        with pytest.raises(TypeError, match="rng"):
+            locate_in_group(f, np.zeros(4), 0.0, 1e-3, np.arange(1, 5), practical_schedule(20))
+
     def test_rejects_empty_group(self):
         f = linear(4, {1: 1.0})
         with pytest.raises(ValueError):
@@ -297,7 +302,6 @@ class TestGraceEstimate:
             GraceConfig(s=1, epsilon=0.0, n=4),
             GraceConfig(s=1, epsilon=1e-3, n=9),
             GraceConfig(s=1, epsilon=1e-3, n=4, m=0),
-            GraceConfig(s=1, epsilon=1e-3, n=4, shrink_stop_size=0),
         ]
         for cfg in bad:
             with pytest.raises(ValueError):

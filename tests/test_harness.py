@@ -45,7 +45,19 @@ UNREAD_KEYS = [
     ("[method:odd]\nmethod = gld", "mu = 0.5"),
     ("[family]", "hops = 4"),
     ("[family]", "lam = 0.5"),
+    ("[experiment]", "max_steps = 3"),
+    ("[experiment]", "seeds = 1 2"),
 ]
+
+# Sections parse_spec does not read, each with the name its error gives.
+UNREAD_SECTIONS = [("[methods:b]\nmethod = rs", "methods:b"), ("[runs]\ncount = 2", "runs")]
+
+
+def with_unread(text, header, line):
+    """text with line added to section header, appended when header is new."""
+    if header in ("[family]", "[experiment]"):
+        return text.replace(f"{header}\n", f"{header}\n{line}\n")
+    return text + f"\n{header}\n{line}\n"
 
 
 def small_spec(**overrides):
@@ -102,13 +114,12 @@ class TestSpecDocuments:
 
     def test_unknown_key_rejected(self):
         for header, line in UNREAD_KEYS:
-            text = serialize_spec(small_spec())
-            if header == "[family]":
-                text = text.replace("[family]\n", f"[family]\n{line}\n")
-            else:
-                text += f"\n{header}\n{line}\n"
+            text = with_unread(serialize_spec(small_spec()), header, line)
             with pytest.raises(ExperimentSpecError, match=line.split()[0]):
                 parse_spec(text)
+        for section, name in UNREAD_SECTIONS:
+            with pytest.raises(ExperimentSpecError, match=name):
+                parse_spec(serialize_spec(small_spec()) + f"\n{section}\n")
 
     def test_needs_a_method_section(self):
         spec = small_spec()
@@ -408,7 +419,8 @@ class TestCli:
             good.replace("budget = 200", "budget = 200\nmax-steps = abc"),
             good.replace("budget = 200", "budget = 200\nmax-steps = 0"),
         ]
-        texts += [good.replace("[family]\n", f"[family]\n{line}\n") for _, line in UNREAD_KEYS[4:]]
+        texts += [with_unread(good, header, line) for header, line in UNREAD_KEYS[4:]]
+        texts += [good + f"\n{section}\n" for section, _ in UNREAD_SECTIONS]
         for text in texts:
             bad = tmp_path / "bad.ini"
             bad.write_text(text, encoding="utf-8")

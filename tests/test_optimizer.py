@@ -14,7 +14,6 @@ from zosparse.optimizer import (
     run_optimizer,
     step_gld,
     step_zo_signsgd,
-    zo_gd_grace,
 )
 from zosparse.rng import RngStream
 
@@ -135,7 +134,7 @@ class TestGraceDescent:
         inst = make_sparse_linear(32, {5: 1.0, 17: -2.0})
         grace = GraceConfig(s=2, epsilon=1e-3, n=8)
         opt = OptimizerConfig(method="grace", step_size=0.1, max_steps=2, budget=500)
-        trace = zo_gd_grace(inst.objective, inst.x1, opt, grace, RngStream(7))
+        trace = run_optimizer(inst.objective, inst.x1, opt, RngStream(7), grace)
         assert len(trace.records) == 2
         moved = np.flatnonzero(trace.best_point) + 1
         # Coordinates moved are exactly the nonzero gradient entries found.
@@ -147,24 +146,11 @@ class TestGraceDescent:
         with pytest.raises(ValueError, match="GraceConfig"):
             run_optimizer(quadratic_1d(), np.zeros(1), opt, RngStream(0))
 
-    def test_epsilon_schedule_applied_per_step(self):
-        inst = make_sparse_linear(8, {2: 1.0})
-        grace = GraceConfig(s=1, epsilon=1e-3, n=8)
-        opt = OptimizerConfig(
-            method="grace",
-            step_size=0.1,
-            max_steps=3,
-            budget=100,
-            epsilon_schedule=lambda step: 1e-3 if step == 1 else 0.0,
-        )
-        with pytest.raises(ValueError, match="epsilon"):
-            zo_gd_grace(inst.objective, inst.x1, opt, grace, RngStream(0))
-
     def test_budget_death_mid_estimate_keeps_measured_row(self):
         inst = make_sparse_linear(32, {5: 1.0})
         grace = GraceConfig(s=1, epsilon=1e-3, n=8)
         opt = OptimizerConfig(method="grace", step_size=0.1, budget=3)
-        trace = zo_gd_grace(inst.objective, inst.x1, opt, grace, RngStream(1))
+        trace = run_optimizer(inst.objective, inst.x1, opt, RngStream(1), grace)
         # The estimate needs more than 3 queries, but f(x1) was measured.
         assert len(trace.records) == 1
         assert trace.records[0].queries <= 3
@@ -194,6 +180,25 @@ class TestTraceSemantics:
             queries = [r.queries for r in trace.records]
             assert all(a < b for a, b in zip(queries, queries[1:])), method
             assert queries[-1] <= 200
+
+    @pytest.mark.parametrize(
+        "method, budget, rows",
+        [
+            ("grace", 14, [(1, 14)]),
+            ("grace", 15, [(1, 14), (2, 15)]),
+            ("gld", 5, [(1, 5)]),
+            ("gld", 6, [(1, 5), (2, 6)]),
+            ("rs", 3, [(1, 2), (2, 3)]),
+            ("zo-signsgd", 12, [(1, 11), (2, 12)]),
+        ],
+    )
+    def test_budget_death_mid_step(self, method, budget, rows):
+        # The step the budget cuts short still records its measured f(x_t).
+        trace = self.budgeted(method, budget)
+        assert [(r.step, r.queries) for r in trace.records] == rows
+        if len(rows) == 2 and method in ("grace", "gld"):
+            # f(x_2) of the cut step is the value an uncut run records.
+            assert trace.records[1].value == self.budgeted(method, 200).records[1].value
 
     def test_normalized_is_ratio_to_first(self):
         for method in METHODS:
@@ -234,6 +239,6 @@ class TestTraceSemantics:
         assert [r.queries for r in rs.records] == [2, 4, 6]
         sign = self.budgeted("zo-signsgd", 10_000, max_steps=2, directions=5)
         assert [r.queries for r in sign.records] == [6, 12]
-        gld = self.budgeted("gld", 10_000, max_steps=2, gld_scales=4)
+        gld = self.budgeted("gld", 10_000, max_steps=2, scales=4)
         # First step pays for f(x1); later steps carry the accepted value.
         assert [r.queries for r in gld.records] == [5, 9]
