@@ -319,10 +319,8 @@ def make_attack(graph: Graph, u: int, v: int, hops: int, lam: float) -> Benchmar
     return BenchmarkInstance(BlackBoxFunction(n * n, evaluate), np.zeros(n * n), metadata)
 
 
-def make_planted_linear(
-    d: int, s: int, rng: RngStream, low: float = 0.5, high: float = 1.5
-) -> BenchmarkInstance:
-    """Sparse linear objective with Unif(low, high) coefficients on a random support.
+def make_planted_linear(d: int, s: int, rng: RngStream) -> BenchmarkInstance:
+    """Sparse linear objective with Unif(0.5, 1.5) coefficients on a random support.
 
     The planted support is recorded in the metadata, making this the
     family of choice for recovery measurements: the gradient is exactly
@@ -331,7 +329,7 @@ def make_planted_linear(
     if not 1 <= s <= d:
         raise ValueError(f"need 1 <= s <= d, got s={s}, d={d}")
     positions = _random_support(d, s, rng)
-    values = low + (high - low) * rng.gen.random(s)
+    values = 0.5 + rng.gen.random(s)
     coeffs = {int(p) + 1: float(c) for p, c in zip(positions, values)}
     instance = make_sparse_linear(d, coeffs)
     instance.metadata.update(

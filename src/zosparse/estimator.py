@@ -35,7 +35,6 @@ __all__ = [
     "locate_in_group",
     "grace_estimate",
     "finite_difference",
-    "default_max_iterations",
 ]
 
 # Below this, the unscaled probe difference carries no usable signal and
@@ -49,8 +48,8 @@ class GraceConfig:
 
     n is the group size, m the number of independent repeats, and the
     schedule supplies the divisor for each shrink iteration.  Each group
-    shrinks to at most two candidates, under the iteration safeguard of
-    :func:`default_max_iterations`.
+    shrinks to at most two candidates.  The sparsity s enters only
+    through :meth:`defaults`, which sizes the groups from it.
 
     Per repeat, a support coordinate is alone in its group with
     probability at least e^{-gamma}, with gamma about 0.7 at the default
@@ -61,7 +60,6 @@ class GraceConfig:
     at about m times the queries.
     """
 
-    s: int
     epsilon: float
     n: int
     m: int = 1
@@ -70,12 +68,12 @@ class GraceConfig:
     @classmethod
     def defaults(cls, d: int, s: int, epsilon: float = 1e-6, d1: int = 20) -> "GraceConfig":
         """Standard configuration: n = floor(0.7 d / s), one repeat."""
+        if s < 1:
+            raise ValueError(f"need s >= 1, got s={s}")
         # 7d // 10s is floor(0.7 d / s) in exact integer arithmetic.
-        return cls(s=s, epsilon=epsilon, n=max(1, 7 * d // (10 * s)), schedule=practical_schedule(d1))
+        return cls(epsilon=epsilon, n=max(1, 7 * d // (10 * s)), schedule=practical_schedule(d1))
 
     def validate(self, d: int) -> None:
-        if self.s < 1:
-            raise ValueError(f"need s >= 1, got s={self.s}")
         if not self.epsilon > 0:
             raise ValueError(f"need epsilon > 0, got {self.epsilon}")
         if not 1 <= self.n <= d:
@@ -116,8 +114,8 @@ class ShrinkOutcome:
     """Result of one shrink iteration.
 
     label is the rounded ratio when one was computed; degenerate marks a
-    vanishing denominator or an out-of-range label, either of which
-    leaves no survivors.
+    non-finite probe value, a vanishing denominator or an out-of-range
+    label, each of which leaves no survivors.
     """
 
     surviving: np.ndarray
@@ -146,7 +144,8 @@ def shrink_step(
     Probe v moves each index i of the set by epsilon * sign_i * label_i,
     probe u by epsilon * sign_i.  For a gradient dominated by one
     coordinate j, (f(x+v) - f(x)) / (f(x+u) - f(x)) sits within 1/2 of
-    j's label, so rounding it picks j's block.
+    j's label, so rounding it picks j's block.  A non-finite f(x), f(x+v)
+    or f(x+u) carries no label and leaves the group without survivors.
     """
     part = dependent_partition(members, divisor, rng)
     if part.indices.size < 2:
@@ -160,6 +159,8 @@ def shrink_step(
     f_v = f(probe_v)
     f_u = f(probe_u)
     empty = np.empty(0, dtype=np.int64)
+    if not (math.isfinite(f_x) and math.isfinite(f_v) and math.isfinite(f_u)):
+        return ShrinkOutcome(empty, None, True)
     denominator = f_u - f_x
     if abs(denominator) < DENOMINATOR_TOLERANCE * max(1.0, abs(f_x)):
         return ShrinkOutcome(empty, None, True)
@@ -169,11 +170,6 @@ def shrink_step(
     return ShrinkOutcome(part.indices[part.labels == label], label, False)
 
 
-def default_max_iterations(size: int) -> int:
-    """Safeguard cap on shrink iterations; generous next to the usual handful."""
-    return 4 + math.ceil(math.log2(math.log2(max(size, 4)))) + 8
-
-
 def locate_in_group(
     f: BlackBoxFunction,
     x: np.ndarray,
@@ -181,27 +177,23 @@ def locate_in_group(
     epsilon: float,
     members,
     schedule: DivisionSchedule,
-    stop_size: int = 2,
-    max_iterations: int | None = None,
     *,
     rng: RngStream,
 ) -> np.ndarray:
-    """Shrink one group until at most stop_size candidates remain.
+    """Shrink one group until at most two candidates remain.
 
     Returns the surviving indices (sorted), at a cost of two queries per
     executed iteration.  An empty survivor set means the group showed no
-    usable signal.  If the iteration safeguard fires first, the
-    stop_size smallest indices are returned.
+    usable signal.  The loop needs no iteration cap: each iteration keeps
+    one block of a partition into at least two blocks, so at most
+    ceil(size/2) members survive it, and a group of n members is done
+    after at most ceil(log2 n) - 1 iterations.
     """
     current = np.sort(np.asarray(members, dtype=np.int64).ravel())
     if current.size == 0:
         raise ValueError("empty group")
-    if max_iterations is None:
-        max_iterations = default_max_iterations(int(current.size))
     iteration = 0
-    while current.size > stop_size:
-        if iteration >= max_iterations:
-            return current[:stop_size]
+    while current.size > 2:
         iteration += 1
         divisor = min(max(schedule.value(iteration), 2), int(current.size))
         current = shrink_step(f, x, f_x, epsilon, current, divisor, rng).surviving
@@ -216,7 +208,8 @@ def grace_estimate(
     Queries f(x) once and shares it across every ratio and finite
     difference.  Each of the m repeats draws a fresh permutation of the
     dimensions, shrinks every group, and the union of survivors gets one
-    forward difference per index.  On budget exhaustion the error is
+    forward difference per index; a candidate whose difference is not
+    finite is left out of the entries.  On budget exhaustion the error is
     re-raised with ``partial`` holding the bookkeeping so far; its
     entries are incomplete and must be discarded by the caller.
     """
@@ -237,7 +230,9 @@ def grace_estimate(
                 )
                 candidates.update(int(j) for j in survivors)
         for j in sorted(candidates):
-            entries[j] = finite_difference(counting, x, base_value, j, cfg.epsilon)
+            value = finite_difference(counting, x, base_value, j, cfg.epsilon)
+            if math.isfinite(value):
+                entries[j] = value
     except BudgetExhaustedError as error:
         error.partial = SparseGradient(d, entries, ledger.count, base_value)
         raise

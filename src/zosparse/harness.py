@@ -163,6 +163,9 @@ def parse_spec(text: str) -> ExperimentSpec:
         parser.read_string(text)
     except configparser.Error as err:
         raise ExperimentSpecError(str(err)) from None
+    if parser.defaults():
+        # configparser copies these keys into every section; blame none of those.
+        raise ExperimentSpecError("unknown section [DEFAULT]; its keys would reach every section")
     if "experiment" not in parser or "family" not in parser:
         raise ExperimentSpecError("need [experiment] and [family] sections")
 
@@ -526,7 +529,7 @@ def verify_theory() -> TheoryReport:
         )
     )
 
-    schedule = theoretical_schedule(p, length=10)
+    schedule = theoretical_schedule(p)
     terms = [schedule.value(r) for r in range(1, 11)]
     nondecreasing = all(a <= b for a, b in zip(terms, terms[1:]))
     above_bound = all(terms[r - 1] >= theoretical_lower_bound(p, r) for r in range(1, 11))

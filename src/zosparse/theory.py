@@ -62,38 +62,24 @@ def falling_factorial(n: int, m: int) -> int:
 class TheoryParams:
     """Knobs of the high-probability recovery analysis.
 
-    rho and alpha bound the gradient mass the candidate set must
-    capture; delta is the total failure probability; phi sets the
-    geometric decay of the per-iteration failure budgets and theta the
-    share of each budget spent on label identification (the remainder
-    covers noise shrinkage); D is the first divisor; L0 and L1 are the
-    Lipschitz levels of the objective and its gradient; s and d are the
-    sparsity and dimension the bounds are instantiated at.  The field
-    defaults are the reference parameter set used throughout.
+    delta is the total failure probability; phi sets the geometric decay
+    of the per-iteration failure budgets and theta the share of each
+    budget spent on label identification (the remainder covers noise
+    shrinkage); D is the first divisor.  These four are all the schedule
+    and the constants read.  The field defaults are the reference
+    parameter set used throughout.
     """
 
-    rho: float = 1.0
-    alpha: float = 0.5
     delta: float = 0.5
     phi: float = 0.64
     theta: float = 0.08
     D: int = 18
-    L0: float = 1.0
-    L1: float = 1.0
-    s: int = 1
-    d: int = 1
 
     def __post_init__(self):
-        if not 0 < self.alpha < self.rho <= 1:
-            raise ValueError("need 0 < alpha < rho <= 1")
         if not (0 < self.delta < 1 and 0 < self.phi < 1 and 0 < self.theta < 1):
             raise ValueError("need delta, phi, theta in (0, 1)")
         if self.D < 2:
             raise ValueError(f"need D >= 2, got D={self.D}")
-        if self.L0 < 0 or self.L1 < 0:
-            raise ValueError("Lipschitz levels must be nonnegative")
-        if not 1 <= self.s <= self.d:
-            raise ValueError("need 1 <= s <= d")
 
 
 def delta_label(p: TheoryParams, r: int) -> float:
@@ -209,12 +195,7 @@ class DivisionSchedule:
         if self.kind == "practical":
             # floor(D^{3/2}) = isqrt(D^3), exact in integers.
             return math.isqrt(last**3)
-        r = len(self.terms)
-        ratio = (
-            delta_noise(self.params, r)
-            * math.log(3.0 / delta_label(self.params, r))
-            / math.log(3.0 / delta_label(self.params, r + 1))
-        )
+        ratio = step_mass(self.params, 1.0, len(self.terms))
         return math.floor(last**1.5 * math.sqrt(ratio))
 
 
@@ -225,10 +206,8 @@ def practical_schedule(d1: int) -> DivisionSchedule:
     return DivisionSchedule("practical", [int(d1)])
 
 
-def theoretical_schedule(p: TheoryParams, length: int = 1) -> DivisionSchedule:
+def theoretical_schedule(p: TheoryParams) -> DivisionSchedule:
     """Schedule of the high-probability analysis, with its feasibility enforced."""
-    if length < 1:
-        raise ValueError(f"need length >= 1, got {length}")
     feas = verify_schedule_conditions(p)
     if not feas.all_ok:
         failed = []
@@ -239,9 +218,7 @@ def theoretical_schedule(p: TheoryParams, length: int = 1) -> DivisionSchedule:
         if not feas.amplification_ok:
             failed.append(f"amplification A > 1 (A = {feas.amplification:.6g})")
         raise InfeasibleParametersError("; ".join(failed), feas)
-    sched = DivisionSchedule("theoretical", [p.D], p)
-    sched.value(length)
-    return sched
+    return DivisionSchedule("theoretical", [p.D], p)
 
 
 def explicit_schedule(values) -> DivisionSchedule:

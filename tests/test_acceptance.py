@@ -101,7 +101,7 @@ def test_criterion_03_schedule_feasibility():
     started = time.perf_counter()
     p = TheoryParams()
     report = verify_schedule_conditions(p)
-    schedule = theoretical_schedule(p, length=10)
+    schedule = theoretical_schedule(p)
     terms = [schedule.value(r) for r in range(1, 11)]
     nondecreasing = all(a <= b for a, b in zip(terms, terms[1:]))
     floored = all(terms[r - 1] >= theoretical_lower_bound(p, r) for r in range(1, 11))
@@ -200,7 +200,6 @@ def test_criterion_07_query_accounting():
         else:
             instance = make_magnitude(d, s, 0.1, 0.2, maker_rng)
         cfg = GraceConfig(
-            s=s,
             epsilon=float(10.0 ** -rng.gen.integers(2, 7)),
             n=int(rng.gen.integers(1, d + 1)),
             m=int(rng.gen.integers(1, 4)),

@@ -1,5 +1,7 @@
 """Shrink procedure and sparse gradient estimation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,6 @@ from zosparse.blackbox import (
 from zosparse.estimator import (
     GraceConfig,
     SparseGradient,
-    default_max_iterations,
     finite_difference,
     grace_estimate,
     locate_in_group,
@@ -117,6 +118,17 @@ class TestShrinkStep:
         shrink_step(counted, np.zeros(6), 0.0, 1e-3, np.arange(1, 7), 3, RngStream(1))
         assert ledger.count == 2
 
+    @pytest.mark.parametrize("probe", ["scaled", "unscaled"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_probe_leaves_no_survivors(self, bad, probe):
+        # shrink_step queries the scaled probe first, then the unscaled one.
+        values = iter([bad, 1.0] if probe == "scaled" else [1.0, bad])
+        f = BlackBoxFunction(4, lambda x: next(values))
+        outcome = shrink_step(f, np.zeros(4), 0.0, 1e-3, np.arange(1, 5), 2, RngStream(0))
+        assert outcome.degenerate
+        assert outcome.label is None
+        assert outcome.surviving.size == 0
+
 
 class TestLocateInGroup:
     def test_tiny_group_needs_no_queries(self):
@@ -159,35 +171,21 @@ class TestLocateInGroup:
             assert survivors.size <= 2
             assert queries % 2 == 0
 
-    def test_zero_iteration_budget_truncates(self):
-        f = linear(8, {5: 1.0})
+    @pytest.mark.parametrize("k", [2, 12, 19])
+    def test_halving_ends_with_the_signal_kept(self, k):
+        # Divisor 2 halves 2^k members down to two in k - 1 iterations.
+        n = 2**k
         survivors, queries = located(
-            f,
-            np.zeros(8),
+            linear(n, {n - 3: 1.0}),
+            np.zeros(n),
             0.0,
             1e-3,
-            np.arange(1, 9),
-            practical_schedule(20),
-            max_iterations=0,
+            np.arange(1, n + 1),
+            explicit_schedule([2]),
             rng=RngStream(0),
         )
-        assert survivors.tolist() == [1, 2]
-        assert queries == 0
-
-    def test_iteration_safeguard_returns_stop_sized_set(self):
-        f = linear(8, {5: 1.0})
-        survivors, queries = located(
-            f,
-            np.zeros(8),
-            0.0,
-            1e-3,
-            np.arange(1, 9),
-            explicit_schedule([2]),
-            max_iterations=1,
-            rng=RngStream(3),
-        )
-        assert survivors.size == 2
-        assert queries == 2
+        assert n - 3 in survivors.tolist()
+        assert queries == 2 * (k - 1)
 
     def test_rng_is_required(self):
         f = linear(4, {1: 1.0})
@@ -201,18 +199,13 @@ class TestLocateInGroup:
                 f, np.zeros(4), 0.0, 1e-3, np.array([]), practical_schedule(20), rng=RngStream(0)
             )
 
-    def test_default_iteration_cap_values(self):
-        assert default_max_iterations(4) == 13
-        assert default_max_iterations(2) == 13  # floor at log2 log2 4
-        assert default_max_iterations(65536) == 16
-
 
 class TestGraceEstimate:
     def test_hand_traced_single_signal(self):
         # d=4, one group, unit blocks: 1 base query + 2 shrink + 1
         # forward difference = 4 queries, any seed.
         inst = make_sparse_linear(4, {2: 3.0})
-        cfg = GraceConfig(s=1, epsilon=1e-3, n=4, schedule=explicit_schedule([4]))
+        cfg = GraceConfig(epsilon=1e-3, n=4, schedule=explicit_schedule([4]))
         for seed in range(10):
             est = grace_estimate(inst.objective, inst.x1, cfg, RngStream(seed))
             assert est.entries == {2: pytest.approx(3.0)}
@@ -221,7 +214,7 @@ class TestGraceEstimate:
 
     def test_zero_function_recovers_nothing(self):
         f = BlackBoxFunction(12, lambda x: 0.0)
-        cfg = GraceConfig(s=2, epsilon=1e-3, n=4)
+        cfg = GraceConfig(epsilon=1e-3, n=4)
         est = grace_estimate(f, np.zeros(12), cfg, RngStream(1))
         assert est.entries == {}
         # One base query plus one degenerate iteration per group.
@@ -229,7 +222,7 @@ class TestGraceEstimate:
 
     def test_linear_values_are_exact(self):
         inst = make_sparse_linear(32, {7: 1.25, 20: -0.75})
-        cfg = GraceConfig(s=2, epsilon=1e-3, n=8)
+        cfg = GraceConfig(epsilon=1e-3, n=8)
         est = grace_estimate(inst.objective, inst.x1, cfg, RngStream(2))
         for j, g in est.entries.items():
             expected = {7: 1.25, 20: -0.75}.get(j, 0.0)
@@ -243,7 +236,7 @@ class TestGraceEstimate:
             m = int(rng.gen.integers(1, 4))
             n = int(rng.gen.integers(1, d + 1))
             inst = make_planted_linear(d, s, rng.derive(trial, 0))
-            cfg = GraceConfig(s=s, epsilon=1e-3, n=n, m=m)
+            cfg = GraceConfig(epsilon=1e-3, n=n, m=m)
             est = grace_estimate(inst.objective, inst.x1, cfg, rng.derive(trial, 1))
             assert len(est.entries) <= 2 * m * -(-d // n)
 
@@ -255,7 +248,7 @@ class TestGraceEstimate:
             inst = make_planted_linear(d, s, rng.derive(trial, 0))
             counted, ledger = with_ledger(inst.objective)
             cfg = GraceConfig(
-                s=s, epsilon=1e-3, n=int(rng.gen.integers(1, d + 1)), m=int(rng.gen.integers(1, 3))
+                epsilon=1e-3, n=int(rng.gen.integers(1, d + 1)), m=int(rng.gen.integers(1, 3))
             )
             before = ledger.count
             est = grace_estimate(counted, inst.x1, cfg, rng.derive(trial, 1))
@@ -298,14 +291,26 @@ class TestGraceEstimate:
     def test_validate_rejects_bad_configs(self):
         f = BlackBoxFunction(8, lambda x: 0.0)
         bad = [
-            GraceConfig(s=0, epsilon=1e-3, n=4),
-            GraceConfig(s=1, epsilon=0.0, n=4),
-            GraceConfig(s=1, epsilon=1e-3, n=9),
-            GraceConfig(s=1, epsilon=1e-3, n=4, m=0),
+            GraceConfig(epsilon=0.0, n=4),
+            GraceConfig(epsilon=1e-3, n=9),
+            GraceConfig(epsilon=1e-3, n=4, m=0),
         ]
         for cfg in bad:
             with pytest.raises(ValueError):
                 grace_estimate(f, np.zeros(8), cfg, RngStream(0))
+
+    def test_defaults_reject_sparsity_below_one(self):
+        for s in (0, -1):
+            with pytest.raises(ValueError, match="s >= 1"):
+                GraceConfig.defaults(8, s)
+
+    def test_non_finite_difference_is_left_out(self):
+        # Probes move all four coordinates; only the forward difference moves one.
+        f = BlackBoxFunction(4, lambda x: math.inf if np.count_nonzero(x) == 1 else 3.0 * x[1])
+        cfg = GraceConfig(epsilon=1e-3, n=4, schedule=explicit_schedule([4]))
+        est = grace_estimate(f, np.zeros(4), cfg, RngStream(0))
+        assert est.entries == {}
+        assert est.queries_used == 4  # the dropped difference is still counted
 
 
 class TestSparseGradient:

@@ -50,7 +50,11 @@ UNREAD_KEYS = [
 ]
 
 # Sections parse_spec does not read, each with the name its error gives.
-UNREAD_SECTIONS = [("[methods:b]\nmethod = rs", "methods:b"), ("[runs]\ncount = 2", "runs")]
+UNREAD_SECTIONS = [
+    ("[methods:b]\nmethod = rs", "methods:b"),
+    ("[runs]\ncount = 2", "runs"),
+    ("[DEFAULT]\nfoo = 1", "DEFAULT"),
+]
 
 
 def with_unread(text, header, line):

@@ -132,7 +132,7 @@ class TestGraceDescent:
 
     def test_update_touches_only_estimated_support(self):
         inst = make_sparse_linear(32, {5: 1.0, 17: -2.0})
-        grace = GraceConfig(s=2, epsilon=1e-3, n=8)
+        grace = GraceConfig(epsilon=1e-3, n=8)
         opt = OptimizerConfig(method="grace", step_size=0.1, max_steps=2, budget=500)
         trace = run_optimizer(inst.objective, inst.x1, opt, RngStream(7), grace)
         assert len(trace.records) == 2
@@ -148,7 +148,7 @@ class TestGraceDescent:
 
     def test_budget_death_mid_estimate_keeps_measured_row(self):
         inst = make_sparse_linear(32, {5: 1.0})
-        grace = GraceConfig(s=1, epsilon=1e-3, n=8)
+        grace = GraceConfig(epsilon=1e-3, n=8)
         opt = OptimizerConfig(method="grace", step_size=0.1, budget=3)
         trace = run_optimizer(inst.objective, inst.x1, opt, RngStream(1), grace)
         # The estimate needs more than 3 queries, but f(x1) was measured.

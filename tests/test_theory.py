@@ -57,10 +57,6 @@ class TestTheoryParams:
         p = TheoryParams()
         assert p.D == 18 and p.delta == 0.5 and p.phi == 0.64 and p.theta == 0.08
 
-    def test_rejects_bad_alpha_rho(self):
-        with pytest.raises(ValueError):
-            TheoryParams(rho=0.5, alpha=0.5)
-
     def test_rejects_out_of_range_probabilities(self):
         with pytest.raises(ValueError):
             TheoryParams(delta=1.0)
@@ -144,21 +140,21 @@ class TestSchedules:
         assert len(sched.terms) == 6
 
     def test_theoretical_first_three_terms(self):
-        sched = theoretical_schedule(DEFAULTS, length=3)
+        sched = theoretical_schedule(DEFAULTS)
         assert [sched.value(r) for r in (1, 2, 3)] == [18, 29, 48]
 
     def test_theoretical_terms_nondecreasing(self):
-        sched = theoretical_schedule(DEFAULTS, length=10)
+        sched = theoretical_schedule(DEFAULTS)
         terms = [sched.value(r) for r in range(1, 11)]
         assert all(a <= b for a, b in zip(terms, terms[1:]))
 
     def test_theoretical_respects_lower_bound(self):
-        sched = theoretical_schedule(DEFAULTS, length=10)
+        sched = theoretical_schedule(DEFAULTS)
         for r in range(1, 11):
             assert sched.value(r) >= theoretical_lower_bound(DEFAULTS, r)
 
     def test_theoretical_step_mass_monotone(self):
-        sched = theoretical_schedule(DEFAULTS, length=10)
+        sched = theoretical_schedule(DEFAULTS)
         masses = [step_mass(DEFAULTS, sched.value(r), r) for r in range(1, 11)]
         assert all(a <= b for a, b in zip(masses, masses[1:]))
 
