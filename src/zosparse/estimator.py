@@ -206,10 +206,12 @@ def grace_estimate(
     """Estimate the dominant gradient entries of f at x with few queries.
 
     Queries f(x) once and shares it across every ratio and finite
-    difference.  Each of the m repeats draws a fresh permutation of the
-    dimensions, shrinks every group, and the union of survivors gets one
-    forward difference per index; a candidate whose difference is not
-    finite is left out of the entries.  On budget exhaustion the error is
+    difference; a non-finite f(x) raises ``ValueError`` before any
+    further query, since no ratio or difference can be read against it.
+    Each of the m repeats draws a fresh permutation of the dimensions,
+    shrinks every group, and the union of survivors gets one forward
+    difference per index; a candidate whose difference is not finite is
+    left out of the entries.  On budget exhaustion the error is
     re-raised with ``partial`` holding the bookkeeping so far; its
     entries are incomplete and must be discarded by the caller.
     """
@@ -221,6 +223,8 @@ def grace_estimate(
     base_value = None
     try:
         base_value = counting(x)
+        if not math.isfinite(base_value):
+            raise ValueError(f"need a finite f(x) at the estimate's point, got {base_value}")
         candidates: set[int] = set()
         for _repeat in range(cfg.m):
             omega = random_permutation(d, rng)

@@ -576,9 +576,10 @@ def verify_theory() -> TheoryReport:
 def query_scaling_probe(d_list, s_list, repeats: int = 5, seed: int = 0) -> list:
     """Mean queries per estimate on planted sparse linear objectives.
 
-    Returns rows (d, s, mean queries, s * log2 log2(d/s)); base-2 logs
-    match the shrink iteration cap.  The predictor is NaN when d/s is
-    too small for the double logarithm.
+    Returns rows (d, s, mean queries, s * log2 log2(d/s)); the logs are
+    base 2 because each shrink iteration keeps at most ceil(size/2)
+    members.  The predictor is NaN when d/s is too small for the double
+    logarithm.
     """
     if not d_list or not s_list:
         raise ValueError("need nonempty d and s lists")

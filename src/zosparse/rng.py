@@ -57,22 +57,19 @@ class RngStream:
 def random_permutation(n: int, rng: RngStream) -> np.ndarray:
     """Uniform random permutation of {1..n} in image form.
 
-    ``images[p]`` is the image of ``p + 1``.  Built by sequential swaps
-    with one uniform integer draw per position, so the amount of
+    ``images[p]`` is the image of ``p + 1``.  Built by Fisher-Yates: one
+    vectorized draw gives position i a target uniform on {i, ..., n-1},
+    and the swaps then run in order on a Python list, which is cheaper
+    per swap than numpy scalars and changes no draw.  The amount of
     generator state consumed depends only on ``n``.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")
-    images = np.arange(1, n + 1, dtype=np.int64)
-    if n == 1:
-        return images
-    # One vectorized call keeps the draw-per-position semantics cheap:
-    # entry i is uniform on {i, ..., n-1}.
-    targets = rng.gen.integers(np.arange(n - 1), n)
-    for i in range(n - 1):
-        j = targets[i]
+    targets = rng.gen.integers(np.arange(n - 1), n).tolist()
+    images = list(range(1, n + 1))
+    for i, j in enumerate(targets):
         images[i], images[j] = images[j], images[i]
-    return images
+    return np.array(images, dtype=np.int64)
 
 
 def partition_groups(d: int, n: int, omega: np.ndarray) -> list[np.ndarray]:
@@ -80,16 +77,22 @@ def partition_groups(d: int, n: int, omega: np.ndarray) -> list[np.ndarray]:
 
     Dimension i joins group ceil(omega(i)/n), so every group has exactly
     n members except the last one, which takes the remainder.  Groups
-    come back as sorted 1-based index arrays.
+    come back as sorted 1-based index arrays.  Built in O(d) from the
+    inverse permutation: its k-th run of n entries holds the dimensions
+    that omega sends into group k.  No randomness is drawn here.
     """
     if not 1 <= n <= d:
         raise ValueError(f"need 1 <= n <= d, got n={n}, d={d}")
     omega = np.asarray(omega, dtype=np.int64)
-    if omega.shape != (d,) or not np.array_equal(np.sort(omega), np.arange(1, d + 1)):
-        raise ValueError("omega must be a permutation of {1..d} in image form")
-    labels = (omega + n - 1) // n
-    num_groups = -(-d // n)
-    return [np.flatnonzero(labels == k) + 1 for k in range(1, num_groups + 1)]
+    message = "omega must be a permutation of {1..d} in image form"
+    if omega.shape != (d,) or omega.min() < 1 or omega.max() > d:
+        raise ValueError(message)
+    dims = np.zeros(d, dtype=np.int64)
+    dims[omega - 1] = np.arange(1, d + 1)
+    # d images in 1..d leave a slot at 0 exactly when one repeats.
+    if not dims.all():
+        raise ValueError(message)
+    return [np.sort(dims[start : start + n]) for start in range(0, d, n)]
 
 
 @dataclass
@@ -124,11 +127,11 @@ def dependent_partition(members, divisor: int, rng: RngStream) -> DependentParti
     indices = np.sort(np.asarray(members, dtype=np.int64).ravel())
     if indices.size == 0:
         raise ValueError("empty index set")
-    if indices[0] < 1 or (indices.size > 1 and np.any(np.diff(indices) == 0)):
+    if indices[0] < 1 or (indices[1:] == indices[:-1]).any():
         raise ValueError("index set must hold distinct indices >= 1")
     size = int(indices.size)
     block_size = -(-size // divisor)
     ranks = random_permutation(size, rng)
     labels = (ranks + block_size - 1) // block_size
-    signs = 2 * rng.gen.integers(0, 2, size=size).astype(np.int64) - 1
+    signs = 2 * rng.gen.integers(0, 2, size=size) - 1
     return DependentPartition(indices, block_size, labels, signs)

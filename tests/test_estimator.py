@@ -1,6 +1,7 @@
 """Shrink procedure and sparse gradient estimation."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -303,6 +304,24 @@ class TestGraceEstimate:
         for s in (0, -1):
             with pytest.raises(ValueError, match="s >= 1"):
                 GraceConfig.defaults(8, s)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_base_value_raises(self, bad):
+        counted, ledger = with_ledger(BlackBoxFunction(256, lambda x: bad))
+        with pytest.raises(ValueError, match=f"got {bad}"):
+            grace_estimate(counted, np.zeros(256), GraceConfig.defaults(256, 6), RngStream(0))
+        assert ledger.count == 1  # the base value only; no shrink query follows
+
+    def test_readme_example_is_pinned(self):
+        # Runs the README's quick example from its text.  A change that re-keys
+        # the random streams must update these figures and the README on purpose.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        snippet = readme.split("```python\n", 1)[1].split("```", 1)[0]
+        namespace = {}
+        exec(snippet, namespace)
+        grad = namespace["grad"]
+        assert grad.queries_used == 29
+        assert sorted(grad.entries) == [45, 84, 108, 133, 142, 146, 159, 216, 217, 221]
 
     def test_non_finite_difference_is_left_out(self):
         # Probes move all four coordinates; only the forward difference moves one.

@@ -14,6 +14,38 @@ from zosparse.rng import (
 )
 
 
+# The loops that random_permutation, partition_groups and the sign draw
+# replaced, kept as references: the faster versions must give the same
+# values, dtypes and generator state.
+
+
+def _reference_permutation(n, rng):
+    images = np.arange(1, n + 1, dtype=np.int64)
+    if n == 1:
+        return images
+    targets = rng.gen.integers(np.arange(n - 1), n)
+    for i in range(n - 1):
+        j = targets[i]
+        images[i], images[j] = images[j], images[i]
+    return images
+
+
+def _reference_groups(d, n, omega):
+    labels = (np.asarray(omega, dtype=np.int64) + n - 1) // n
+    return [np.flatnonzero(labels == k) + 1 for k in range(1, -(-d // n) + 1)]
+
+
+def _reference_labels_and_signs(size, divisor, rng):
+    block_size = -(-size // divisor)
+    labels = (_reference_permutation(size, rng) + block_size - 1) // block_size
+    signs = 2 * rng.gen.integers(0, 2, size=size).astype(np.int64) - 1
+    return labels, signs
+
+
+def _next_draw(rng):
+    return int(rng.gen.integers(0, 2**62))
+
+
 class TestRngStream:
     def test_same_seed_same_draws(self):
         a = RngStream(42).gen.random(8)
@@ -86,6 +118,16 @@ class TestRandomPermutation:
         for count in counts.values():
             assert abs(count / trials - 1 / 6) < 0.01
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 35, 512, 16384])
+    def test_matches_reference_swap_loop(self, n):
+        for key in range(20):
+            fast, slow = RngStream(key, path=(n,)), RngStream(key, path=(n,))
+            got = random_permutation(n, fast)
+            want = _reference_permutation(n, slow)
+            np.testing.assert_array_equal(got, want)
+            assert got.dtype == want.dtype == np.int64
+            assert _next_draw(fast) == _next_draw(slow)
+
     @given(n=st.integers(min_value=1, max_value=200), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
     def test_always_a_permutation(self, n, seed):
@@ -128,8 +170,31 @@ class TestPartitionGroups:
             partition_groups(8, 9, omega)
 
     def test_rejects_non_permutation(self):
-        with pytest.raises(ValueError):
-            partition_groups(4, 2, np.array([1, 1, 2, 3]))
+        bad = [
+            [1, 1, 2, 3],
+            [0, 1, 2, 3],
+            [1, 2, 3, 5],
+            [1, 2, 3],
+            [[1, 2], [3, 4]],
+            [2, 2, 2, 2],
+        ]
+        for omega in bad:
+            with pytest.raises(ValueError, match="omega must be a permutation"):
+                partition_groups(4, 2, np.array(omega))
+
+    def test_matches_reference_grouping(self):
+        for d in (1, 2, 7, 20, 64, 513):
+            sizes = {n for n in (1, 2, 3, d // 3, d - 1, d) if 1 <= n <= d}
+            omegas = [np.arange(1, d + 1)]
+            omegas += [random_permutation(d, RngStream(seed, path=(d,))) for seed in range(3)]
+            for n in sorted(sizes):
+                for omega in omegas:
+                    got = partition_groups(d, n, omega)
+                    want = _reference_groups(d, n, omega)
+                    assert len(got) == len(want)
+                    for g, w in zip(got, want):
+                        np.testing.assert_array_equal(g, w)
+                        assert g.dtype == w.dtype
 
     @given(
         d=st.integers(min_value=1, max_value=60),
@@ -194,6 +259,23 @@ class TestDependentPartition:
     def test_rejects_empty_members(self):
         with pytest.raises(ValueError):
             dependent_partition(np.array([], dtype=np.int64), 2, RngStream(0))
+
+    def test_rejects_repeated_or_nonpositive_members(self):
+        for members in ([1, 1, 2], [0, 1], [3, 3]):
+            with pytest.raises(ValueError, match="distinct indices >= 1"):
+                dependent_partition(np.array(members), 2, RngStream(0))
+
+    def test_matches_reference_draws(self):
+        for size, divisor in ((1, 2), (2, 2), (3, 2), (35, 20), (35, 2), (100, 7)):
+            members = 3 * np.arange(1, size + 1)
+            for key in range(20):
+                fast, slow = RngStream(key, path=(size,)), RngStream(key, path=(size,))
+                part = dependent_partition(members, divisor, fast)
+                labels, signs = _reference_labels_and_signs(size, divisor, slow)
+                np.testing.assert_array_equal(part.labels, labels)
+                np.testing.assert_array_equal(part.signs, signs)
+                assert part.labels.dtype == part.signs.dtype == np.int64
+                assert _next_draw(fast) == _next_draw(slow)
 
     @given(
         size=st.integers(min_value=2, max_value=80),
