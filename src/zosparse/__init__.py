@@ -8,146 +8,18 @@ baseline optimizers sharing one query ledger, analysis constants with
 their verification, and an experiment harness with a CLI.
 """
 
-from .blackbox import (
-    BenchmarkInstance,
-    BlackBoxFunction,
-    BudgetExhaustedError,
-    DegenerateDegreeError,
-    Graph,
-    GraphParseError,
-    QueryLedger,
-    describe_instance,
-    instance_from_description,
-    load_graph,
-    make_attack,
-    make_distance,
-    make_magnitude,
-    make_planted_linear,
-    make_sparse_linear,
-    with_ledger,
-)
-from .estimator import (
-    GraceConfig,
-    ShrinkOutcome,
-    SparseGradient,
-    finite_difference,
-    grace_estimate,
-    locate_in_group,
-    shrink_step,
-)
-from .harness import (
-    ExperimentResult,
-    ExperimentSpec,
-    ExperimentSpecError,
-    MethodSpec,
-    TheoryReport,
-    parse_spec,
-    query_scaling_probe,
-    run_experiment,
-    scaling_correlation,
-    serialize_spec,
-    verify_theory,
-)
-from .optimizer import (
-    METHODS,
-    OptimizerConfig,
-    RunTrace,
-    TraceRecord,
-    run_optimizer,
-)
-from .rng import (
-    DependentPartition,
-    RngStream,
-    dependent_partition,
-    partition_groups,
-    random_permutation,
-)
-from .theory import (
-    BASELINE_CONSTANT,
-    DivisionSchedule,
-    InfeasibleParametersError,
-    ScheduleFeasibility,
-    TheoryParams,
-    check_conditional_membership,
-    check_egamma,
-    check_egamma_grid,
-    check_partition_probability,
-    compute_C1,
-    compute_C2,
-    explicit_schedule,
-    lambda1,
-    lambda2,
-    partition_probability_suite,
-    practical_schedule,
-    theoretical_lower_bound,
-    theoretical_schedule,
-    verify_schedule_conditions,
-)
+from .blackbox import make_distance
+from .estimator import GraceConfig, grace_estimate
+from .optimizer import OptimizerConfig, run_optimizer
+from .rng import RngStream
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BASELINE_CONSTANT",
-    "BenchmarkInstance",
-    "BlackBoxFunction",
-    "BudgetExhaustedError",
-    "DegenerateDegreeError",
-    "DependentPartition",
-    "DivisionSchedule",
-    "ExperimentResult",
-    "ExperimentSpec",
-    "ExperimentSpecError",
     "GraceConfig",
-    "Graph",
-    "GraphParseError",
-    "InfeasibleParametersError",
-    "METHODS",
-    "MethodSpec",
     "OptimizerConfig",
-    "QueryLedger",
     "RngStream",
-    "RunTrace",
-    "ScheduleFeasibility",
-    "ShrinkOutcome",
-    "SparseGradient",
-    "TheoryParams",
-    "TheoryReport",
-    "TraceRecord",
-    "check_conditional_membership",
-    "check_egamma",
-    "check_egamma_grid",
-    "check_partition_probability",
-    "compute_C1",
-    "compute_C2",
-    "dependent_partition",
-    "describe_instance",
-    "explicit_schedule",
-    "finite_difference",
     "grace_estimate",
-    "instance_from_description",
-    "lambda1",
-    "lambda2",
-    "load_graph",
-    "locate_in_group",
-    "make_attack",
     "make_distance",
-    "make_magnitude",
-    "make_planted_linear",
-    "make_sparse_linear",
-    "parse_spec",
-    "partition_groups",
-    "partition_probability_suite",
-    "practical_schedule",
-    "query_scaling_probe",
-    "random_permutation",
-    "run_experiment",
     "run_optimizer",
-    "scaling_correlation",
-    "serialize_spec",
-    "shrink_step",
-    "theoretical_lower_bound",
-    "theoretical_schedule",
-    "verify_schedule_conditions",
-    "verify_theory",
-    "with_ledger",
 ]

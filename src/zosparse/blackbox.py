@@ -5,19 +5,17 @@ optimizers see values, never structure.  :func:`with_ledger` threads an
 exact evaluation count through a function, enforcing the query budget
 that every experiment shares.
 
-The three benchmark families are a sparse quadratic bowl (``distance``),
-a magnitude-ranking objective flat in most directions (``magnitude``),
-and a graph-connectivity attack over edge perturbations (``attack``);
-``sparse-linear`` is the exactly-solvable family used by tests and the
-scaling probe.  :data:`FAMILIES` holds, per family name, the keys, types
-and defaults that experiment specs and instance descriptions share.
+The benchmark families are a sparse quadratic bowl (``distance``), a
+magnitude-ranking objective flat in most directions (``magnitude``), a
+graph-connectivity attack over edge perturbations (``attack``), and an
+exactly-solvable linear objective on a random support
+(``planted-linear``), which the scaling probe uses.  :data:`FAMILIES`
+holds, per family name, the keys, types and defaults that experiment
+specs may set.
 """
 
 from __future__ import annotations
 
-import ast
-import configparser
-import io
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -42,8 +40,6 @@ __all__ = [
     "make_planted_linear",
     "Family",
     "FAMILIES",
-    "describe_instance",
-    "instance_from_description",
 ]
 
 
@@ -178,12 +174,11 @@ class DegenerateDegreeError(RuntimeError):
 
 @dataclass
 class BenchmarkInstance:
-    """An objective, its start point, and the metadata to rebuild both.
+    """An objective, its start point, and what generated them.
 
-    metadata always holds ``family`` and ``d``; generated families add
-    the rng key (``seed``, ``stream``, ``path``), their parameters, and
-    the planted structure (support, center, ...) that tests and analytic
-    gradients need.
+    metadata always holds ``family`` and ``d``; the families add their
+    parameters and the planted structure (support, center, ...) that
+    tests and analytic gradients need.
     """
 
     objective: BlackBoxFunction
@@ -194,10 +189,6 @@ class BenchmarkInstance:
 def _random_support(d: int, s: int, rng: RngStream) -> np.ndarray:
     """Uniform size-s subset of {0..d-1}, sorted (0-based positions)."""
     return np.sort(rng.gen.permutation(d)[:s])
-
-
-def _rng_key(rng: RngStream) -> dict:
-    return {"seed": rng.seed, "stream": rng.stream, "path": rng.path}
 
 
 def make_distance(d: int, s: int, rng: RngStream) -> BenchmarkInstance:
@@ -223,7 +214,6 @@ def make_distance(d: int, s: int, rng: RngStream) -> BenchmarkInstance:
         "family": "distance",
         "d": d,
         "s": s,
-        **_rng_key(rng),
         "support": tuple(int(p) + 1 for p in positions),
         "center": center,
         "weights": weights,
@@ -259,7 +249,6 @@ def make_magnitude(d: int, s: int, lam: float, w: float, rng: RngStream) -> Benc
         "family": "magnitude",
         "d": d,
         "s": s,
-        **_rng_key(rng),
         "lam": lam,
         "w": w,
         "support": tuple(int(p) + 1 for p in positions),
@@ -332,9 +321,7 @@ def make_planted_linear(d: int, s: int, rng: RngStream) -> BenchmarkInstance:
     values = 0.5 + rng.gen.random(s)
     coeffs = {int(p) + 1: float(c) for p, c in zip(positions, values)}
     instance = make_sparse_linear(d, coeffs)
-    instance.metadata.update(
-        {"family": "planted-linear", "s": s, **_rng_key(rng), "support": tuple(sorted(coeffs))}
-    )
+    instance.metadata.update({"family": "planted-linear", "s": s, "support": tuple(sorted(coeffs))})
     return instance
 
 
@@ -355,24 +342,23 @@ def make_sparse_linear(d: int, coeffs: dict) -> BenchmarkInstance:
     return BenchmarkInstance(BlackBoxFunction(d, evaluate), np.zeros(d), metadata)
 
 
-# --- the family table: spec keys, defaults, exact re-instantiation ---
+# --- the family table: spec keys and defaults ---
 
 
 @dataclass(frozen=True)
 class Family:
     """One row of :data:`FAMILIES`: everything decided per family name.
 
-    keys maps each parameter a spec or a description may set to the type
-    that parses its text; required lists those without a default.
-    build(params, rng) calls the maker with the defaults filled in.  The
-    harness reads the rest: whether specs may name the family, the
-    estimator's first divisor d1, and whether degenerate degrees read as +inf.
+    keys maps each parameter a spec may set to the type that parses its
+    text; required lists those without a default.  build(params, rng)
+    calls the maker with the defaults filled in.  The harness reads the
+    rest: the estimator's first divisor d1, and whether degenerate
+    degrees read as +inf.
     """
 
     keys: dict
     build: Callable[[dict, RngStream], BenchmarkInstance]
     required: tuple = ("d", "s")
-    in_specs: bool = True
     grace_d1: int = 20
     degenerate_inf: bool = False
 
@@ -398,61 +384,4 @@ FAMILIES = {
     "planted-linear": Family(
         {"d": int, "s": int}, lambda p, rng: make_planted_linear(p["d"], p["s"], rng)
     ),
-    "sparse-linear": Family(
-        {"d": int, "coeffs": ast.literal_eval},
-        lambda p, rng: make_sparse_linear(p["d"], p.get("coeffs", {})),
-        required=("d",),
-        in_specs=False,
-    ),
 }
-
-
-def describe_instance(instance: BenchmarkInstance) -> str:
-    """Serialize the generating parameters of an instance to an INI document.
-
-    Writes the family, the keys of its row that the metadata holds (str
-    shows floats, also inside a dict, exactly), and for generated families
-    the rng key, which re-runs the maker's draws exactly.  The maker must
-    have been given a freshly derived stream; a stream with consumed state
-    cannot be reconstructed from its key.
-    """
-    meta = instance.metadata
-    section = {"family": meta["family"]}
-    for key in FAMILIES[meta["family"]].keys:
-        if key in meta:
-            section[key] = str(meta[key])
-    if "seed" in meta:
-        section["seed"] = str(meta["seed"])
-        section["stream"] = str(meta["stream"])
-        section["path"] = " ".join(str(k) for k in meta["path"])
-    parser = configparser.ConfigParser()
-    parser["instance"] = section
-    out = io.StringIO()
-    parser.write(out)
-    return out.getvalue()
-
-
-def instance_from_description(text: str, graph: Graph | None = None) -> BenchmarkInstance:
-    """Rebuild an instance from :func:`describe_instance` output.
-
-    The attack family needs its graph supplied; the graph itself is
-    external input and is not embedded in descriptions.
-    """
-    parser = configparser.ConfigParser()
-    parser.read_string(text)
-    section = parser["instance"]
-    family = section["family"]
-    row = FAMILIES.get(family)
-    if row is None:
-        raise ValueError(f"unknown family {family!r}")
-    params = {key: kind(section[key]) for key, kind in row.keys.items() if key in section}
-    if graph is not None:
-        params["graph"] = graph
-    missing = [key for key in row.required if key not in params]
-    if missing:
-        raise ValueError(f"{family} instances need {missing}; a graph is passed, never described")
-    rng = None
-    if "seed" in section:
-        path = tuple(int(k) for k in section.get("path", "").split())
-        rng = RngStream(int(section["seed"]), int(section["stream"]), path)
-    return row.build(params, rng)

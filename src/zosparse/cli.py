@@ -30,6 +30,12 @@ from .harness import (
 __all__ = ["main"]
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"need an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zosparse",
@@ -46,12 +52,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     scaling = sub.add_parser("scaling", help="measure query growth over a (d, s) grid")
     scaling.add_argument(
-        "--d", type=int, nargs="+", default=[256, 1024, 4096, 16384], help="dimensions"
+        "--d", type=_positive_int, nargs="+", default=[256, 1024, 4096, 16384], help="dimensions"
     )
     scaling.add_argument(
-        "--s", type=int, nargs="+", default=[4, 8, 16, 32], help="sparsity levels"
+        "--s", type=_positive_int, nargs="+", default=[4, 8, 16, 32], help="sparsity levels"
     )
-    scaling.add_argument("--repeats", type=int, default=5, help="estimates per grid point")
+    scaling.add_argument(
+        "--repeats", type=_positive_int, default=5, help="estimates per grid point"
+    )
     scaling.add_argument("--output", default=None, help="also write the rows to this CSV file")
 
     graph_info = sub.add_parser("graph-info", help="summarize an adjacency edge list")
@@ -81,6 +89,9 @@ def _cmd_verify() -> int:
 
 def _cmd_scaling(args) -> int:
     rows = query_scaling_probe(args.d, args.s, repeats=args.repeats)
+    if not rows:
+        print("error: every s exceeds every d, so the grid is empty", file=sys.stderr)
+        return 2
     print(f"{'d':>8} {'s':>6} {'mean-queries':>14} {'predictor':>12}")
     for d, s, mean_queries, predictor in rows:
         print(f"{d:>8} {s:>6} {mean_queries:>14.1f} {predictor:>12.4f}")

@@ -23,7 +23,7 @@ import numpy as np
 
 # By name, so a tracer that replaces blackbox.with_ledger leaves this count alone.
 from .blackbox import BlackBoxFunction, BudgetExhaustedError, with_ledger
-from .rng import RngStream, dependent_partition, partition_groups, random_permutation
+from .rng import RngStream, as_indices, dependent_partition, partition_groups, random_permutation
 from .theory import DivisionSchedule, practical_schedule
 
 __all__ = [
@@ -189,7 +189,7 @@ def locate_in_group(
     ceil(size/2) members survive it, and a group of n members is done
     after at most ceil(log2 n) - 1 iterations.
     """
-    current = np.sort(np.asarray(members, dtype=np.int64).ravel())
+    current = np.sort(as_indices(members, "group members must be integers").ravel())
     if current.size == 0:
         raise ValueError("empty group")
     iteration = 0

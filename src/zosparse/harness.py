@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import configparser
 import csv
-import io
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -54,7 +53,6 @@ __all__ = [
     "MethodSpec",
     "ExperimentSpec",
     "parse_spec",
-    "serialize_spec",
     "ExperimentResult",
     "run_experiment",
     "CheckResult",
@@ -97,7 +95,7 @@ class MethodSpec:
 
 @dataclass
 class ExperimentSpec:
-    """Everything a sweep needs, round-trippable through an INI document."""
+    """Everything a sweep needs, as :func:`parse_spec` reads it from an INI document."""
 
     family: str
     family_params: dict
@@ -128,7 +126,7 @@ def _typed(section: str, keys: dict, required: tuple, params: dict) -> dict:
 
 def _checked(spec: ExperimentSpec) -> ExperimentSpec:
     """spec with typed parameters; rejects what would fail or be ignored in every cell."""
-    families = tuple(name for name, row in FAMILIES.items() if row.in_specs)
+    families = tuple(FAMILIES)
     if spec.family not in families:
         raise ExperimentSpecError(f"[family] unknown family {spec.family!r}; expected {families}")
     if spec.budget < 1 or (spec.max_steps is not None and spec.max_steps < 1):
@@ -156,7 +154,7 @@ def _int_list(section: str, key: str, raw: str) -> list:
 
 
 def parse_spec(text: str) -> ExperimentSpec:
-    """Parse an experiment document; see :func:`serialize_spec` for the format."""
+    """Parse an experiment document; the README's "Running experiments" gives the format."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     try:
@@ -213,37 +211,6 @@ def parse_spec(text: str) -> ExperimentSpec:
         output=exp.get("output"),
     )
     return _checked(spec)
-
-
-def serialize_spec(spec: ExperimentSpec) -> str:
-    """Render a spec as the INI document parse_spec reads back unchanged."""
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.optionxform = str
-
-    def fmt(value) -> str:
-        return repr(value) if isinstance(value, float) else str(value)
-
-    parser["experiment"] = {
-        "budget": str(spec.budget),
-        "eta-grid": " ".join(repr(eta) for eta in spec.eta_grid),
-        "instance-seeds": " ".join(str(s) for s in spec.instance_seeds),
-        "run-seeds": " ".join(str(s) for s in spec.run_seeds),
-    }
-    if spec.max_steps is not None:
-        parser["experiment"]["max-steps"] = str(spec.max_steps)
-    if spec.output is not None:
-        parser["experiment"]["output"] = spec.output
-    parser["family"] = {"name": spec.family}
-    for key, value in spec.family_params.items():
-        parser["family"][key] = fmt(value)
-    for method in spec.methods:
-        section = f"method:{method.name}"
-        parser[section] = {"method": method.method}
-        for key, value in method.params.items():
-            parser[section][key] = fmt(value)
-    out = io.StringIO()
-    parser.write(out)
-    return out.getvalue()
 
 
 # --- running ---

@@ -54,6 +54,18 @@ class RngStream:
         return f"RngStream(seed={self.seed}, stream={self.stream}, path={self.path})"
 
 
+def as_indices(values, message: str) -> np.ndarray:
+    """values as int64; a non-integer dtype, which a cast would truncate, raises.
+
+    Only the dtype is read, in O(1).  An empty array passes whatever its
+    dtype, so that the caller can report it as empty.
+    """
+    values = np.asarray(values)
+    if values.size and values.dtype.kind not in "iu":
+        raise ValueError(f"{message}; got dtype {values.dtype}")
+    return values.astype(np.int64, copy=False)
+
+
 def random_permutation(n: int, rng: RngStream) -> np.ndarray:
     """Uniform random permutation of {1..n} in image form.
 
@@ -83,8 +95,8 @@ def partition_groups(d: int, n: int, omega: np.ndarray) -> list[np.ndarray]:
     """
     if not 1 <= n <= d:
         raise ValueError(f"need 1 <= n <= d, got n={n}, d={d}")
-    omega = np.asarray(omega, dtype=np.int64)
     message = "omega must be a permutation of {1..d} in image form"
+    omega = as_indices(omega, message)
     if omega.shape != (d,) or omega.min() < 1 or omega.max() > d:
         raise ValueError(message)
     dims = np.zeros(d, dtype=np.int64)
@@ -124,11 +136,12 @@ def dependent_partition(members, divisor: int, rng: RngStream) -> DependentParti
     """
     if divisor < 2:
         raise ValueError(f"need divisor >= 2, got {divisor}")
-    indices = np.sort(np.asarray(members, dtype=np.int64).ravel())
+    message = "index set must hold distinct indices >= 1"
+    indices = np.sort(as_indices(members, message).ravel())
     if indices.size == 0:
         raise ValueError("empty index set")
     if indices[0] < 1 or (indices[1:] == indices[:-1]).any():
-        raise ValueError("index set must hold distinct indices >= 1")
+        raise ValueError(message)
     size = int(indices.size)
     block_size = -(-size // divisor)
     ranks = random_permutation(size, rng)

@@ -33,13 +33,10 @@ __all__ = [
     "compute_C1",
     "compute_C2",
     "BASELINE_CONSTANT",
-    "lambda1",
-    "lambda2",
     "falling_factorial",
     "check_egamma",
     "check_egamma_grid",
     "check_partition_probability",
-    "check_conditional_membership",
     "partition_probability_suite",
 ]
 
@@ -295,18 +292,6 @@ def compute_C2(p: TheoryParams | None = None) -> float:
     return (compute_C1() * p.D + 1.0 / p.D) * scale
 
 
-def lambda1(n: int, d: int, l1: float) -> float:
-    """Finite-difference noise floor L1 (d^2 + d + 1/2) n of a size-n probe set."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got n={n}")
-    return l1 * (d * d + d + 0.5) * n
-
-
-def lambda2(d: int, l0: float, l1: float) -> float:
-    """Candidate-level noise floor 2 L0 lambda1(d, d)."""
-    return 2.0 * l0 * lambda1(d, d, l1)
-
-
 def check_egamma(d: int, s: int, gamma) -> bool:
     """Exact check that the isolation product beats exp(-gamma).
 
@@ -413,31 +398,6 @@ def check_partition_probability(d: int, n: int, k: int, h_set, j: int):
             joint = sum(1 for m in event if m >> (i - 1) & 1)
             equal = equal and Fraction(joint, len(event)) == cond_formula
     return empirical, formula, equal
-
-
-def check_conditional_membership(d: int, n: int, k: int, h_set, j_subset, i: int):
-    """Exhaustively verify Pr[i in S | S cap H = J] = (|S|-|J|)/(d-|H|).
-
-    J may be any subset of H (empty included); i must lie outside H.
-    Raises when the conditioning event never occurs.
-    """
-    h = _validate_enumeration_args(d, n, k, h_set)
-    j_sub = frozenset(int(v) for v in j_subset)
-    if not j_sub <= h:
-        raise ValueError("J must be a subset of H")
-    i = int(i)
-    if not 1 <= i <= d or i in h:
-        raise ValueError(f"i={i} must lie in {{1..d}} outside H")
-    h_mask = sum(1 << (v - 1) for v in h)
-    j_mask = sum(1 << (v - 1) for v in j_sub)
-    event = [m for m in _group_bitmasks(d, n, k) if m & h_mask == j_mask]
-    if not event:
-        raise ValueError("conditioning event has probability zero")
-    joint = sum(1 for m in event if m >> (i - 1) & 1)
-    s_size = _group_sizes(d, n)[k - 1]
-    empirical = Fraction(joint, len(event))
-    formula = Fraction(s_size - len(j_sub), d - len(h))
-    return empirical, formula, empirical == formula
 
 
 def partition_probability_suite(max_d: int = 6, max_h: int = 3):

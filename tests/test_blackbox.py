@@ -1,4 +1,4 @@
-"""Benchmark objectives, query ledger, graph parsing, instance descriptions."""
+"""Benchmark objectives, query ledger, graph parsing."""
 
 import numpy as np
 import pytest
@@ -12,8 +12,6 @@ from zosparse.blackbox import (
     DegenerateDegreeError,
     Graph,
     GraphParseError,
-    describe_instance,
-    instance_from_description,
     load_graph,
     make_attack,
     make_distance,
@@ -308,43 +306,3 @@ class TestLinearFamilies:
             bump = np.zeros(32)
             bump[j - 1] = 1.0
             assert inst.objective(bump) - inst.objective(np.zeros(32)) == pytest.approx(c)
-
-
-class TestDescriptions:
-    def test_distance_round_trip(self):
-        original = make_distance(24, 4, RngStream(31, stream=2).derive(5))
-        rebuilt = instance_from_description(describe_instance(original))
-        np.testing.assert_array_equal(original.metadata["center"], rebuilt.metadata["center"])
-        np.testing.assert_array_equal(original.metadata["weights"], rebuilt.metadata["weights"])
-        x = RngStream(0).gen.standard_normal(24)
-        assert original.objective(x) == rebuilt.objective(x)
-
-    def test_magnitude_round_trip(self):
-        original = make_magnitude(16, 3, 0.25, 0.4, RngStream(8))
-        rebuilt = instance_from_description(describe_instance(original))
-        assert rebuilt.metadata["support"] == original.metadata["support"]
-        assert rebuilt.metadata["lam"] == 0.25 and rebuilt.metadata["w"] == 0.4
-
-    def test_planted_linear_round_trip(self):
-        original = make_planted_linear(40, 5, RngStream(9))
-        rebuilt = instance_from_description(describe_instance(original))
-        assert rebuilt.metadata["coeffs"] == original.metadata["coeffs"]
-
-    def test_sparse_linear_round_trip_exact_floats(self):
-        original = make_sparse_linear(8, {3: 0.1 + 0.2, 7: -1.0 / 3.0})
-        rebuilt = instance_from_description(describe_instance(original))
-        assert rebuilt.metadata["coeffs"] == original.metadata["coeffs"]
-
-    def test_attack_round_trip_needs_graph(self):
-        graph = load_graph(PATH_3)
-        original = make_attack(graph, 1, 3, 2, 0.5)
-        text = describe_instance(original)
-        with pytest.raises(ValueError, match="graph"):
-            instance_from_description(text)
-        rebuilt = instance_from_description(text, graph=graph)
-        x = 0.1 * RngStream(1).gen.standard_normal(9)
-        assert rebuilt.objective(x) == original.objective(x)
-
-    def test_unknown_family_rejected(self):
-        with pytest.raises(ValueError, match="unknown family"):
-            instance_from_description("[instance]\nfamily = mystery\nd = 4\n")

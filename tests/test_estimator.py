@@ -1,10 +1,14 @@
 """Shrink procedure and sparse gradient estimation."""
 
+import itertools
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zosparse.blackbox import (
     BlackBoxFunction,
@@ -195,9 +199,18 @@ class TestLocateInGroup:
 
     def test_rejects_empty_group(self):
         f = linear(4, {1: 1.0})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="empty group"):
             locate_in_group(
                 f, np.zeros(4), 0.0, 1e-3, np.array([]), practical_schedule(20), rng=RngStream(0)
+            )
+
+    def test_rejects_float_members(self):
+        # A cast would truncate these to members 1..5 and run on them.
+        f = linear(5, {1: 1.0})
+        with pytest.raises(ValueError, match="integers"):
+            locate_in_group(
+                f, np.zeros(5), 0.0, 1e-3, [1.0, 2.5, 3.9, 4.0, 5.0], practical_schedule(20),
+                rng=RngStream(0),
             )
 
 
@@ -311,6 +324,35 @@ class TestGraceEstimate:
         with pytest.raises(ValueError, match=f"got {bad}"):
             grace_estimate(counted, np.zeros(256), GraceConfig.defaults(256, 6), RngStream(0))
         assert ledger.count == 1  # the base value only; no shrink query follows
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        d=st.integers(2, 48),
+        s=st.integers(1, 4),
+        m=st.integers(1, 2),
+        seed=st.integers(0, 2**32),
+        poisoned=st.dictionaries(
+            st.integers(0, 60), st.sampled_from([math.inf, -math.inf, math.nan]), max_size=12
+        ),
+    )
+    def test_non_finite_values_never_reach_the_entries(self, d, s, m, seed, poisoned):
+        # poisoned maps a query's position in call order to the value f returns there.
+        inst = make_planted_linear(d, min(s, d), RngStream(seed))
+        order = itertools.count()
+
+        def evaluate(x):
+            return poisoned.get(next(order), inst.objective(x))
+
+        counted, ledger = with_ledger(BlackBoxFunction(d, evaluate))
+        cfg = replace(GraceConfig.defaults(d, s, epsilon=1e-3), m=m)
+        if 0 in poisoned:
+            with pytest.raises(ValueError, match="finite f"):
+                grace_estimate(counted, inst.x1, cfg, RngStream(seed).derive(1))
+            assert ledger.count == 1
+            return
+        est = grace_estimate(counted, inst.x1, cfg, RngStream(seed).derive(1))
+        assert all(math.isfinite(value) for value in est.entries.values())
+        assert est.queries_used == ledger.count
 
     def test_readme_example_is_pinned(self):
         # Runs the README's quick example from its text.  A change that re-keys

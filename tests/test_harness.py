@@ -1,17 +1,19 @@
 """Experiment files, sweep execution, CSV output, CLI, verification."""
 
+import configparser
 import csv
 import dataclasses
+import io
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zosparse.blackbox import (
     FAMILIES,
-    describe_instance,
-    instance_from_description,
     load_graph,
     make_attack,
     make_distance,
@@ -20,6 +22,7 @@ from zosparse.blackbox import (
 )
 from zosparse.cli import main
 from zosparse.harness import (
+    METHOD_KEYS,
     ExperimentSpec,
     ExperimentSpecError,
     MethodSpec,
@@ -28,7 +31,6 @@ from zosparse.harness import (
     resolve_output_dir,
     run_experiment,
     scaling_correlation,
-    serialize_spec,
     verify_theory,
     write_scaling_csv,
 )
@@ -76,6 +78,80 @@ def small_spec(**overrides):
     )
     base.update(overrides)
     return ExperimentSpec(**base)
+
+
+def serialize_spec(spec):
+    """Render a spec as the INI document parse_spec reads back unchanged."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.optionxform = str
+
+    def fmt(value):
+        return repr(value) if isinstance(value, float) else str(value)
+
+    parser["experiment"] = {
+        "budget": str(spec.budget),
+        "eta-grid": " ".join(repr(eta) for eta in spec.eta_grid),
+        "instance-seeds": " ".join(str(s) for s in spec.instance_seeds),
+        "run-seeds": " ".join(str(s) for s in spec.run_seeds),
+    }
+    if spec.max_steps is not None:
+        parser["experiment"]["max-steps"] = str(spec.max_steps)
+    if spec.output is not None:
+        parser["experiment"]["output"] = spec.output
+    parser["family"] = {"name": spec.family}
+    for key, value in spec.family_params.items():
+        parser["family"][key] = fmt(value)
+    for method in spec.methods:
+        section = f"method:{method.name}"
+        parser[section] = {"method": method.method}
+        for key, value in method.params.items():
+            parser[section][key] = fmt(value)
+    out = io.StringIO()
+    parser.write(out)
+    return out.getvalue()
+
+
+# Values for each key type a spec reads: any int, any finite float, and
+# text that an INI value holds without quoting.
+TEXT = st.from_regex(r"[A-Za-z0-9_./-]{1,16}", fullmatch=True)
+DRAWS = {
+    int: st.integers(-(10**12), 10**12),
+    float: st.floats(allow_nan=False, allow_infinity=False),
+    str: TEXT,
+}
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+SEEDS = st.lists(st.integers(0, 2**63), min_size=1, max_size=3)
+
+
+def drawn_params(keys, required):
+    """Strategy for a params dict: every required key, any subset of the rest."""
+    return st.fixed_dictionaries(
+        {key: DRAWS[keys[key]] for key in required},
+        optional={key: DRAWS[kind] for key, kind in keys.items() if key not in required},
+    )
+
+
+@st.composite
+def specs(draw):
+    """Valid specs over every family of FAMILIES and every method of METHOD_KEYS."""
+    family = draw(st.sampled_from(list(FAMILIES)))
+    label = st.from_regex(r"[a-z][a-z0-9-]{0,7}", fullmatch=True)
+    names = draw(st.lists(label, min_size=1, max_size=4, unique=True))
+    methods = []
+    for name in names:
+        method = draw(st.sampled_from(list(METHOD_KEYS)))
+        methods.append(MethodSpec(name, method, draw(drawn_params(METHOD_KEYS[method], ()))))
+    return ExperimentSpec(
+        family=family,
+        family_params=draw(drawn_params(FAMILIES[family].keys, FAMILIES[family].required)),
+        methods=methods,
+        instance_seeds=draw(SEEDS),
+        run_seeds=draw(SEEDS),
+        budget=draw(st.integers(1, 10**12)),
+        eta_grid=draw(st.lists(POSITIVE, min_size=1, max_size=3)),
+        max_steps=draw(st.none() | st.integers(1, 10**12)),
+        output=draw(st.none() | TEXT),
+    )
 
 
 def read_csv(path):
@@ -144,6 +220,12 @@ class TestSpecDocuments:
         spec = small_spec(methods=[MethodSpec("rs", "rs", {"mu": 0.1 + 0.2})])
         rebuilt = parse_spec(serialize_spec(spec))
         assert rebuilt.methods[0].params["mu"] == 0.1 + 0.2
+
+    @settings(max_examples=200, deadline=None)
+    @given(specs())
+    def test_round_trip_over_drawn_specs(self, spec):
+        assert parse_spec(serialize_spec(spec)) == spec
+
 
 
 class TestRunExperiment:
@@ -271,8 +353,8 @@ EXPECTED_BUILDS = {
 }
 
 
-@pytest.mark.parametrize("family", [name for name, row in FAMILIES.items() if row.in_specs])
-def test_spec_and_description_build_the_same_objective(family, tmp_path, monkeypatch):
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_spec_builds_the_maker_with_its_defaults(family, tmp_path, monkeypatch):
     (tmp_path / "g.txt").write_text(PATH_3, encoding="utf-8")
     params, make = EXPECTED_BUILDS[family]
     params = {k: str(tmp_path / v) if k == "graph" else v for k, v in params.items()}
@@ -293,12 +375,11 @@ def test_spec_and_description_build_the_same_objective(family, tmp_path, monkeyp
     )
     run_experiment(spec, output_dir=tmp_path / "out")
     (instance,) = built
-    graph = load_graph(PATH_3)
-    described = instance_from_description(describe_instance(make(graph)), graph=graph)
-    np.testing.assert_array_equal(instance.x1, described.x1)
+    expected = make(load_graph(PATH_3))
+    np.testing.assert_array_equal(instance.x1, expected.x1)
     points = 0.1 * RngStream(0).gen.standard_normal((4, instance.objective.dim))
     for x in [instance.x1, *points]:
-        assert instance.objective(x) == described.objective(x)
+        assert instance.objective(x) == expected.objective(x)
 
 
 class TestOutputResolution:
@@ -445,6 +526,19 @@ class TestCli:
         assert code == 0
         assert "correlation" in capsys.readouterr().out
         assert out_csv.exists()
+
+    @pytest.mark.parametrize(
+        "args", [["--repeats", "0"], ["--s", "0"], ["--d", "0"], ["--d", "4", "8", "--s", "16"]]
+    )
+    def test_scaling_bad_arguments_are_usage_errors(self, args, capsys):
+        try:
+            code = main(["scaling", *args])
+        except SystemExit as stop:  # argparse rejects the value itself
+            code = stop.code
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert "correlation" not in captured.out
 
     def test_graph_info_subcommand(self, tmp_path, capsys):
         graph_file = tmp_path / "g.txt"

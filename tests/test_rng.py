@@ -177,6 +177,9 @@ class TestPartitionGroups:
             [1, 2, 3],
             [[1, 2], [3, 4]],
             [2, 2, 2, 2],
+            [1.5, 2.9, 3.0, 4.2],  # a cast would truncate these to the identity
+            [1.0, 2.0, 3.0, 4.0],
+            [True, False, True, True],
         ]
         for omega in bad:
             with pytest.raises(ValueError, match="omega must be a permutation"):
@@ -257,11 +260,12 @@ class TestDependentPartition:
             dependent_partition(np.arange(1, 5), 1, RngStream(0))
 
     def test_rejects_empty_members(self):
-        with pytest.raises(ValueError):
-            dependent_partition(np.array([], dtype=np.int64), 2, RngStream(0))
+        for members in (np.array([], dtype=np.int64), []):  # [] reads as float64
+            with pytest.raises(ValueError, match="empty index set"):
+                dependent_partition(members, 2, RngStream(0))
 
     def test_rejects_repeated_or_nonpositive_members(self):
-        for members in ([1, 1, 2], [0, 1], [3, 3]):
+        for members in ([1, 1, 2], [0, 1], [3, 3], [1.2, 2.7, 3.0], [1.0, 2.0]):
             with pytest.raises(ValueError, match="distinct indices >= 1"):
                 dependent_partition(np.array(members), 2, RngStream(0))
 

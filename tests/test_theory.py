@@ -13,7 +13,6 @@ from zosparse.theory import (
     BASELINE_CONSTANT,
     InfeasibleParametersError,
     TheoryParams,
-    check_conditional_membership,
     check_egamma,
     check_egamma_grid,
     check_partition_probability,
@@ -24,8 +23,6 @@ from zosparse.theory import (
     delta_noise,
     explicit_schedule,
     falling_factorial,
-    lambda1,
-    lambda2,
     partition_probability_suite,
     practical_schedule,
     ratio_test_margin,
@@ -206,19 +203,6 @@ class TestConstants:
         assert compute_C2(p) == pytest.approx((compute_C1() * p.D + 1 / p.D) * scale)
 
 
-class TestNoiseFloors:
-    def test_lambda1_known_value(self):
-        assert lambda1(3, 10, 2.0) == pytest.approx(663.0)
-
-    def test_lambda1_rejects_empty_probe_set(self):
-        with pytest.raises(ValueError):
-            lambda1(0, 10, 1.0)
-
-    def test_lambda2_known_value(self):
-        # 2 * 1.5 * [2.0 * (16 + 4 + 0.5) * 4] = 492
-        assert lambda2(4, 1.5, 2.0) == pytest.approx(492.0)
-
-
 class TestIsolationInequality:
     def test_trivial_when_s_is_one(self):
         # Empty product on the left: 1 >= e^{-gamma} always.
@@ -276,21 +260,6 @@ class TestPartitionProbability:
     def test_rejects_j_outside_h(self):
         with pytest.raises(ValueError):
             check_partition_probability(4, 2, 1, {1, 2}, 3)
-
-    def test_conditional_membership_with_j_present(self):
-        empirical, formula, equal = check_conditional_membership(4, 2, 1, {1}, {1}, 2)
-        assert formula == Fraction(1, 3)
-        assert equal
-
-    def test_conditional_membership_empty_j(self):
-        empirical, formula, equal = check_conditional_membership(4, 2, 1, {1}, set(), 2)
-        assert formula == Fraction(2, 3)
-        assert equal
-
-    def test_conditional_membership_rejects_impossible_event(self):
-        # Group 1 of d=4, n=4 is everything; S cap {1} = empty never happens.
-        with pytest.raises(ValueError):
-            check_conditional_membership(4, 4, 1, {1}, set(), 2)
 
     def test_suite_small_sizes_all_equal(self):
         checked, failures = partition_probability_suite(max_d=4, max_h=2)
