@@ -88,10 +88,11 @@ def _cmd_verify() -> int:
 
 
 def _cmd_scaling(args) -> int:
-    rows = query_scaling_probe(args.d, args.s, repeats=args.repeats)
-    if not rows:
-        print("error: every s exceeds every d, so the grid is empty", file=sys.stderr)
+    usable = sum(1 for d in args.d for s in args.s if d > 2 * s)
+    if usable < 2:
+        print(f"error: the correlation needs 2 points with d/s > 2, got {usable}", file=sys.stderr)
         return 2
+    rows = query_scaling_probe(args.d, args.s, repeats=args.repeats)
     print(f"{'d':>8} {'s':>6} {'mean-queries':>14} {'predictor':>12}")
     for d, s, mean_queries, predictor in rows:
         print(f"{d:>8} {s:>6} {mean_queries:>14.1f} {predictor:>12.4f}")

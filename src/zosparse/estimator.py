@@ -137,7 +137,7 @@ def shrink_step(
     epsilon: float,
     members,
     divisor: int,
-    rng: RngStream,
+    keys,
 ) -> ShrinkOutcome:
     """One two-query probe keeping only the block whose label matches the ratio.
 
@@ -147,15 +147,17 @@ def shrink_step(
     j's label, so rounding it picks j's block.  A non-finite f(x), f(x+v)
     or f(x+u) carries no label and leaves the group without survivors.
     """
-    part = dependent_partition(members, divisor, rng)
+    part = dependent_partition(members, divisor, keys)
     if part.indices.size < 2:
         raise ValueError("shrink_step needs at least 2 surviving indices")
     positions = part.indices - 1
     x = np.asarray(x, dtype=float)
+    step = epsilon * part.signs
+    moved = x[positions]
     probe_v = x.copy()
-    probe_v[positions] += epsilon * part.signs * part.labels
+    probe_v[positions] = moved + step * part.labels
     probe_u = x.copy()
-    probe_u[positions] += epsilon * part.signs
+    probe_u[positions] = moved + step
     f_v = f(probe_v)
     f_u = f(probe_u)
     empty = np.empty(0, dtype=np.int64)
@@ -170,6 +172,21 @@ def shrink_step(
     return ShrinkOutcome(part.indices[part.labels == label], label, False)
 
 
+def _key_spans(size: int, schedule: DivisionSchedule):
+    """(max(D_t, 2), key columns) per shrink iteration t, which owns b_t columns.
+
+    b_1 = size, b_{t+1} = ceil(b_t / min(max(D_t, 2), b_t)) while b_t > 2: the kept
+    block never shrinks as members grow, so at most b_t members reach iteration t.
+    """
+    start, bound, iteration = 0, size, 0
+    while bound > 2:
+        iteration += 1
+        step = max(schedule.value(iteration), 2)
+        yield step, slice(start, start + bound)
+        start += bound
+        bound = -(-bound // min(step, bound))
+
+
 def locate_in_group(
     f: BlackBoxFunction,
     x: np.ndarray,
@@ -178,7 +195,7 @@ def locate_in_group(
     members,
     schedule: DivisionSchedule,
     *,
-    rng: RngStream,
+    keys,
 ) -> np.ndarray:
     """Shrink one group until at most two candidates remain.
 
@@ -187,16 +204,17 @@ def locate_in_group(
     usable signal.  The loop needs no iteration cap: each iteration keeps
     one block of a partition into at least two blocks, so at most
     ceil(size/2) members survive it, and a group of n members is done
-    after at most ceil(log2 n) - 1 iterations.
+    after at most ceil(log2 n) - 1 iterations.  Iteration t reads the
+    columns of the group's (2, width) ``keys`` at offset b_1 + ... + b_{t-1}.
     """
     current = np.sort(as_indices(members, "group members must be integers").ravel())
     if current.size == 0:
         raise ValueError("empty group")
-    iteration = 0
+    spans = _key_spans(int(current.size), schedule)
     while current.size > 2:
-        iteration += 1
-        divisor = min(max(schedule.value(iteration), 2), int(current.size))
-        current = shrink_step(f, x, f_x, epsilon, current, divisor, rng).surviving
+        step, columns = next(spans)
+        divisor = min(step, int(current.size))
+        current = shrink_step(f, x, f_x, epsilon, current, divisor, keys[:, columns]).surviving
     return current
 
 
@@ -208,11 +226,11 @@ def grace_estimate(
     Queries f(x) once and shares it across every ratio and finite
     difference; a non-finite f(x) raises ``ValueError`` before any
     further query, since no ratio or difference can be read against it.
-    Each of the m repeats draws a fresh permutation of the dimensions,
-    shrinks every group, and the union of survivors gets one forward
-    difference per index; a candidate whose difference is not finite is
-    left out of the entries.  On budget exhaustion the error is
-    re-raised with ``partial`` holding the bookkeeping so far; its
+    Each of the m repeats draws a permutation of the dimensions, then a
+    key row per group, and shrinks each group on its own row; every
+    survivor gets one forward difference, and is left out of the entries
+    if that is not finite or exactly 0.0.  On budget exhaustion the error
+    is re-raised with ``partial`` holding the bookkeeping so far; its
     entries are incomplete and must be discarded by the caller.
     """
     d = f.dim
@@ -225,17 +243,19 @@ def grace_estimate(
         base_value = counting(x)
         if not math.isfinite(base_value):
             raise ValueError(f"need a finite f(x) at the estimate's point, got {base_value}")
+        width = max((cols.stop for _, cols in _key_spans(cfg.n, cfg.schedule)), default=0)
         candidates: set[int] = set()
         for _repeat in range(cfg.m):
-            omega = random_permutation(d, rng)
-            for group in partition_groups(d, cfg.n, omega):
+            groups = partition_groups(d, cfg.n, random_permutation(d, rng))
+            keys = rng.gen.random((len(groups), 2, width))
+            for group, row in zip(groups, keys):
                 survivors = locate_in_group(
-                    counting, x, base_value, cfg.epsilon, group, cfg.schedule, rng=rng
+                    counting, x, base_value, cfg.epsilon, group, cfg.schedule, keys=row
                 )
-                candidates.update(int(j) for j in survivors)
+                candidates.update(survivors.tolist())
         for j in sorted(candidates):
             value = finite_difference(counting, x, base_value, j, cfg.epsilon)
-            if math.isfinite(value):
+            if math.isfinite(value) and value != 0.0:
                 entries[j] = value
     except BudgetExhaustedError as error:
         error.partial = SparseGradient(d, entries, ledger.count, base_value)

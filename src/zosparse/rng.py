@@ -6,6 +6,9 @@ always replays the same draws, so an experiment is reproducible from the
 seeds in its config alone, and derived child streams are independent of
 the parent and of each other.
 
+Every draw is one numpy call in C; a block partition reads uniform keys
+drawn in bulk, which the estimator keys by (repeat, group).
+
 Indexing convention: dimensions are numbered 1..d in every index set,
 permutation image, and block label handed out by this module.  Arrays
 are stored 0-based as usual; position ``p`` corresponds to dimension
@@ -69,19 +72,12 @@ def as_indices(values, message: str) -> np.ndarray:
 def random_permutation(n: int, rng: RngStream) -> np.ndarray:
     """Uniform random permutation of {1..n} in image form.
 
-    ``images[p]`` is the image of ``p + 1``.  Built by Fisher-Yates: one
-    vectorized draw gives position i a target uniform on {i, ..., n-1},
-    and the swaps then run in order on a Python list, which is cheaper
-    per swap than numpy scalars and changes no draw.  The amount of
-    generator state consumed depends only on ``n``.
+    ``images[p]`` is the image of ``p + 1``.  One ``Generator.permutation``
+    draw, so the generator state consumed depends only on ``n``.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")
-    targets = rng.gen.integers(np.arange(n - 1), n).tolist()
-    images = list(range(1, n + 1))
-    for i, j in enumerate(targets):
-        images[i], images[j] = images[j], images[i]
-    return np.array(images, dtype=np.int64)
+    return rng.gen.permutation(n) + 1
 
 
 def partition_groups(d: int, n: int, omega: np.ndarray) -> list[np.ndarray]:
@@ -128,11 +124,11 @@ class DependentPartition:
         return -(-len(self.indices) // self.block_size)
 
 
-def dependent_partition(members, divisor: int, rng: RngStream) -> DependentPartition:
+def dependent_partition(members, divisor: int, keys) -> DependentPartition:
     """Cut an index set into blocks of size ceil(|S|/divisor), with fresh signs.
 
-    Draw order is fixed: the permutation defining the blocks first, then
-    one uniform sign per index.
+    Reads the first |S| columns of ``keys``, two rows of uniforms on [0, 1): the
+    ranks of row 0 cut the blocks, and row 1 < 1/2 gives sign +1 (exactly fair).
     """
     if divisor < 2:
         raise ValueError(f"need divisor >= 2, got {divisor}")
@@ -140,11 +136,14 @@ def dependent_partition(members, divisor: int, rng: RngStream) -> DependentParti
     indices = np.sort(as_indices(members, message).ravel())
     if indices.size == 0:
         raise ValueError("empty index set")
-    if indices[0] < 1 or (indices[1:] == indices[:-1]).any():
+    if indices[0] < 1 or np.count_nonzero(indices[1:] == indices[:-1]):
         raise ValueError(message)
     size = int(indices.size)
+    if np.shape(keys)[-1] < size:
+        raise ValueError(f"need keys with {size} columns, got shape {np.shape(keys)}")
     block_size = -(-size // divisor)
-    ranks = random_permutation(size, rng)
-    labels = (ranks + block_size - 1) // block_size
-    signs = 2 * rng.gen.integers(0, 2, size=size) - 1
+    by_rank = np.arange(block_size, size + block_size) // block_size
+    labels = np.empty(size, dtype=np.int64)
+    labels[keys[0, :size].argsort(kind="stable")] = by_rank
+    signs = np.where(keys[1, :size] < 0.5, 1, -1)
     return DependentPartition(indices, block_size, labels, signs)

@@ -4,12 +4,14 @@ import itertools
 import math
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zosparse import estimator
 from zosparse.blackbox import (
     BlackBoxFunction,
     BudgetExhaustedError,
@@ -33,6 +35,11 @@ def linear(d, coeffs):
     return make_sparse_linear(d, coeffs).objective
 
 
+def key_row(seed, width):
+    """A (2, width) key row drawn from a fresh stream."""
+    return RngStream(seed).gen.random((2, width))
+
+
 def located(f, *args, **kwargs):
     """locate_in_group's survivors and the queries a ledger counted for it."""
     counted, ledger = with_ledger(f)
@@ -44,14 +51,14 @@ class TestShrinkStep:
         # Block size 1 reads the signal's label exactly; any seed works.
         f = linear(4, {2: 3.0})
         for seed in range(20):
-            outcome = shrink_step(f, np.zeros(4), 0.0, 1e-3, np.arange(1, 5), 4, RngStream(seed))
+            outcome = shrink_step(f, np.zeros(4), 0.0, 1e-3, np.arange(1, 5), 4, key_row(seed, 4))
             assert not outcome.degenerate
             assert outcome.surviving.tolist() == [2]
 
     def test_keeps_whole_block_of_signal(self):
         f = linear(4, {3: 5.0})
         for seed in range(20):
-            outcome = shrink_step(f, np.zeros(4), 0.0, 1e-3, np.arange(1, 5), 2, RngStream(seed))
+            outcome = shrink_step(f, np.zeros(4), 0.0, 1e-3, np.arange(1, 5), 2, key_row(seed, 4))
             assert not outcome.degenerate
             assert outcome.surviving.size == 2
             assert 3 in outcome.surviving.tolist()
@@ -59,14 +66,14 @@ class TestShrinkStep:
     def test_survivors_are_one_label_class(self):
         f = linear(4, {3: 5.0})
         for seed in range(20):
-            outcome = shrink_step(f, np.zeros(4), 0.0, 1e-3, np.arange(1, 5), 2, RngStream(seed))
-            part = dependent_partition(np.arange(1, 5), 2, RngStream(seed))
+            outcome = shrink_step(f, np.zeros(4), 0.0, 1e-3, np.arange(1, 5), 2, key_row(seed, 4))
+            part = dependent_partition(np.arange(1, 5), 2, key_row(seed, 4))
             expected = part.indices[part.labels == outcome.label]
             np.testing.assert_array_equal(outcome.surviving, expected)
 
     def test_constant_function_is_degenerate(self):
         f = BlackBoxFunction(4, lambda x: 7.0)
-        outcome = shrink_step(f, np.zeros(4), 7.0, 1e-3, np.arange(1, 5), 2, RngStream(0))
+        outcome = shrink_step(f, np.zeros(4), 7.0, 1e-3, np.arange(1, 5), 2, key_row(0, 4))
         assert outcome.degenerate
         assert outcome.label is None
         assert outcome.surviving.size == 0
@@ -78,7 +85,7 @@ class TestShrinkStep:
         f = linear(3, {1: 1.0, 2: 1.0, 3: 1.0})
         hits = 0
         for seed in range(200):
-            outcome = shrink_step(f, np.zeros(3), 0.0, 1e-3, np.arange(1, 4), 3, RngStream(seed))
+            outcome = shrink_step(f, np.zeros(3), 0.0, 1e-3, np.arange(1, 4), 3, key_row(seed, 3))
             if outcome.degenerate and outcome.label is not None:
                 assert outcome.label < 1 or outcome.label > 3
                 assert outcome.surviving.size == 0
@@ -91,12 +98,12 @@ class TestShrinkStep:
         f = linear(3, {1: 1.0, 2: 1.0})
         hits = 0
         for seed in range(200):
-            part = dependent_partition(np.arange(1, 4), 3, RngStream(seed))
+            part = dependent_partition(np.arange(1, 4), 3, key_row(seed, 3))
             if part.signs[0] != part.signs[1]:
                 continue
             if {int(part.labels[0]), int(part.labels[1])} != {2, 3}:
                 continue
-            outcome = shrink_step(f, np.zeros(3), 0.0, 1e-3, np.arange(1, 4), 3, RngStream(seed))
+            outcome = shrink_step(f, np.zeros(3), 0.0, 1e-3, np.arange(1, 4), 3, key_row(seed, 3))
             assert outcome.label == 3
             np.testing.assert_array_equal(outcome.surviving, part.indices[part.labels == 3])
             hits += 1
@@ -108,7 +115,7 @@ class TestShrinkStep:
         for trial in range(50):
             divisor = int(rng.gen.integers(2, 13))
             outcome = shrink_step(
-                f, np.zeros(12), 0.0, 1e-3, np.arange(1, 13), divisor, rng.derive(trial)
+                f, np.zeros(12), 0.0, 1e-3, np.arange(1, 13), divisor, key_row(trial, 12)
             )
             block = -(-12 // divisor)
             assert outcome.surviving.size <= block < 12
@@ -116,11 +123,11 @@ class TestShrinkStep:
     def test_rejects_single_member(self):
         f = linear(4, {2: 1.0})
         with pytest.raises(ValueError):
-            shrink_step(f, np.zeros(4), 0.0, 1e-3, np.array([2]), 2, RngStream(0))
+            shrink_step(f, np.zeros(4), 0.0, 1e-3, np.array([2]), 2, key_row(0, 1))
 
     def test_uses_exactly_two_queries(self):
         counted, ledger = with_ledger(make_sparse_linear(6, {2: 3.0}).objective)
-        shrink_step(counted, np.zeros(6), 0.0, 1e-3, np.arange(1, 7), 3, RngStream(1))
+        shrink_step(counted, np.zeros(6), 0.0, 1e-3, np.arange(1, 7), 3, key_row(1, 6))
         assert ledger.count == 2
 
     @pytest.mark.parametrize("probe", ["scaled", "unscaled"])
@@ -129,7 +136,7 @@ class TestShrinkStep:
         # shrink_step queries the scaled probe first, then the unscaled one.
         values = iter([bad, 1.0] if probe == "scaled" else [1.0, bad])
         f = BlackBoxFunction(4, lambda x: next(values))
-        outcome = shrink_step(f, np.zeros(4), 0.0, 1e-3, np.arange(1, 5), 2, RngStream(0))
+        outcome = shrink_step(f, np.zeros(4), 0.0, 1e-3, np.arange(1, 5), 2, key_row(0, 4))
         assert outcome.degenerate
         assert outcome.label is None
         assert outcome.surviving.size == 0
@@ -139,7 +146,7 @@ class TestLocateInGroup:
     def test_tiny_group_needs_no_queries(self):
         f = linear(4, {2: 1.0})
         survivors, queries = located(
-            f, np.zeros(4), 0.0, 1e-3, np.array([2, 4]), practical_schedule(20), rng=RngStream(0)
+            f, np.zeros(4), 0.0, 1e-3, np.array([2, 4]), practical_schedule(20), keys=key_row(0, 2)
         )
         assert survivors.tolist() == [2, 4]
         assert queries == 0
@@ -147,7 +154,7 @@ class TestLocateInGroup:
     def test_single_member_group(self):
         f = linear(4, {2: 1.0})
         survivors, queries = located(
-            f, np.zeros(4), 0.0, 1e-3, np.array([3]), practical_schedule(20), rng=RngStream(0)
+            f, np.zeros(4), 0.0, 1e-3, np.array([3]), practical_schedule(20), keys=key_row(0, 1)
         )
         assert survivors.tolist() == [3]
         assert queries == 0
@@ -155,7 +162,7 @@ class TestLocateInGroup:
     def test_degenerate_group_dies_in_one_iteration(self):
         f = BlackBoxFunction(8, lambda x: 0.0)
         survivors, queries = located(
-            f, np.zeros(8), 0.0, 1e-3, np.arange(1, 9), practical_schedule(20), rng=RngStream(0)
+            f, np.zeros(8), 0.0, 1e-3, np.arange(1, 9), practical_schedule(20), keys=key_row(0, 8)
         )
         assert survivors.size == 0
         assert queries == 2
@@ -170,7 +177,7 @@ class TestLocateInGroup:
                 1e-3,
                 np.arange(1, 17),
                 practical_schedule(20),
-                rng=RngStream(seed),
+                keys=key_row(seed, 32),
             )
             assert 11 in survivors.tolist()
             assert survivors.size <= 2
@@ -187,21 +194,22 @@ class TestLocateInGroup:
             1e-3,
             np.arange(1, n + 1),
             explicit_schedule([2]),
-            rng=RngStream(0),
+            keys=key_row(0, 2 * n),
         )
         assert n - 3 in survivors.tolist()
         assert queries == 2 * (k - 1)
 
     def test_rng_is_required(self):
+        # The group's randomness comes in as its key row.
         f = linear(4, {1: 1.0})
-        with pytest.raises(TypeError, match="rng"):
+        with pytest.raises(TypeError, match="keys"):
             locate_in_group(f, np.zeros(4), 0.0, 1e-3, np.arange(1, 5), practical_schedule(20))
 
     def test_rejects_empty_group(self):
         f = linear(4, {1: 1.0})
         with pytest.raises(ValueError, match="empty group"):
             locate_in_group(
-                f, np.zeros(4), 0.0, 1e-3, np.array([]), practical_schedule(20), rng=RngStream(0)
+                f, np.zeros(4), 0.0, 1e-3, np.array([]), practical_schedule(20), keys=key_row(0, 1)
             )
 
     def test_rejects_float_members(self):
@@ -210,8 +218,46 @@ class TestLocateInGroup:
         with pytest.raises(ValueError, match="integers"):
             locate_in_group(
                 f, np.zeros(5), 0.0, 1e-3, [1.0, 2.5, 3.9, 4.0, 5.0], practical_schedule(20),
-                rng=RngStream(0),
+                keys=key_row(0, 5),
             )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 300),
+        schedule=st.one_of(
+            st.integers(2, 20).map(practical_schedule),
+            st.sampled_from([[2], [3, 2]]).map(explicit_schedule),
+        ),
+        signals=st.lists(st.integers(1, 300), min_size=1, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_members_never_exceed_the_key_bound(self, n, schedule, signals, seed):
+        # b_1 = n and b_{t+1} = ceil(b_t / min(max(D_t, 2), b_t)) while b_t > 2;
+        # iteration t gets the b_t key columns after the first b_1 + ... + b_{t-1}
+        # and at most b_t members.
+        bounds = [n]
+        while bounds[-1] > 2:
+            bound = bounds[-1]
+            bounds.append(-(-bound // min(max(schedule.value(len(bounds)), 2), bound)))
+        seen = []
+
+        def recording(f, x, f_x, epsilon, members, divisor, keys):
+            seen.append((len(members), keys))
+            return shrink_step(f, x, f_x, epsilon, members, divisor, keys)
+
+        coeffs = {(j - 1) % n + 1: 2.0**k for k, j in enumerate(signals)}
+        row = key_row(seed, sum(bounds[:-1]))
+        with mock.patch.object(estimator, "shrink_step", recording):
+            survivors = locate_in_group(
+                linear(n, coeffs), np.zeros(n), 0.0, 1e-3, np.arange(1, n + 1), schedule,
+                keys=row,
+            )
+        assert len(seen) <= len(bounds) - 1
+        for t, (size, keys) in enumerate(seen):
+            assert size <= bounds[t]
+            offset = sum(bounds[:t])
+            np.testing.assert_array_equal(keys, row[:, offset : offset + bounds[t]])
+        assert survivors.size <= bounds[len(seen)]
 
 
 class TestGraceEstimate:
@@ -225,6 +271,63 @@ class TestGraceEstimate:
             assert est.entries == {2: pytest.approx(3.0)}
             assert est.queries_used == 4
             assert est.base_value == 0.0
+
+    def test_exact_zero_difference_is_left_out(self):
+        # Blocks of two: the signal's block survives whole, and its twin with
+        # zero gradient measures exactly 0.0, which costs a query but no entry.
+        inst = make_sparse_linear(4, {2: 3.0})
+        cfg = GraceConfig(epsilon=1e-3, n=4, schedule=explicit_schedule([2]))
+        for seed in range(10):
+            est = grace_estimate(inst.objective, inst.x1, cfg, RngStream(seed))
+            assert est.entries == {2: pytest.approx(3.0)}
+            assert est.queries_used == 5  # base, two probes, two differences
+
+    def test_groups_draw_independently(self):
+        # Each group's survivors come from its own key row alone: locate_in_group
+        # run alone on that row gives them back, and a group whose probes all
+        # read flat changes no other group's members, keys or survivors.
+        inst = make_planted_linear(256, 4, RngStream(11))
+        cfg = GraceConfig.defaults(256, 4, epsilon=1e-3)
+        base = inst.objective(inst.x1)
+
+        def groups_of(f):
+            calls = []
+
+            def recording(f, x, f_x, epsilon, members, schedule, *, keys):
+                survivors = locate_in_group(f, x, f_x, epsilon, members, schedule, keys=keys)
+                calls.append((members.tolist(), keys, survivors.tolist()))
+                return survivors
+
+            with mock.patch.object(estimator, "locate_in_group", recording):
+                grace_estimate(f, inst.x1, cfg, RngStream(3))
+            return calls
+
+        calls = groups_of(inst.objective)
+        for members, keys, survivors in calls:
+            alone = locate_in_group(
+                inst.objective, inst.x1, base, cfg.epsilon, np.array(members), cfg.schedule,
+                keys=keys,
+            )
+            assert alone.tolist() == survivors
+        # The first group that locates a planted coordinate goes flat; later
+        # groups would read shifted draws if the groups shared one stream.
+        support = set(inst.metadata["coeffs"])
+        flat = next(g for g, (_, _, found) in enumerate(calls) if support & set(found))
+        assert flat < len(calls) - 1
+        blanked = set(calls[flat][0])
+
+        def blank(x):
+            moved = np.flatnonzero(x != inst.x1) + 1
+            return base if blanked.intersection(moved.tolist()) else inst.objective(x)
+
+        again = groups_of(BlackBoxFunction(256, blank))
+        assert len(again) == len(calls)
+        for g, ((members, keys, survivors), (members2, keys2, survivors2)) in enumerate(
+            zip(calls, again)
+        ):
+            assert members2 == members
+            np.testing.assert_array_equal(keys2, keys)
+            assert survivors2 == ([] if g == flat else survivors)
 
     def test_zero_function_recovers_nothing(self):
         f = BlackBoxFunction(12, lambda x: 0.0)
@@ -362,8 +465,8 @@ class TestGraceEstimate:
         namespace = {}
         exec(snippet, namespace)
         grad = namespace["grad"]
-        assert grad.queries_used == 29
-        assert sorted(grad.entries) == [45, 84, 108, 133, 142, 146, 159, 216, 217, 221]
+        assert grad.queries_used == 25
+        assert sorted(grad.entries) == [45, 139, 142, 147, 171, 233]
 
     def test_non_finite_difference_is_left_out(self):
         # Probes move all four coordinates; only the forward difference moves one.

@@ -540,6 +540,14 @@ class TestCli:
         assert "error:" in captured.err
         assert "correlation" not in captured.out
 
+    def test_scaling_needs_two_points_with_a_predictor(self, capsys):
+        # d/s = 4 and 2: only one point defines s*loglog(d/s), so no correlation exists.
+        code = main(["scaling", "--d", "8", "--s", "2", "4", "--repeats", "1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "error: the correlation needs 2 points with d/s > 2, got 1" in captured.err
+        assert captured.out == ""
+
     def test_graph_info_subcommand(self, tmp_path, capsys):
         graph_file = tmp_path / "g.txt"
         graph_file.write_text(PATH_3, encoding="utf-8")
