@@ -45,10 +45,17 @@ __all__ = [
 
 @dataclass
 class BlackBoxFunction:
-    """A dimension-d objective evaluable only pointwise."""
+    """A dimension-d objective evaluable only pointwise.
+
+    batch, when set, maps a (k, d) array of points to k values, each
+    bit-identical to eval on that row.  It only saves time: the
+    estimator sends its probes through it, and an objective without it
+    is queried one point at a time.
+    """
 
     dim: int
     eval: Callable[[np.ndarray], float]
+    batch: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, x) -> float:
         return self.eval(x)
@@ -58,15 +65,18 @@ class BudgetExhaustedError(RuntimeError):
     """An evaluation would push the ledger past its cap.
 
     Raised before the evaluation happens, so the count never exceeds
-    the cap.  ``partial`` may carry in-progress bookkeeping from the
-    raiser (see the estimator); any values inside are incomplete and
-    must not be used as a gradient.
+    the cap.  A batch that would pass the cap first evaluates the rows
+    that fit; ``evaluated`` holds how many, so that every ledger the
+    error passes through counts them.  ``partial`` may carry in-progress
+    bookkeeping from the raiser (see the estimator); any values inside
+    are incomplete and must not be used as a gradient.
     """
 
-    def __init__(self, count: int, cap: int):
+    def __init__(self, count: int, cap: int, evaluated: int = 0):
         super().__init__(f"query budget exhausted: {count} queries used, cap {cap}")
         self.count = count
         self.cap = cap
+        self.evaluated = evaluated
         self.partial = None
 
 
@@ -83,6 +93,9 @@ def with_ledger(f: BlackBoxFunction, cap: int | None = None) -> tuple[BlackBoxFu
 
     The count moves only on evaluations that complete; a call that would
     exceed the cap raises :class:`BudgetExhaustedError` without touching f.
+    A batch of k rows counts k queries.  One that would pass the cap
+    evaluates only the rows that fit, counts them, then raises, so the
+    count ends where k single calls would have left it.
     """
     ledger = QueryLedger(0, cap)
 
@@ -93,7 +106,19 @@ def with_ledger(f: BlackBoxFunction, cap: int | None = None) -> tuple[BlackBoxFu
         ledger.count += 1
         return value
 
-    return BlackBoxFunction(f.dim, counted), ledger
+    def counted_batch(rows):
+        fit = len(rows) if ledger.cap is None else min(len(rows), ledger.cap - ledger.count)
+        try:
+            values = f.batch(rows[:fit]) if fit else np.empty(0)
+        except BudgetExhaustedError as error:
+            ledger.count += error.evaluated  # rows an enclosing ledger let through
+            raise
+        ledger.count += fit
+        if fit < len(rows):
+            raise BudgetExhaustedError(ledger.count, ledger.cap, evaluated=fit)
+        return values
+
+    return BlackBoxFunction(f.dim, counted, counted_batch if f.batch is not None else None), ledger
 
 
 class GraphParseError(ValueError):
@@ -210,6 +235,12 @@ def make_distance(d: int, s: int, rng: RngStream) -> BenchmarkInstance:
         delta = np.asarray(x, dtype=float) - center
         return float(delta @ (weights * delta))
 
+    def evaluate_rows(rows):
+        # A stack of (1, d) @ (d, 1) products runs the same dot kernel as
+        # evaluate's 1-d product, so each row's value is bit-identical.
+        delta = np.asarray(rows, dtype=float) - center
+        return np.matmul(delta[:, None, :], (weights * delta)[:, :, None])[:, 0, 0]
+
     metadata = {
         "family": "distance",
         "d": d,
@@ -218,7 +249,7 @@ def make_distance(d: int, s: int, rng: RngStream) -> BenchmarkInstance:
         "center": center,
         "weights": weights,
     }
-    return BenchmarkInstance(BlackBoxFunction(d, evaluate), np.zeros(d), metadata)
+    return BenchmarkInstance(BlackBoxFunction(d, evaluate, evaluate_rows), np.zeros(d), metadata)
 
 
 def make_magnitude(d: int, s: int, lam: float, w: float, rng: RngStream) -> BenchmarkInstance:

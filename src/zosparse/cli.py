@@ -45,7 +45,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run the sweep described by an experiment file")
     run.add_argument("spec_file", help="experiment file (INI format)")
-    run.add_argument("--jobs", type=int, default=os.cpu_count(), help="worker processes")
+    run.add_argument(
+        "--jobs", type=_positive_int, default=os.cpu_count(), help="worker processes"
+    )
     run.add_argument("--output", default=None, help="output directory (overrides the file)")
 
     sub.add_parser("verify", help="recompute the analysis constants and identities")
@@ -74,8 +76,8 @@ def _cmd_run(args) -> int:
     graph = spec.family_params.get("graph")
     if graph is not None and not Path(graph).is_absolute():
         spec.family_params["graph"] = str(spec_path.parent / graph)
-    jobs = max(1, args.jobs or 1)
-    result = run_experiment(spec, output_dir=args.output, jobs=jobs)
+    # os.cpu_count() may be None, which means one worker.
+    result = run_experiment(spec, output_dir=args.output, jobs=args.jobs or 1)
     print(f"{result.num_runs} runs, {result.num_failures} failed")
     print(f"wrote {result.trace_path}, {result.runs_path}, {result.summary_path}")
     return 1 if result.num_failures else 0

@@ -12,6 +12,11 @@ difference each.
 
 Query cost per estimate: 1 for the shared base value, plus 2 per shrink
 iteration, plus 1 per surviving candidate.
+
+An objective with a ``batch`` hook gets the same queries in fewer calls:
+each repeat shrinks all of its groups one iteration at a time, with one
+probe matrix per iteration, and the forward differences go out together.
+Every group reads its own key row, so the survivors do not change.
 """
 
 from __future__ import annotations
@@ -23,7 +28,14 @@ import numpy as np
 
 # By name, so a tracer that replaces blackbox.with_ledger leaves this count alone.
 from .blackbox import BlackBoxFunction, BudgetExhaustedError, with_ledger
-from .rng import RngStream, as_indices, dependent_partition, partition_groups, random_permutation
+from .rng import (
+    RngStream,
+    as_indices,
+    block_labels,
+    dependent_partition,
+    partition_groups,
+    random_permutation,
+)
 from .theory import DivisionSchedule, practical_schedule
 
 __all__ = [
@@ -40,6 +52,9 @@ __all__ = [
 # Below this, the unscaled probe difference carries no usable signal and
 # the ratio is declared degenerate rather than divided out.
 DENOMINATOR_TOLERANCE = 1e-12
+
+# Most floats in one probe matrix handed to an objective's batch hook.
+BATCH_FLOATS = 2**20
 
 
 @dataclass
@@ -74,8 +89,8 @@ class GraceConfig:
         return cls(epsilon=epsilon, n=max(1, 7 * d // (10 * s)), schedule=practical_schedule(d1))
 
     def validate(self, d: int) -> None:
-        if not self.epsilon > 0:
-            raise ValueError(f"need epsilon > 0, got {self.epsilon}")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"need a finite epsilon > 0, got {self.epsilon}")
         if not 1 <= self.n <= d:
             raise ValueError(f"need 1 <= n <= d, got n={self.n}, d={d}")
         if self.m < 1:
@@ -123,11 +138,25 @@ class ShrinkOutcome:
     degenerate: bool
 
 
-def _round_half_away(value: float) -> int:
-    """Nearest integer, halves away from zero (locale-independent)."""
-    if value >= 0.0:
-        return math.floor(value + 0.5)
-    return math.ceil(value - 0.5)
+def _read_label(f_x: float, f_v: float, f_u: float, num_blocks: int) -> tuple[int | None, bool]:
+    """The ratio test: a label, and whether it locates a block.
+
+    The label is (f_v - f_x) / (f_u - f_x) rounded half away from zero.  None
+    is read from a non-finite value or ratio, or from a denominator below
+    DENOMINATOR_TOLERANCE * max(1, |f_x|).  A label locates when it lies in
+    1..num_blocks.  It takes Python floats: on one group's values, numpy
+    calls cost about 20 times as much.
+    """
+    if not (math.isfinite(f_x) and math.isfinite(f_v) and math.isfinite(f_u)):
+        return None, False
+    denominator = f_u - f_x
+    if abs(denominator) < DENOMINATOR_TOLERANCE * max(1.0, abs(f_x)):
+        return None, False
+    ratio = (f_v - f_x) / denominator
+    if not math.isfinite(ratio):
+        return None, False
+    label = math.floor(ratio + 0.5) if ratio >= 0.0 else math.ceil(ratio - 0.5)
+    return label, 1 <= label <= num_blocks
 
 
 def shrink_step(
@@ -144,8 +173,8 @@ def shrink_step(
     Probe v moves each index i of the set by epsilon * sign_i * label_i,
     probe u by epsilon * sign_i.  For a gradient dominated by one
     coordinate j, (f(x+v) - f(x)) / (f(x+u) - f(x)) sits within 1/2 of
-    j's label, so rounding it picks j's block.  A non-finite f(x), f(x+v)
-    or f(x+u) carries no label and leaves the group without survivors.
+    j's label, so rounding it picks j's block.  A non-finite f(x), f(x+v),
+    f(x+u) or ratio carries no label and leaves the group without survivors.
     """
     part = dependent_partition(members, divisor, keys)
     if part.indices.size < 2:
@@ -160,15 +189,9 @@ def shrink_step(
     probe_u[positions] = moved + step
     f_v = f(probe_v)
     f_u = f(probe_u)
-    empty = np.empty(0, dtype=np.int64)
-    if not (math.isfinite(f_x) and math.isfinite(f_v) and math.isfinite(f_u)):
-        return ShrinkOutcome(empty, None, True)
-    denominator = f_u - f_x
-    if abs(denominator) < DENOMINATOR_TOLERANCE * max(1.0, abs(f_x)):
-        return ShrinkOutcome(empty, None, True)
-    label = _round_half_away((f_v - f_x) / denominator)
-    if not 1 <= label <= part.num_blocks:
-        return ShrinkOutcome(empty, label, True)
+    label, locates = _read_label(f_x, f_v, f_u, part.num_blocks)
+    if not locates:
+        return ShrinkOutcome(np.empty(0, dtype=np.int64), label, True)
     return ShrinkOutcome(part.indices[part.labels == label], label, False)
 
 
@@ -218,6 +241,78 @@ def locate_in_group(
     return current
 
 
+def _probe_values(f: BlackBoxFunction, x: np.ndarray, rows, positions, values) -> np.ndarray:
+    """f.batch at copies of x, copy rows[i] holding values[i] at positions[i].
+
+    rows is sorted and runs 0..k-1; each call gets at most
+    max(1, BATCH_FLOATS // d) of the k probes.
+    """
+    count = int(rows[-1]) + 1 if len(rows) else 0
+    per_call = max(1, BATCH_FLOATS // x.size)
+    out = np.empty(count)
+    for start in range(0, count, per_call):
+        stop = min(start + per_call, count)
+        lo, hi = np.searchsorted(rows, (start, stop))
+        probes = np.empty((stop - start, x.size))
+        probes[:] = x
+        probes[rows[lo:hi] - start, positions[lo:hi]] = values[lo:hi]
+        got = np.asarray(f.batch(probes), dtype=float)
+        if got.shape != (stop - start,):
+            raise ValueError(f"batch returned shape {got.shape} for {stop - start} points")
+        out[start:stop] = got
+    return out
+
+
+def _locate_all(
+    f: BlackBoxFunction, x: np.ndarray, f_x: float, cfg: GraceConfig, groups, keys
+) -> list[int]:
+    """Every group's survivors, as locate_in_group finds them one group at a time.
+
+    All groups with more than two members shrink one iteration at a time:
+    their key columns map to labels and signs in one step, their probes
+    go to f.batch as one matrix, and the ratio test reads each group's label.
+    """
+    sizes = np.array([group.size for group in groups])
+    # Every group holds n members but the last, so only the last row has padding.
+    members = np.zeros((len(groups), cfg.n), dtype=np.int64)
+    members.flat[: sizes.sum()] = np.concatenate(groups)
+    alive = np.arange(cfg.n) < sizes[:, None]
+    spans = {size: list(_key_spans(size, cfg.schedule)) for size in set(sizes.tolist())}
+    iteration = 0
+    while (active := np.flatnonzero(alive.sum(axis=1) > 2)).size:
+        inside = alive[active]
+        size = inside.sum(axis=1)
+        step = spans[cfg.n][iteration][0]
+        starts = np.array([spans[n][iteration][1].start for n in sizes[active].tolist()])
+        block = -(-size // np.minimum(step, size))
+        # A group's j-th live member reads key column start + j, and no group
+        # reads past the widest one: key offsets grow with the group size.
+        key_columns = starts[:, None] + np.cumsum(inside, axis=1) - 1
+        rows = active[:, None]
+        rank_keys = np.where(inside, keys[rows, 0, key_columns], 1.0)
+        labels, signs = block_labels(rank_keys, keys[rows, 1, key_columns], block[:, None])
+        group = np.nonzero(inside)[0]
+        positions = members[active][inside] - 1
+        moved = x[positions]
+        shift = cfg.epsilon * signs[inside]
+        # Probe v of group i is row i, probe u row k + i.
+        probed = _probe_values(
+            f,
+            x,
+            np.concatenate((group, group + active.size)),
+            np.concatenate((positions, positions)),
+            np.concatenate((moved + shift * labels[inside], moved + shift)),
+        )
+        f_v, f_u = probed[: active.size].tolist(), probed[active.size :].tolist()
+        blocks = (-(-size // block)).tolist()
+        read = [_read_label(f_x, *pair) for pair in zip(f_v, f_u, blocks)]
+        # Labels run from 1, so 0 keeps no member.
+        located = np.array([label if locates else 0 for label, locates in read])
+        alive[active] = inside & (labels == located[:, None])
+        iteration += 1
+    return members[alive].tolist()
+
+
 def grace_estimate(
     f: BlackBoxFunction, x: np.ndarray, cfg: GraceConfig, rng: RngStream
 ) -> SparseGradient:
@@ -229,7 +324,8 @@ def grace_estimate(
     Each of the m repeats draws a permutation of the dimensions, then a
     key row per group, and shrinks each group on its own row; every
     survivor gets one forward difference, and is left out of the entries
-    if that is not finite or exactly 0.0.  On budget exhaustion the error
+    if that is not finite or exactly 0.0.  When f has a batch hook, the
+    probes go out through it, with the same queries and results.  On budget exhaustion the error
     is re-raised with ``partial`` holding the bookkeeping so far; its
     entries are incomplete and must be discarded by the caller.
     """
@@ -248,13 +344,24 @@ def grace_estimate(
         for _repeat in range(cfg.m):
             groups = partition_groups(d, cfg.n, random_permutation(d, rng))
             keys = rng.gen.random((len(groups), 2, width))
-            for group, row in zip(groups, keys):
-                survivors = locate_in_group(
-                    counting, x, base_value, cfg.epsilon, group, cfg.schedule, keys=row
-                )
-                candidates.update(survivors.tolist())
-        for j in sorted(candidates):
-            value = finite_difference(counting, x, base_value, j, cfg.epsilon)
+            if counting.batch is None:
+                for group, row in zip(groups, keys):
+                    survivors = locate_in_group(
+                        counting, x, base_value, cfg.epsilon, group, cfg.schedule, keys=row
+                    )
+                    candidates.update(survivors.tolist())
+            else:
+                candidates.update(_locate_all(counting, x, base_value, cfg, groups, keys))
+        ordered = sorted(candidates)
+        if counting.batch is None:
+            values = (finite_difference(counting, x, base_value, j, cfg.epsilon) for j in ordered)
+        else:
+            positions = np.array(ordered, dtype=np.int64) - 1
+            probed = _probe_values(
+                counting, x, np.arange(len(ordered)), positions, x[positions] + cfg.epsilon
+            )
+            values = ((probed - base_value) / cfg.epsilon).tolist()
+        for j, value in zip(ordered, values):
             if math.isfinite(value) and value != 0.0:
                 entries[j] = value
     except BudgetExhaustedError as error:
@@ -269,8 +376,8 @@ def finite_difference(
     """Forward difference along dimension j; one query."""
     if not 1 <= j <= f.dim:
         raise ValueError(f"dimension index {j} out of range 1..{f.dim}")
-    if not epsilon > 0:
-        raise ValueError(f"need epsilon > 0, got {epsilon}")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"need a finite epsilon > 0, got {epsilon}")
     probe = np.asarray(x, dtype=float).copy()
     probe[j - 1] += epsilon
     return (f(probe) - f_x) / epsilon

@@ -63,16 +63,16 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        if not self.step_size > 0:
-            raise ValueError(f"need step_size > 0, got {self.step_size}")
+        if not 0 < self.step_size < math.inf:
+            raise ValueError(f"need a finite step_size > 0, got {self.step_size}")
         if self.budget is None and self.max_steps is None:
             raise ValueError("need a stopping rule: budget, max_steps, or both")
         if self.budget is not None and self.budget < 1:
             raise ValueError(f"need budget >= 1, got {self.budget}")
         if self.max_steps is not None and self.max_steps < 1:
             raise ValueError(f"need max_steps >= 1, got {self.max_steps}")
-        if not self.mu > 0:
-            raise ValueError(f"need mu > 0, got {self.mu}")
+        if not 0 < self.mu < math.inf:
+            raise ValueError(f"need a finite mu > 0, got {self.mu}")
         if self.directions < 1 or self.scales < 1:
             raise ValueError("need directions and scales >= 1")
 

@@ -142,8 +142,24 @@ def dependent_partition(members, divisor: int, keys) -> DependentPartition:
     if np.shape(keys)[-1] < size:
         raise ValueError(f"need keys with {size} columns, got shape {np.shape(keys)}")
     block_size = -(-size // divisor)
-    by_rank = np.arange(block_size, size + block_size) // block_size
-    labels = np.empty(size, dtype=np.int64)
-    labels[keys[0, :size].argsort(kind="stable")] = by_rank
-    signs = np.where(keys[1, :size] < 0.5, 1, -1)
+    labels, signs = block_labels(keys[0, :size], keys[1, :size], block_size)
     return DependentPartition(indices, block_size, labels, signs)
+
+
+def block_labels(rank_keys, sign_keys, block_sizes):
+    """Labels and signs from uniform keys, as :func:`dependent_partition` reads them.
+
+    One group passes 1-d keys and an int block size; k groups pass (k, c)
+    keys and (k, 1) block sizes.  A row's stable ranks in ``rank_keys`` cut
+    its blocks: rank r gets label r // block_size + 1.  ``sign_keys`` < 1/2
+    gives sign +1.  A column that holds no member of its row must hold a
+    rank key >= 1, so that it ranks last.
+    """
+    order = rank_keys.argsort(kind="stable")
+    labels = np.empty(order.shape, dtype=np.int64)
+    by_rank = np.arange(order.shape[-1]) // block_sizes + 1
+    if order.ndim == 1:
+        labels[order] = by_rank
+    else:
+        labels[np.arange(len(order))[:, None], order] = by_rank
+    return labels, np.where(sign_keys < 0.5, 1, -1)

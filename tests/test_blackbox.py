@@ -66,6 +66,41 @@ class TestQueryLedger:
             counted(np.zeros(1))
         assert ledger.count == 0
 
+    def test_no_batch_without_a_hook(self):
+        counted, _ = with_ledger(BlackBoxFunction(1, lambda x: 0.0))
+        assert counted.batch is None
+
+    def test_batch_counts_every_row(self):
+        f = BlackBoxFunction(2, lambda x: float(x.sum()), lambda rows: rows.sum(axis=1))
+        counted, ledger = with_ledger(f, cap=10)
+        values = counted.batch(np.arange(8.0).reshape(4, 2))
+        assert values.tolist() == [1.0, 5.0, 9.0, 13.0]
+        counted(np.zeros(2))
+        assert ledger.count == 5
+
+    def test_batch_past_the_cap_evaluates_what_fits_in_every_ledger(self):
+        seen = []
+
+        def batch(rows):
+            seen.append(len(rows))
+            return rows[:, 0].copy()
+
+        outer, outer_ledger = with_ledger(BlackBoxFunction(1, lambda x: float(x[0]), batch), cap=5)
+        inner, inner_ledger = with_ledger(outer)
+        inner(np.zeros(1))
+        inner.batch(np.zeros((2, 1)))
+        with pytest.raises(BudgetExhaustedError) as excinfo:
+            inner.batch(np.zeros((4, 1)))
+        assert seen == [2, 2]  # only the two rows under the cap ran
+        assert outer_ledger.count == inner_ledger.count == 5
+        assert excinfo.value.evaluated == 2
+        assert excinfo.value.count == excinfo.value.cap == 5
+        with pytest.raises(BudgetExhaustedError) as excinfo:
+            inner.batch(np.zeros((3, 1)))
+        assert seen == [2, 2]  # a full ledger evaluates nothing
+        assert excinfo.value.evaluated == 0
+        assert outer_ledger.count == inner_ledger.count == 5
+
 
 class TestGraph:
     def test_loads_header_and_edges(self):
@@ -162,6 +197,14 @@ class TestDistance:
         b = make_distance(16, 3, RngStream(7))
         np.testing.assert_array_equal(a.metadata["center"], b.metadata["center"])
         np.testing.assert_array_equal(a.metadata["weights"], b.metadata["weights"])
+
+    @pytest.mark.parametrize("shape", [(30, 512), (1, 512), (7, 3), (64, 1000)])
+    def test_batch_is_bit_identical_to_eval(self, shape):
+        k, d = shape
+        inst = make_distance(d, min(10, d), RngStream(k * d))
+        rows = RngStream(d).gen.standard_normal(shape) * np.logspace(-8, 3, k)[:, None]
+        expected = [inst.objective(row) for row in rows]
+        assert inst.objective.batch(rows).tolist() == expected
 
     def test_rejects_bad_sparsity(self):
         with pytest.raises(ValueError):

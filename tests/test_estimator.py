@@ -15,6 +15,7 @@ from zosparse import estimator
 from zosparse.blackbox import (
     BlackBoxFunction,
     BudgetExhaustedError,
+    make_distance,
     make_planted_linear,
     make_sparse_linear,
     with_ledger,
@@ -27,6 +28,7 @@ from zosparse.estimator import (
     locate_in_group,
     shrink_step,
 )
+from zosparse.optimizer import OptimizerConfig, run_optimizer
 from zosparse.rng import RngStream, dependent_partition
 from zosparse.theory import explicit_schedule, practical_schedule
 
@@ -38,6 +40,21 @@ def linear(d, coeffs):
 def key_row(seed, width):
     """A (2, width) key row drawn from a fresh stream."""
     return RngStream(seed).gen.random((2, width))
+
+
+def hooked(f, calls=None):
+    """f with a batch hook that loops over eval, noting each call's row count in calls."""
+
+    def batch(rows):
+        if calls is not None:
+            calls.append(len(rows))
+        return [f.eval(row) for row in rows]
+
+    return BlackBoxFunction(f.dim, f.eval, batch)
+
+
+def unhooked(f):
+    return BlackBoxFunction(f.dim, f.eval)
 
 
 def located(f, *args, **kwargs):
@@ -409,6 +426,8 @@ class TestGraceEstimate:
         f = BlackBoxFunction(8, lambda x: 0.0)
         bad = [
             GraceConfig(epsilon=0.0, n=4),
+            GraceConfig(epsilon=math.inf, n=4),
+            GraceConfig(epsilon=math.nan, n=4),
             GraceConfig(epsilon=1e-3, n=9),
             GraceConfig(epsilon=1e-3, n=4, m=0),
         ]
@@ -477,6 +496,111 @@ class TestGraceEstimate:
         assert est.queries_used == 4  # the dropped difference is still counted
 
 
+class TestBatchedProbes:
+    """An objective's batch hook changes how probes are sent, never what comes back."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        d=st.integers(2, 160),
+        data=st.data(),
+        m=st.integers(1, 2),
+        schedule=st.one_of(
+            st.integers(2, 20).map(practical_schedule),
+            st.sampled_from([[2], [3, 2]]).map(explicit_schedule),
+        ),
+        family=st.sampled_from([make_distance, make_planted_linear]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_hook_changes_no_result(self, d, data, m, schedule, family, seed):
+        # n need not divide d, so the last group is often ragged; schedules with
+        # small divisors shrink large groups over several iterations.
+        n = data.draw(st.integers(1, d), label="n")
+        s = data.draw(st.integers(1, min(d, 6)), label="s")
+        inst = family(d, s, RngStream(seed))
+        x = inst.x1 + 0.01 * RngStream(seed, 1).gen.standard_normal(d)
+        cfg = GraceConfig(epsilon=1e-3, n=n, m=m, schedule=schedule)
+        plain = grace_estimate(unhooked(inst.objective), x, cfg, RngStream(seed, 2))
+        for f in (hooked(inst.objective), inst.objective):
+            est = grace_estimate(f, x, cfg, RngStream(seed, 2))
+            assert list(est.entries.items()) == list(plain.entries.items())
+            assert est.queries_used == plain.queries_used
+            assert est.base_value == plain.base_value
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        d=st.integers(4, 64),
+        m=st.integers(1, 2),
+        seed=st.integers(0, 2**32 - 1),
+        poison=st.dictionaries(
+            st.integers(1, 64), st.sampled_from([math.inf, -math.inf, math.nan]), max_size=6
+        ),
+    )
+    def test_non_finite_rows_drop_as_without_the_hook(self, d, m, seed, poison):
+        # f is non-finite wherever a poisoned coordinate moved: its group's probes
+        # and its forward difference, and nothing else.
+        inst = make_planted_linear(d, min(4, d), RngStream(seed))
+        poison = {j: value for j, value in poison.items() if j <= d}
+
+        def evaluate(x):
+            for j in (np.flatnonzero(x != inst.x1) + 1).tolist():
+                if j in poison:
+                    return poison[j]
+            return inst.objective(x)
+
+        f = BlackBoxFunction(d, evaluate)
+        cfg = replace(GraceConfig.defaults(d, min(4, d), epsilon=1e-3), m=m)
+        plain = grace_estimate(f, inst.x1, cfg, RngStream(seed, 1))
+        est = grace_estimate(hooked(f), inst.x1, cfg, RngStream(seed, 1))
+        assert list(est.entries.items()) == list(plain.entries.items())
+        assert est.queries_used == plain.queries_used
+        assert not set(poison) & set(est.entries)
+        assert all(math.isfinite(value) for value in est.entries.values())
+
+    def test_caps_mid_iteration_and_mid_difference_count_alike(self):
+        # Groups of 11 with divisor 2 shrink over three iterations, so the caps
+        # below land in every iteration and in the forward differences.
+        inst = make_distance(64, 4, RngStream(2))
+        x = inst.x1 + 0.01
+        cfg = replace(GraceConfig.defaults(64, 4), schedule=explicit_schedule([2]))
+        total = grace_estimate(inst.objective, x, cfg, RngStream(5)).queries_used
+        assert total > 20
+        for cap in range(total + 2):
+            seen = []
+            for f in (unhooked(inst.objective), inst.objective):
+                counted, ledger = with_ledger(f, cap)
+                try:
+                    est, raised = grace_estimate(counted, x, cfg, RngStream(5)), False
+                except BudgetExhaustedError as error:
+                    est, raised = error.partial, True
+                seen.append((raised, est.queries_used, est.base_value, ledger.count))
+            assert seen[0] == seen[1]
+            assert seen[0][0] == (cap < total)
+
+    def test_budget_cut_runs_record_alike(self):
+        inst = make_distance(64, 4, RngStream(3))
+        cfg = GraceConfig.defaults(64, 4)
+        for budget in range(1, 200, 7):
+            opt = OptimizerConfig(method="grace", step_size=0.5, budget=budget)
+            plain = run_optimizer(unhooked(inst.objective), inst.x1, opt, RngStream(4), cfg)
+            trace = run_optimizer(inst.objective, inst.x1, opt, RngStream(4), cfg)
+            assert trace.records == plain.records
+            assert trace.best_value == plain.best_value
+            np.testing.assert_array_equal(trace.best_point, plain.best_point)
+
+    @pytest.mark.parametrize("bound", [100, 10])
+    def test_batch_calls_respect_the_float_bound(self, bound):
+        # d = 16: a bound of 100 floats allows 6 rows a call, one of 10 allows 1.
+        inst = make_distance(16, 3, RngStream(1))
+        cfg = GraceConfig(epsilon=1e-3, n=4, m=2, schedule=explicit_schedule([2]))
+        calls = []
+        with mock.patch.object(estimator, "BATCH_FLOATS", bound):
+            est = grace_estimate(hooked(inst.objective, calls), inst.x1, cfg, RngStream(3))
+        plain = grace_estimate(unhooked(inst.objective), inst.x1, cfg, RngStream(3))
+        assert max(calls) == max(1, bound // 16)
+        assert sum(calls) == est.queries_used - 1  # all but the base value
+        assert est.entries == plain.entries and est.queries_used == plain.queries_used
+
+
 class TestSparseGradient:
     def test_value_defaults_to_zero(self):
         g = SparseGradient(6, {2: 1.5}, queries_used=4)
@@ -509,5 +633,6 @@ class TestFiniteDifference:
             finite_difference(f, np.zeros(5), 0.0, 0, 1e-4)
         with pytest.raises(ValueError):
             finite_difference(f, np.zeros(5), 0.0, 6, 1e-4)
-        with pytest.raises(ValueError):
-            finite_difference(f, np.zeros(5), 0.0, 3, 0.0)
+        for epsilon in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                finite_difference(f, np.zeros(5), 0.0, 3, epsilon)

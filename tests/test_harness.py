@@ -513,6 +513,18 @@ class TestCli:
             assert code == 2
         assert not (tmp_path / "out").exists()  # rejected before any cell ran
 
+    @pytest.mark.parametrize("jobs", ["-3", "0", "two"])
+    def test_run_bad_jobs_is_usage_error(self, jobs, tmp_path, capsys):
+        spec = tmp_path / "spec.ini"
+        spec.write_text(serialize_spec(small_spec()), encoding="utf-8")
+        try:
+            code = main(["run", str(spec), "--jobs", jobs, "--output", str(tmp_path / "out")])
+        except SystemExit as stop:  # argparse rejects the value itself
+            code = stop.code
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_verify_subcommand(self, capsys):
         assert main(["verify"]) == 0
         out = capsys.readouterr().out

@@ -42,8 +42,12 @@ class TestOptimizerConfig:
             OptimizerConfig(method="rs", step_size=0.1, budget=0)
         with pytest.raises(ValueError):
             OptimizerConfig(method="rs", step_size=0.1, max_steps=0)
-        with pytest.raises(ValueError):
-            OptimizerConfig(method="rs", step_size=0.1, budget=10, mu=0.0)
+        for step_size in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="step_size"):
+                OptimizerConfig(method="rs", step_size=step_size, budget=10)
+        for mu in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="mu"):
+                OptimizerConfig(method="rs", step_size=0.1, budget=10, mu=mu)
 
 
 class TestEstimateRs:
