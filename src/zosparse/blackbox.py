@@ -307,19 +307,20 @@ def make_attack(graph: Graph, u: int, v: int, hops: int, lam: float) -> Benchmar
     if lam < 0:
         raise ValueError(f"need lam >= 0, got {lam}")
     base = graph.adjacency.astype(float)
+    complement = 1.0 - base
 
     def evaluate(x):
         x = np.asarray(x, dtype=float)
         magnitude = np.abs(x.reshape(n, n))
-        perturbed = np.maximum(base * (1.0 - magnitude) + (1.0 - base) * magnitude, 0.0)
+        perturbed = np.maximum(base * (1.0 - magnitude) + complement * magnitude, 0.0)
         degrees = perturbed.sum(axis=1)
-        dead = np.flatnonzero(degrees == 0.0)
-        if dead.size:
+        if not degrees.all():
+            dead = np.flatnonzero(degrees == 0.0)
             raise DegenerateDegreeError(
                 f"perturbed adjacency has zero-degree vertices {(dead + 1).tolist()}"
             )
         scale = 1.0 / np.sqrt(degrees)
-        normalized = perturbed * np.outer(scale, scale)
+        normalized = perturbed * (scale[:, None] * scale)
         power = normalized
         total = power[u - 1, v - 1]
         for _ in range(hops - 1):

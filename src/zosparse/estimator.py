@@ -13,15 +13,20 @@ difference each.
 Query cost per estimate: 1 for the shared base value, plus 2 per shrink
 iteration, plus 1 per surviving candidate.
 
+Every iteration cuts a group's live members into blocks in the order of
+the repeat's one random permutation; :mod:`zosparse.rng` says why each
+cut is a fresh dependent partition.  Each group also draws a sign row.
+
 An objective with a ``batch`` hook gets the same queries in fewer calls:
 each repeat shrinks all of its groups one iteration at a time, with one
 probe matrix per iteration, and the forward differences go out together.
-Every group reads its own key row, so the survivors do not change.
+Every group reads its own sign row, so the survivors do not change.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +36,6 @@ from .blackbox import BlackBoxFunction, BudgetExhaustedError, with_ledger
 from .rng import (
     RngStream,
     as_indices,
-    block_labels,
     dependent_partition,
     partition_groups,
     random_permutation,
@@ -91,6 +95,8 @@ class GraceConfig:
     def validate(self, d: int) -> None:
         if not 0 < self.epsilon < math.inf:
             raise ValueError(f"need a finite epsilon > 0, got {self.epsilon}")
+        if any(isinstance(k, bool) or not isinstance(k, numbers.Integral) for k in (self.n, self.m)):
+            raise ValueError(f"need integers n and m, got n={self.n!r}, m={self.m!r}")
         if not 1 <= self.n <= d:
             raise ValueError(f"need 1 <= n <= d, got n={self.n}, d={d}")
         if self.m < 1:
@@ -222,22 +228,23 @@ def locate_in_group(
 ) -> np.ndarray:
     """Shrink one group until at most two candidates remain.
 
-    Returns the surviving indices (sorted), at a cost of two queries per
-    executed iteration.  An empty survivor set means the group showed no
+    ``members`` must come in random order, which every iteration cuts and
+    the survivors keep.  Returns the survivors, at a cost of two queries
+    per executed iteration.  An empty survivor set means the group showed no
     usable signal.  The loop needs no iteration cap: each iteration keeps
     one block of a partition into at least two blocks, so at most
     ceil(size/2) members survive it, and a group of n members is done
-    after at most ceil(log2 n) - 1 iterations.  Iteration t reads the
-    columns of the group's (2, width) ``keys`` at offset b_1 + ... + b_{t-1}.
+    after at most ceil(log2 n) - 1 iterations.  Iteration t reads its signs
+    from the group's 1-d ``keys`` at offset b_1 + ... + b_{t-1}.
     """
-    current = np.sort(as_indices(members, "group members must be integers").ravel())
+    current = as_indices(members, "group members must be integers").ravel()
     if current.size == 0:
         raise ValueError("empty group")
     spans = _key_spans(int(current.size), schedule)
     while current.size > 2:
         step, columns = next(spans)
         divisor = min(step, int(current.size))
-        current = shrink_step(f, x, f_x, epsilon, current, divisor, keys[:, columns]).surviving
+        current = shrink_step(f, x, f_x, epsilon, current, divisor, keys[columns]).surviving
     return current
 
 
@@ -269,8 +276,9 @@ def _locate_all(
     """Every group's survivors, as locate_in_group finds them one group at a time.
 
     All groups with more than two members shrink one iteration at a time:
-    their key columns map to labels and signs in one step, their probes
-    go to f.batch as one matrix, and the ratio test reads each group's label.
+    a live member's rank among its group's live members gives its label and
+    its sign column, their probes go to f.batch as one matrix, and the
+    ratio test reads each group's label.
     """
     sizes = np.array([group.size for group in groups])
     # Every group holds n members but the last, so only the last row has padding.
@@ -285,30 +293,30 @@ def _locate_all(
         step = spans[cfg.n][iteration][0]
         starts = np.array([spans[n][iteration][1].start for n in sizes[active].tolist()])
         block = -(-size // np.minimum(step, size))
-        # A group's j-th live member reads key column start + j, and no group
-        # reads past the widest one: key offsets grow with the group size.
-        key_columns = starts[:, None] + np.cumsum(inside, axis=1) - 1
-        rows = active[:, None]
-        rank_keys = np.where(inside, keys[rows, 0, key_columns], 1.0)
-        labels, signs = block_labels(rank_keys, keys[rows, 1, key_columns], block[:, None])
-        group = np.nonzero(inside)[0]
-        positions = members[active][inside] - 1
+        # A group's j-th live member is in block j // block + 1 and reads key
+        # column start + j; no group reads past the widest one, since key
+        # offsets grow with the group size.
+        group, column = np.nonzero(inside)
+        rank = np.cumsum(inside, axis=1)[inside] - 1
+        labels = rank // block[group] + 1
+        positions = members[active[group], column] - 1
         moved = x[positions]
-        shift = cfg.epsilon * signs[inside]
+        shift = cfg.epsilon * np.where(keys[active[group], starts[group] + rank] < 0.5, 1, -1)
         # Probe v of group i is row i, probe u row k + i.
         probed = _probe_values(
             f,
             x,
             np.concatenate((group, group + active.size)),
             np.concatenate((positions, positions)),
-            np.concatenate((moved + shift * labels[inside], moved + shift)),
+            np.concatenate((moved + shift * labels, moved + shift)),
         )
         f_v, f_u = probed[: active.size].tolist(), probed[active.size :].tolist()
         blocks = (-(-size // block)).tolist()
         read = [_read_label(f_x, *pair) for pair in zip(f_v, f_u, blocks)]
         # Labels run from 1, so 0 keeps no member.
         located = np.array([label if locates else 0 for label, locates in read])
-        alive[active] = inside & (labels == located[:, None])
+        inside[inside] = labels == located[group]
+        alive[active] = inside
         iteration += 1
     return members[alive].tolist()
 
@@ -321,8 +329,9 @@ def grace_estimate(
     Queries f(x) once and shares it across every ratio and finite
     difference; a non-finite f(x) raises ``ValueError`` before any
     further query, since no ratio or difference can be read against it.
-    Each of the m repeats draws a permutation of the dimensions, then a
-    key row per group, and shrinks each group on its own row; every
+    Each of the m repeats draws a permutation of the dimensions, which
+    groups them and orders each group's blocks, then a sign row per group,
+    and shrinks each group on its own row; every
     survivor gets one forward difference, and is left out of the entries
     if that is not finite or exactly 0.0.  When f has a batch hook, the
     probes go out through it, with the same queries and results.  On budget exhaustion the error
@@ -343,7 +352,7 @@ def grace_estimate(
         candidates: set[int] = set()
         for _repeat in range(cfg.m):
             groups = partition_groups(d, cfg.n, random_permutation(d, rng))
-            keys = rng.gen.random((len(groups), 2, width))
+            keys = rng.gen.random((len(groups), width))
             if counting.batch is None:
                 for group, row in zip(groups, keys):
                     survivors = locate_in_group(

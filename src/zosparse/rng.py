@@ -6,8 +6,12 @@ always replays the same draws, so an experiment is reproducible from the
 seeds in its config alone, and derived child streams are independent of
 the parent and of each other.
 
-Every draw is one numpy call in C; a block partition reads uniform keys
-drawn in bulk, which the estimator keys by (repeat, group).
+Every draw is one numpy call in C: one permutation per repeat, which
+groups the dimensions and orders each group, and one row of sign keys
+per group.  Every shrink iteration cuts the live members into blocks in
+that order.  The probes depend only on which members share a block, never
+on the order within one, so given all that was observed, the kept block
+is still in uniformly random order: each cut is a fresh dependent partition.
 
 Indexing convention: dimensions are numbered 1..d in every index set,
 permutation image, and block label handed out by this module.  Arrays
@@ -84,8 +88,9 @@ def partition_groups(d: int, n: int, omega: np.ndarray) -> list[np.ndarray]:
     """Split {1..d} into ceil(d/n) groups of size n via the permutation omega.
 
     Dimension i joins group ceil(omega(i)/n), so every group has exactly
-    n members except the last one, which takes the remainder.  Groups
-    come back as sorted 1-based index arrays.  Built in O(d) from the
+    n members except the last one, which takes the remainder.  Groups come
+    back as 1-based index arrays in omega's (for a uniform omega, random)
+    order, as :func:`dependent_partition` needs them.  Built in O(d) from the
     inverse permutation: its k-th run of n entries holds the dimensions
     that omega sends into group k.  No randomness is drawn here.
     """
@@ -100,18 +105,18 @@ def partition_groups(d: int, n: int, omega: np.ndarray) -> list[np.ndarray]:
     # d images in 1..d leave a slot at 0 exactly when one repeats.
     if not dims.all():
         raise ValueError(message)
-    return [np.sort(dims[start : start + n]) for start in range(0, d, n)]
+    return [dims[start : start + n] for start in range(0, d, n)]
 
 
 @dataclass
 class DependentPartition:
     """Random blocks plus signs over one index set.
 
-    ``indices`` is sorted ascending; ``labels`` and ``signs`` align with
-    it positionally.  Labels run 1..num_blocks, and every label class
-    has exactly ``block_size`` members except possibly the last one.
-    The blocks all come from a single permutation, so class sizes are
-    worst-case bounded (unlike independent per-index label draws).
+    ``indices`` keeps the order it was given in; ``labels`` and ``signs``
+    align with it positionally.  Labels run 1..num_blocks in contiguous
+    runs of ``block_size`` positions, the last run possibly shorter, so
+    class sizes are worst-case bounded (unlike independent per-index
+    label draws).
     """
 
     indices: np.ndarray
@@ -127,39 +132,22 @@ class DependentPartition:
 def dependent_partition(members, divisor: int, keys) -> DependentPartition:
     """Cut an index set into blocks of size ceil(|S|/divisor), with fresh signs.
 
-    Reads the first |S| columns of ``keys``, two rows of uniforms on [0, 1): the
-    ranks of row 0 cut the blocks, and row 1 < 1/2 gives sign +1 (exactly fair).
+    Member t (from 0) gets label t // ceil(|S|/divisor) + 1, so the blocks are
+    random only when ``members`` comes in random order.  Signs read the first
+    |S| entries of the 1-d uniform ``keys``: a key < 1/2 gives +1 (exactly fair).
     """
     if divisor < 2:
         raise ValueError(f"need divisor >= 2, got {divisor}")
     message = "index set must hold distinct indices >= 1"
-    indices = np.sort(as_indices(members, message).ravel())
+    indices = as_indices(members, message).ravel()
     if indices.size == 0:
         raise ValueError("empty index set")
-    if indices[0] < 1 or np.count_nonzero(indices[1:] == indices[:-1]):
+    ordered = np.sort(indices)
+    if ordered[0] < 1 or np.count_nonzero(ordered[1:] == ordered[:-1]):
         raise ValueError(message)
     size = int(indices.size)
-    if np.shape(keys)[-1] < size:
-        raise ValueError(f"need keys with {size} columns, got shape {np.shape(keys)}")
+    if np.ndim(keys) != 1 or len(keys) < size:
+        raise ValueError(f"need 1-d keys with {size} entries, got shape {np.shape(keys)}")
     block_size = -(-size // divisor)
-    labels, signs = block_labels(keys[0, :size], keys[1, :size], block_size)
-    return DependentPartition(indices, block_size, labels, signs)
-
-
-def block_labels(rank_keys, sign_keys, block_sizes):
-    """Labels and signs from uniform keys, as :func:`dependent_partition` reads them.
-
-    One group passes 1-d keys and an int block size; k groups pass (k, c)
-    keys and (k, 1) block sizes.  A row's stable ranks in ``rank_keys`` cut
-    its blocks: rank r gets label r // block_size + 1.  ``sign_keys`` < 1/2
-    gives sign +1.  A column that holds no member of its row must hold a
-    rank key >= 1, so that it ranks last.
-    """
-    order = rank_keys.argsort(kind="stable")
-    labels = np.empty(order.shape, dtype=np.int64)
-    by_rank = np.arange(order.shape[-1]) // block_sizes + 1
-    if order.ndim == 1:
-        labels[order] = by_rank
-    else:
-        labels[np.arange(len(order))[:, None], order] = by_rank
-    return labels, np.where(sign_keys < 0.5, 1, -1)
+    labels = np.arange(size) // block_size + 1
+    return DependentPartition(indices, block_size, labels, np.where(keys[:size] < 0.5, 1, -1))

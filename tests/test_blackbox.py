@@ -306,6 +306,31 @@ class TestAttack:
             ) + 0.3 * float(x @ x)
             assert inst.objective(x) == pytest.approx(expected, abs=1e-10)
 
+    def test_bit_identical_to_the_plain_formula(self):
+        # The objective hoists 1 - A and scales by a broadcast product; the
+        # formula as written, with np.outer, must give the same bits.
+        rng = RngStream(22)
+        n = 12
+        adjacency = np.zeros((n, n), dtype=np.int64)
+        for i in range(n):
+            for j in rng.gen.choice(n, size=3, replace=False).tolist():
+                if j != i:
+                    adjacency[i, j] = adjacency[j, i] = 1
+        graph = Graph(n, adjacency)
+        inst = make_attack(graph, 1, 2, 4, 0.3)
+        base = adjacency.astype(float)
+        for _ in range(200):
+            x = 0.3 * rng.gen.standard_normal(n * n)
+            magnitude = np.abs(x.reshape(n, n))
+            perturbed = np.maximum(base * (1.0 - magnitude) + (1.0 - base) * magnitude, 0.0)
+            scale = 1.0 / np.sqrt(perturbed.sum(axis=1))
+            normalized = perturbed * np.outer(scale, scale)
+            power, total = normalized, normalized[0, 1]
+            for _ in range(3):
+                power = power @ normalized
+                total += power[0, 1]
+            assert inst.objective(x) == float(total + 0.3 * (x @ x))
+
     def test_degenerate_degree_raises_with_vertices(self):
         inst = make_attack(load_graph("2 1\n1 2\n"), 1, 2, 1, 0.0)
         x = np.array([0.0, 1.0, 1.0, 0.0])  # kills the only edge

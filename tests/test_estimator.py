@@ -29,7 +29,7 @@ from zosparse.estimator import (
     shrink_step,
 )
 from zosparse.optimizer import OptimizerConfig, run_optimizer
-from zosparse.rng import RngStream, dependent_partition
+from zosparse.rng import RngStream, dependent_partition, random_permutation
 from zosparse.theory import explicit_schedule, practical_schedule
 
 
@@ -38,8 +38,13 @@ def linear(d, coeffs):
 
 
 def key_row(seed, width):
-    """A (2, width) key row drawn from a fresh stream."""
-    return RngStream(seed).gen.random((2, width))
+    """A 1-d sign key row drawn from a fresh stream."""
+    return RngStream(seed).gen.random(width)
+
+
+def shuffled(n, seed):
+    """1..n in a random order, as partition_groups hands a group to the estimator."""
+    return random_permutation(n, RngStream(seed, 1))
 
 
 def hooked(f, calls=None):
@@ -75,7 +80,7 @@ class TestShrinkStep:
     def test_keeps_whole_block_of_signal(self):
         f = linear(4, {3: 5.0})
         for seed in range(20):
-            outcome = shrink_step(f, np.zeros(4), 0.0, 1e-3, np.arange(1, 5), 2, key_row(seed, 4))
+            outcome = shrink_step(f, np.zeros(4), 0.0, 1e-3, shuffled(4, seed), 2, key_row(seed, 4))
             assert not outcome.degenerate
             assert outcome.surviving.size == 2
             assert 3 in outcome.surviving.tolist()
@@ -83,8 +88,9 @@ class TestShrinkStep:
     def test_survivors_are_one_label_class(self):
         f = linear(4, {3: 5.0})
         for seed in range(20):
-            outcome = shrink_step(f, np.zeros(4), 0.0, 1e-3, np.arange(1, 5), 2, key_row(seed, 4))
-            part = dependent_partition(np.arange(1, 5), 2, key_row(seed, 4))
+            members = shuffled(4, seed)
+            outcome = shrink_step(f, np.zeros(4), 0.0, 1e-3, members, 2, key_row(seed, 4))
+            part = dependent_partition(members, 2, key_row(seed, 4))
             expected = part.indices[part.labels == outcome.label]
             np.testing.assert_array_equal(outcome.surviving, expected)
 
@@ -102,7 +108,7 @@ class TestShrinkStep:
         f = linear(3, {1: 1.0, 2: 1.0, 3: 1.0})
         hits = 0
         for seed in range(200):
-            outcome = shrink_step(f, np.zeros(3), 0.0, 1e-3, np.arange(1, 4), 3, key_row(seed, 3))
+            outcome = shrink_step(f, np.zeros(3), 0.0, 1e-3, shuffled(3, seed), 3, key_row(seed, 3))
             if outcome.degenerate and outcome.label is not None:
                 assert outcome.label < 1 or outcome.label > 3
                 assert outcome.surviving.size == 0
@@ -115,12 +121,13 @@ class TestShrinkStep:
         f = linear(3, {1: 1.0, 2: 1.0})
         hits = 0
         for seed in range(200):
-            part = dependent_partition(np.arange(1, 4), 3, key_row(seed, 3))
-            if part.signs[0] != part.signs[1]:
+            members = shuffled(3, seed)
+            part = dependent_partition(members, 3, key_row(seed, 3))
+            sign = dict(zip(part.indices.tolist(), part.signs.tolist()))
+            label = dict(zip(part.indices.tolist(), part.labels.tolist()))
+            if sign[1] != sign[2] or {label[1], label[2]} != {2, 3}:
                 continue
-            if {int(part.labels[0]), int(part.labels[1])} != {2, 3}:
-                continue
-            outcome = shrink_step(f, np.zeros(3), 0.0, 1e-3, np.arange(1, 4), 3, key_row(seed, 3))
+            outcome = shrink_step(f, np.zeros(3), 0.0, 1e-3, members, 3, key_row(seed, 3))
             assert outcome.label == 3
             np.testing.assert_array_equal(outcome.surviving, part.indices[part.labels == 3])
             hits += 1
@@ -273,7 +280,7 @@ class TestLocateInGroup:
         for t, (size, keys) in enumerate(seen):
             assert size <= bounds[t]
             offset = sum(bounds[:t])
-            np.testing.assert_array_equal(keys, row[:, offset : offset + bounds[t]])
+            np.testing.assert_array_equal(keys, row[offset : offset + bounds[t]])
         assert survivors.size <= bounds[len(seen)]
 
 
@@ -435,6 +442,25 @@ class TestGraceEstimate:
             with pytest.raises(ValueError):
                 grace_estimate(f, np.zeros(8), cfg, RngStream(0))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n", 10.5), ("n", 4.0), ("n", True), ("m", 2.0), ("m", True), ("m", "2")],
+    )
+    def test_validate_rejects_non_integer_n_and_m_before_any_query(self, field, value):
+        counted, ledger = with_ledger(linear(16, {3: 1.0}))
+        cfg = replace(GraceConfig(epsilon=1e-6, n=4), **{field: value})
+        with pytest.raises(ValueError, match="integers n and m"):
+            grace_estimate(counted, np.zeros(16), cfg, RngStream(0))
+        assert ledger.count == 0
+
+    def test_validate_takes_numpy_integers(self):
+        cfg = GraceConfig(epsilon=1e-3, n=np.int64(4), m=np.int64(2))
+        plain = GraceConfig(epsilon=1e-3, n=4, m=2)
+        f = linear(16, {3: 1.0})
+        got = grace_estimate(f, np.zeros(16), cfg, RngStream(0))
+        want = grace_estimate(f, np.zeros(16), plain, RngStream(0))
+        assert got.entries == want.entries and got.queries_used == want.queries_used
+
     def test_defaults_reject_sparsity_below_one(self):
         for s in (0, -1):
             with pytest.raises(ValueError, match="s >= 1"):
@@ -484,8 +510,8 @@ class TestGraceEstimate:
         namespace = {}
         exec(snippet, namespace)
         grad = namespace["grad"]
-        assert grad.queries_used == 25
-        assert sorted(grad.entries) == [45, 139, 142, 147, 171, 233]
+        assert grad.queries_used == 23
+        assert sorted(grad.entries) == [45, 102, 117, 142]
 
     def test_non_finite_difference_is_left_out(self):
         # Probes move all four coordinates; only the forward difference moves one.

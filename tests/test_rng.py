@@ -1,13 +1,17 @@
 """Seeded randomness: streams, permutations, partitions."""
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zosparse import estimator
+from zosparse.blackbox import BlackBoxFunction, make_sparse_linear
+from zosparse.estimator import GraceConfig, grace_estimate
 from zosparse.rng import (
     DependentPartition,
     RngStream,
@@ -15,6 +19,7 @@ from zosparse.rng import (
     partition_groups,
     random_permutation,
 )
+from zosparse.theory import explicit_schedule
 
 
 # The grouping loop that partition_groups replaced, kept as a reference.
@@ -26,13 +31,18 @@ def _reference_groups(d, n, omega):
 
 
 def _keys(seed, width):
-    """A (2, width) key row for dependent_partition."""
-    return RngStream(seed).gen.random((2, width))
+    """A 1-d sign key row for dependent_partition."""
+    return RngStream(seed).gen.random(width)
+
+
+def _pattern(part):
+    """A partition's labels, read in ascending order of the members."""
+    return tuple(part.labels[np.argsort(part.indices)].tolist())
 
 
 # 0.999 quantiles of the chi-square law by degrees of freedom: a seeded
 # test of a uniform draw fails at one seed in a thousand.
-CHI2_999 = {1: 10.828, 5: 20.515, 15: 37.697, 23: 49.728}
+CHI2_999 = {1: 10.828, 5: 20.515, 15: 37.697, 23: 49.728, 350: 437.488}
 
 
 def _chi_square_uniform(counts, cells):
@@ -190,8 +200,10 @@ class TestPartitionGroups:
                     want = _reference_groups(d, n, omega)
                     assert len(got) == len(want)
                     for g, w in zip(got, want):
-                        np.testing.assert_array_equal(g, w)
+                        # The same set, in the order omega gives it.
+                        np.testing.assert_array_equal(np.sort(g), w)
                         assert g.dtype == w.dtype
+                        assert np.all(np.diff(omega[g - 1]) > 0)
 
     @given(
         d=st.integers(min_value=1, max_value=60),
@@ -268,11 +280,18 @@ class TestDependentPartition:
         with pytest.raises(ValueError, match="keys"):
             dependent_partition(np.arange(1, 6), 2, _keys(0, 4))
 
+    def test_labels_are_contiguous_runs_in_the_given_order(self):
+        members = np.array([9, 2, 7, 4, 1, 8, 3])
+        part = dependent_partition(members, 3, _keys(4, 7))
+        np.testing.assert_array_equal(part.indices, members)
+        assert part.labels.tolist() == [1, 1, 1, 2, 2, 2, 3]
+
     def test_chi_square_uniform_label_patterns(self):
-        # Size 4, divisor 2: two blocks of two, so 4!/(2! 2!) = 6 label patterns.
+        # Size 4, divisor 2: two blocks of two, so 4!/(2! 2!) = 6 label patterns;
+        # a random order of the members makes every pattern equally likely.
         rng = RngStream(30)
         counts = Counter(
-            tuple(dependent_partition(np.arange(1, 5), 2, rng.gen.random((2, 4))).labels.tolist())
+            _pattern(dependent_partition(random_permutation(4, rng), 2, rng.gen.random(4)))
             for _ in range(4000)
         )
         assert _chi_square_uniform(counts, 6) < CHI2_999[5]
@@ -280,7 +299,7 @@ class TestDependentPartition:
     def test_chi_square_fair_signs(self):
         rng = RngStream(31)
         patterns = [
-            tuple(dependent_partition(np.arange(1, 5), 2, rng.gen.random((2, 4))).signs.tolist())
+            tuple(dependent_partition(np.arange(1, 5), 2, rng.gen.random(4)).signs.tolist())
             for _ in range(4000)
         ]
         assert _chi_square_uniform(Counter(patterns), 16) < CHI2_999[15]
@@ -306,3 +325,53 @@ class TestDependentPartition:
         assert all(count <= expected_block for count in counts)
         # Every label up to the maximum is occupied.
         assert all(count >= 1 for count in counts)
+
+
+class TestEstimateDraws:
+    """The blocks and signs that grace_estimate draws, as dependent_partition sees them."""
+
+    @staticmethod
+    def _partitions(f, cfg, seed, estimates):
+        """Per estimate, every partition it cut, in call order."""
+        seen = []
+
+        def recording(members, divisor, keys):
+            part = dependent_partition(members, divisor, keys)
+            seen[-1].append(part)
+            return part
+
+        rng = RngStream(seed)
+        with mock.patch.object(estimator, "dependent_partition", recording):
+            for _ in range(estimates):
+                seen.append([])
+                grace_estimate(f, np.zeros(f.dim), cfg, rng)
+        return seen
+
+    def test_first_cut_patterns_and_signs_are_uniform(self):
+        # Two groups of 4 per estimate, each cut once into two blocks of two:
+        # 6 label patterns and 16 sign patterns over the group's members.
+        cfg = GraceConfig(epsilon=1e-3, n=4, schedule=explicit_schedule([2]))
+        runs = self._partitions(BlackBoxFunction(8, lambda x: 0.0), cfg, 32, 2000)
+        parts = [part for run in runs for part in run]
+        assert len(parts) == 4000
+        assert _chi_square_uniform(Counter(map(_pattern, parts)), 6) < CHI2_999[5]
+        signs = Counter(tuple(part.signs[np.argsort(part.indices)].tolist()) for part in parts)
+        assert _chi_square_uniform(signs, 16) < CHI2_999[15]
+        each = Counter(sign for part in parts for sign in part.signs.tolist())
+        assert _chi_square_uniform(each, 2) < CHI2_999[1]
+
+    def test_second_cut_is_uniform_given_the_first(self):
+        # One group of 8: the first cut leaves two blocks of 4 (70 patterns) and
+        # the signal at coordinate 1 keeps its block; the second cut splits that
+        # block into two of 2 (6 patterns).  Within each first pattern, the
+        # second is uniform: the sum of 70 Pearson statistics on 5 degrees of
+        # freedom each follows the chi-square law on 350.
+        f = make_sparse_linear(8, {1: 1.0}).objective
+        cfg = GraceConfig(epsilon=1e-3, n=8, schedule=explicit_schedule([2, 2]))
+        given = defaultdict(Counter)
+        for first, second in self._partitions(f, cfg, 33, 4200):
+            assert 1 in second.indices and first.block_size == 4 and second.block_size == 2
+            given[_pattern(first)][_pattern(second)] += 1
+        assert len(given) == 70
+        total = sum(_chi_square_uniform(counts, 6) for counts in given.values())
+        assert total < CHI2_999[350]
