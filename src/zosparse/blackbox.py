@@ -47,10 +47,11 @@ __all__ = [
 class BlackBoxFunction:
     """A dimension-d objective evaluable only pointwise.
 
-    batch, when set, maps a (k, d) array of points to k values, each
-    bit-identical to eval on that row.  It only saves time: the
-    estimator sends its probes through it, and an objective without it
-    is queried one point at a time.
+    eval must not keep or write to the array it is given: the estimator
+    passes one buffer, moving a few coordinates between queries.  batch,
+    when set, maps a (k, d) array of points to k values, each bit-identical
+    to eval on that row.  It only saves time: the estimator sends its
+    probes through it, and an objective without it gets one point a call.
     """
 
     dim: int

@@ -13,18 +13,19 @@ difference each.
 Query cost per estimate: 1 for the shared base value, plus 2 per shrink
 iteration, plus 1 per surviving candidate.
 
-Every iteration cuts a group's live members into blocks in the order of
-the repeat's one random permutation; :mod:`zosparse.rng` says why each
-cut is a fresh dependent partition.  Each group also draws a sign row.
-
-An objective with a ``batch`` hook gets the same queries in fewer calls:
-each repeat shrinks all of its groups one iteration at a time, with one
-probe matrix per iteration, and the forward differences go out together.
-Every group reads its own sign row, so the survivors do not change.
+A cut keeps one block of a group's live members whole and in permutation
+order (:mod:`zosparse.rng` says why each cut is a fresh dependent
+partition), so the live members stay one contiguous run, and the kept run
+starts (label - 1) blocks into it.  All groups of a repeat shrink
+together, their runs end to end in one array: an iteration costs O(live
+members) whatever d is.  Each probe is written into one copy of x and
+taken out again, or, with a ``batch`` hook, sent in one matrix per
+iteration; the results are the same.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -59,6 +60,9 @@ DENOMINATOR_TOLERANCE = 1e-12
 
 # Most floats in one probe matrix handed to an objective's batch hook.
 BATCH_FLOATS = 2**20
+
+# Most live members one shrink pass labels and probes at once, unless one run is longer.
+CHUNK = 2**16
 
 
 @dataclass
@@ -132,16 +136,15 @@ class SparseGradient:
 
 @dataclass
 class ShrinkOutcome:
-    """Result of one shrink iteration.
+    """One shrink iteration: per run, its kept block and its rounded ratio.
 
-    label is the rounded ratio when one was computed; degenerate marks a
-    non-finite probe value, a vanishing denominator or an out-of-range
-    label, each of which leaves no survivors.
+    degenerate counts the runs that kept nothing: a non-finite probe value or
+    a vanishing denominator (label None), or an out-of-range label.
     """
 
-    surviving: np.ndarray
-    label: int | None
-    degenerate: bool
+    kept: list[np.ndarray]
+    labels: list[int | None]
+    degenerate: int
 
 
 def _read_label(f_x: float, f_v: float, f_u: float, num_blocks: int) -> tuple[int | None, bool]:
@@ -165,6 +168,43 @@ def _read_label(f_x: float, f_v: float, f_u: float, num_blocks: int) -> tuple[in
     return label, 1 <= label <= num_blocks
 
 
+def _probe(f: BlackBoxFunction, x, positions, moved, bounds, values) -> list[list[float]]:
+    """Per row of values, f at x with positions[lo:hi] set to row[lo:hi], per run [lo, hi).
+
+    Without a hook, x itself is moved and restored from ``moved``, which is
+    x[positions], also when f raises.  With one, probe k of run i is row
+    k * runs + i of matrices of at most max(1, BATCH_FLOATS // d) rows.
+    """
+    if f.batch is None:
+        evaluate, out = f.eval, [[] for _ in values]
+        for lo, hi in zip(bounds, bounds[1:]):
+            # A run of one member is written as a scalar, at a quarter of the cost.
+            run = slice(lo, hi) if hi - lo > 1 else lo
+            at = positions[run]
+            try:
+                for row, got in zip(values, out):
+                    x[at] = row[run]
+                    got.append(evaluate(x))
+            finally:
+                x[at] = moved[run]
+        return out
+    count = len(values) * (len(bounds) - 1)
+    rows = np.arange(count).repeat(np.tile(np.diff(bounds), len(values)))
+    columns, moves = np.tile(positions, len(values)), np.concatenate(values)
+    per_call = max(1, BATCH_FLOATS // x.size)
+    out = np.empty(count)
+    for start in range(0, count, per_call):
+        stop = min(start + per_call, count)
+        lo, hi = np.searchsorted(rows, (start, stop))
+        probes = np.tile(x, (stop - start, 1))
+        probes[rows[lo:hi] - start, columns[lo:hi]] = moves[lo:hi]
+        got = np.asarray(f.batch(probes), dtype=float)
+        if got.shape != (stop - start,):
+            raise ValueError(f"batch returned shape {got.shape} for {stop - start} points")
+        out[start:stop] = got
+    return out.reshape(len(values), -1).tolist()
+
+
 def shrink_step(
     f: BlackBoxFunction,
     x: np.ndarray,
@@ -173,47 +213,56 @@ def shrink_step(
     members,
     divisor: int,
     keys,
+    sizes=None,
+    offsets=None,
 ) -> ShrinkOutcome:
-    """One two-query probe keeping only the block whose label matches the ratio.
+    """One two-query probe per run, keeping only the block whose label matches the ratio.
 
-    Probe v moves each index i of the set by epsilon * sign_i * label_i,
-    probe u by epsilon * sign_i.  For a gradient dominated by one
-    coordinate j, (f(x+v) - f(x)) / (f(x+u) - f(x)) sits within 1/2 of
-    j's label, so rounding it picks j's block.  A non-finite f(x), f(x+v),
-    f(x+u) or ratio carries no label and leaves the group without survivors.
+    The runs of ``members``, their ``sizes`` and key ``offsets`` are as
+    :func:`dependent_partition` takes them.  Probe v of a run moves each
+    member i by epsilon * sign_i * label_i, probe u by epsilon * sign_i.
+    For a gradient dominated by one coordinate j, (f(x+v) - f(x)) /
+    (f(x+u) - f(x)) sits within 1/2 of j's label, so rounding it picks j's
+    block; a non-finite value or ratio keeps nothing.  Each probe is
+    written into the writable float array x and taken out again.
     """
-    part = dependent_partition(members, divisor, keys)
-    if part.indices.size < 2:
-        raise ValueError("shrink_step needs at least 2 surviving indices")
-    positions = part.indices - 1
-    x = np.asarray(x, dtype=float)
-    step = epsilon * part.signs
-    moved = x[positions]
-    probe_v = x.copy()
-    probe_v[positions] = moved + step * part.labels
-    probe_u = x.copy()
-    probe_u[positions] = moved + step
-    f_v = f(probe_v)
-    f_u = f(probe_u)
-    label, locates = _read_label(f_x, f_v, f_u, part.num_blocks)
-    if not locates:
-        return ShrinkOutcome(np.empty(0, dtype=np.int64), label, True)
-    return ShrinkOutcome(part.indices[part.labels == label], label, False)
+    sizes = [len(members)] if sizes is None else list(sizes)
+    if min(sizes) < 2:
+        raise ValueError("shrink_step needs at least 2 members in every run")
+    labels, kept, ends = [], [], [0, *itertools.accumulate(sizes)]
+    offsets = ends[:-1] if offsets is None else offsets
+    per_pass = max(1, CHUNK // max(sizes))  # whole runs, at most CHUNK members or one run
+    for first in range(0, len(sizes), per_pass):
+        last = min(first + per_pass, len(sizes))
+        runs = sizes[first:last], offsets[first:last]
+        part = dependent_partition(members[ends[first] : ends[last]], divisor, keys, *runs)
+        positions, step = part.indices - 1, epsilon * part.signs
+        moved = x[positions]
+        bounds = [0, *itertools.accumulate(part.sizes)]
+        values = (moved + step * part.labels, moved + step)
+        f_v, f_u = _probe(f, x, positions, moved, bounds, values)
+        for start, size, block, v, u in zip(bounds, part.sizes, part.block_size, f_v, f_u):
+            label, locates = _read_label(f_x, v, u, -(-size // block))
+            # The kept block starts (label - 1) blocks into its run; else it is empty.
+            begin = start + (label - 1) * block if locates else start + size
+            kept.append(part.indices[begin : min(begin + block, start + size)])
+            labels.append(label)
+    return ShrinkOutcome(kept, labels, sum(block.size == 0 for block in kept))
 
 
-def _key_spans(size: int, schedule: DivisionSchedule):
-    """(max(D_t, 2), key columns) per shrink iteration t, which owns b_t columns.
+def _key_spans(size: int, schedule: DivisionSchedule) -> tuple[list[int], list[int]]:
+    """Each shrink iteration's divisor max(D_t, 2), and where its key columns start.
 
-    b_1 = size, b_{t+1} = ceil(b_t / min(max(D_t, 2), b_t)) while b_t > 2: the kept
-    block never shrinks as members grow, so at most b_t members reach iteration t.
+    Iteration t owns b_t columns: b_1 = size and, while b_t > 2,
+    b_{t+1} = ceil(b_t / min(max(D_t, 2), b_t)), so at most b_t members
+    reach iteration t.  The starts end with the total.
     """
-    start, bound, iteration = 0, size, 0
+    steps, starts, bound = [], [0], size
     while bound > 2:
-        iteration += 1
-        step = max(schedule.value(iteration), 2)
-        yield step, slice(start, start + bound)
-        start += bound
-        bound = -(-bound // min(step, bound))
+        steps.append(max(schedule.value(len(steps) + 1), 2))
+        starts.append(starts[-1] + bound)
+        bound = -(-bound // min(steps[-1], bound))
+    return steps, starts
 
 
 def locate_in_group(
@@ -221,104 +270,46 @@ def locate_in_group(
     x: np.ndarray,
     f_x: float,
     epsilon: float,
-    members,
+    dims,
+    n: int,
     schedule: DivisionSchedule,
     *,
     keys,
-) -> np.ndarray:
-    """Shrink one group until at most two candidates remain.
-
-    ``members`` must come in random order, which every iteration cuts and
-    the survivors keep.  Returns the survivors, at a cost of two queries
-    per executed iteration.  An empty survivor set means the group showed no
-    usable signal.  The loop needs no iteration cap: each iteration keeps
-    one block of a partition into at least two blocks, so at most
-    ceil(size/2) members survive it, and a group of n members is done
-    after at most ceil(log2 n) - 1 iterations.  Iteration t reads its signs
-    from the group's 1-d ``keys`` at offset b_1 + ... + b_{t-1}.
-    """
-    current = as_indices(members, "group members must be integers").ravel()
-    if current.size == 0:
-        raise ValueError("empty group")
-    spans = _key_spans(int(current.size), schedule)
-    while current.size > 2:
-        step, columns = next(spans)
-        divisor = min(step, int(current.size))
-        current = shrink_step(f, x, f_x, epsilon, current, divisor, keys[columns]).surviving
-    return current
-
-
-def _probe_values(f: BlackBoxFunction, x: np.ndarray, rows, positions, values) -> np.ndarray:
-    """f.batch at copies of x, copy rows[i] holding values[i] at positions[i].
-
-    rows is sorted and runs 0..k-1; each call gets at most
-    max(1, BATCH_FLOATS // d) of the k probes.
-    """
-    count = int(rows[-1]) + 1 if len(rows) else 0
-    per_call = max(1, BATCH_FLOATS // x.size)
-    out = np.empty(count)
-    for start in range(0, count, per_call):
-        stop = min(start + per_call, count)
-        lo, hi = np.searchsorted(rows, (start, stop))
-        probes = np.empty((stop - start, x.size))
-        probes[:] = x
-        probes[rows[lo:hi] - start, positions[lo:hi]] = values[lo:hi]
-        got = np.asarray(f.batch(probes), dtype=float)
-        if got.shape != (stop - start,):
-            raise ValueError(f"batch returned shape {got.shape} for {stop - start} points")
-        out[start:stop] = got
-    return out
-
-
-def _locate_all(
-    f: BlackBoxFunction, x: np.ndarray, f_x: float, cfg: GraceConfig, groups, keys
 ) -> list[int]:
-    """Every group's survivors, as locate_in_group finds them one group at a time.
+    """Shrink every group of one repeat, together, until at most two candidates remain in each.
 
-    All groups with more than two members shrink one iteration at a time:
-    a live member's rank among its group's live members gives its label and
-    its sign column, their probes go to f.batch as one matrix, and the
-    ratio test reads each group's label.
+    Group g is ``dims[g*n : (g+1)*n]``, in random order; its iteration t
+    reads row g of ``keys`` from column b_1 + ... + b_{t-1}.  Returns every
+    group's survivors after at most ceil(log2 n) - 1 iterations, each
+    keeping at most half of a group.  (perfbench's tracer finds the phases,
+    this one, shrink_step and finite_difference, by these names.)
     """
-    sizes = np.array([group.size for group in groups])
-    # Every group holds n members but the last, so only the last row has padding.
-    members = np.zeros((len(groups), cfg.n), dtype=np.int64)
-    members.flat[: sizes.sum()] = np.concatenate(groups)
-    alive = np.arange(cfg.n) < sizes[:, None]
-    spans = {size: list(_key_spans(size, cfg.schedule)) for size in set(sizes.tolist())}
-    iteration = 0
-    while (active := np.flatnonzero(alive.sum(axis=1) > 2)).size:
-        inside = alive[active]
-        size = inside.sum(axis=1)
-        step = spans[cfg.n][iteration][0]
-        starts = np.array([spans[n][iteration][1].start for n in sizes[active].tolist()])
-        block = -(-size // np.minimum(step, size))
-        # A group's j-th live member is in block j // block + 1 and reads key
-        # column start + j; no group reads past the widest one, since key
-        # offsets grow with the group size.
-        group, column = np.nonzero(inside)
-        rank = np.cumsum(inside, axis=1)[inside] - 1
-        labels = rank // block[group] + 1
-        positions = members[active[group], column] - 1
-        moved = x[positions]
-        shift = cfg.epsilon * np.where(keys[active[group], starts[group] + rank] < 0.5, 1, -1)
-        # Probe v of group i is row i, probe u row k + i.
-        probed = _probe_values(
-            f,
-            x,
-            np.concatenate((group, group + active.size)),
-            np.concatenate((positions, positions)),
-            np.concatenate((moved + shift * labels, moved + shift)),
-        )
-        f_v, f_u = probed[: active.size].tolist(), probed[active.size :].tolist()
-        blocks = (-(-size // block)).tolist()
-        read = [_read_label(f_x, *pair) for pair in zip(f_v, f_u, blocks)]
-        # Labels run from 1, so 0 keeps no member.
-        located = np.array([label if locates else 0 for label, locates in read])
-        inside[inside] = labels == located[group]
-        alive[active] = inside
+    live = as_indices(dims, "group members must be integers").ravel()
+    if live.size == 0:
+        raise ValueError("empty group")
+    if n <= 2:
+        return live.tolist()
+    groups = -(-live.size // n)
+    ragged = live.size - (groups - 1) * n
+    steps, starts = _key_spans(n, schedule)
+    if np.ndim(keys) != 2 or keys.shape[0] != groups or keys.shape[1] < starts[-1]:
+        raise ValueError(f"need keys of shape ({groups}, >= {starts[-1]}), got {np.shape(keys)}")
+    # Each group's first key column per iteration; the ragged last group owns fewer.
+    columns = [starts] * (groups - 1) + [_key_spans(ragged, schedule)[1]]
+    width, flat = keys.shape[1], keys.ravel()
+    sizes, group, found, iteration = [n] * (groups - 1) + [ragged], list(range(groups)), [], 0
+    if ragged <= 2:
+        found, live, sizes, group = live[-ragged:].tolist(), live[:-ragged], sizes[:-1], group[:-1]
+    while group:
+        offsets = [g * width + columns[g][iteration] for g in group]
+        kept = shrink_step(f, x, f_x, epsilon, live, steps[iteration], flat, sizes, offsets).kept
+        # Runs of at most two members are done; the others stay live.
+        found += [j for block in kept if block.size <= 2 for j in block.tolist()]
+        group = [g for block, g in zip(kept, group) if block.size > 2]
+        runs = [block for block in kept if block.size > 2]
+        sizes, live = [block.size for block in runs], np.concatenate([live[:0], *runs])
         iteration += 1
-    return members[alive].tolist()
+    return found
 
 
 def grace_estimate(
@@ -331,45 +322,34 @@ def grace_estimate(
     further query, since no ratio or difference can be read against it.
     Each of the m repeats draws a permutation of the dimensions, which
     groups them and orders each group's blocks, then a sign row per group,
-    and shrinks each group on its own row; every
-    survivor gets one forward difference, and is left out of the entries
-    if that is not finite or exactly 0.0.  When f has a batch hook, the
-    probes go out through it, with the same queries and results.  On budget exhaustion the error
-    is re-raised with ``partial`` holding the bookkeeping so far; its
-    entries are incomplete and must be discarded by the caller.
+    and shrinks each group on its own row; every survivor gets one
+    forward difference, and is left out of the entries if that is not
+    finite or exactly 0.0.  The probes move a private copy of x.  On
+    budget exhaustion the error is re-raised with ``partial`` holding the
+    bookkeeping so far; its entries are incomplete and must be discarded
+    by the caller.
     """
     d = f.dim
     cfg.validate(d)
-    x = np.asarray(x, dtype=float)
+    point = np.array(x, dtype=float)
     counting, ledger = with_ledger(f)
     entries: dict[int, float] = {}
     base_value = None
     try:
-        base_value = counting(x)
+        base_value = counting(point)
         if not math.isfinite(base_value):
             raise ValueError(f"need a finite f(x) at the estimate's point, got {base_value}")
-        width = max((cols.stop for _, cols in _key_spans(cfg.n, cfg.schedule)), default=0)
+        width = _key_spans(cfg.n, cfg.schedule)[1][-1]
         candidates: set[int] = set()
         for _repeat in range(cfg.m):
-            groups = partition_groups(d, cfg.n, random_permutation(d, rng))
-            keys = rng.gen.random((len(groups), width))
-            if counting.batch is None:
-                for group, row in zip(groups, keys):
-                    survivors = locate_in_group(
-                        counting, x, base_value, cfg.epsilon, group, cfg.schedule, keys=row
-                    )
-                    candidates.update(survivors.tolist())
-            else:
-                candidates.update(_locate_all(counting, x, base_value, cfg, groups, keys))
-        ordered = sorted(candidates)
-        if counting.batch is None:
-            values = (finite_difference(counting, x, base_value, j, cfg.epsilon) for j in ordered)
-        else:
-            positions = np.array(ordered, dtype=np.int64) - 1
-            probed = _probe_values(
-                counting, x, np.arange(len(ordered)), positions, x[positions] + cfg.epsilon
+            dims = partition_groups(d, cfg.n, random_permutation(d, rng))
+            keys = rng.gen.random((-(-d // cfg.n), width))
+            survivors = locate_in_group(
+                counting, point, base_value, cfg.epsilon, dims, cfg.n, cfg.schedule, keys=keys
             )
-            values = ((probed - base_value) / cfg.epsilon).tolist()
+            candidates.update(survivors)
+        ordered = sorted(candidates)
+        values = finite_difference(counting, point, base_value, ordered, cfg.epsilon)
         for j, value in zip(ordered, values):
             if math.isfinite(value) and value != 0.0:
                 entries[j] = value
@@ -380,13 +360,16 @@ def grace_estimate(
 
 
 def finite_difference(
-    f: BlackBoxFunction, x: np.ndarray, f_x: float, j: int, epsilon: float
-) -> float:
-    """Forward difference along dimension j; one query."""
-    if not 1 <= j <= f.dim:
-        raise ValueError(f"dimension index {j} out of range 1..{f.dim}")
+    f: BlackBoxFunction, x: np.ndarray, f_x: float, indices, epsilon: float
+) -> list[float]:
+    """Forward differences along each dimension in indices, one query each, probing x in place."""
+    positions = as_indices(indices, "dimension indices must be integers").ravel() - 1
+    listed = positions.tolist()
+    if listed and not (min(listed) >= 0 and max(listed) < f.dim):
+        raise ValueError(f"dimension indices {indices} out of range 1..{f.dim}")
     if not 0 < epsilon < math.inf:
         raise ValueError(f"need a finite epsilon > 0, got {epsilon}")
-    probe = np.asarray(x, dtype=float).copy()
-    probe[j - 1] += epsilon
-    return (f(probe) - f_x) / epsilon
+    # Python numbers: every run holds one member, written by a scalar store.
+    moved = x[positions].tolist()
+    (probed,) = _probe(f, x, listed, moved, range(len(listed) + 1), ([m + epsilon for m in moved],))
+    return [(value - f_x) / epsilon for value in probed]

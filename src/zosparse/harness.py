@@ -319,8 +319,9 @@ def run_experiment(
         for run_seed in spec.run_seeds
         for eta_index in range(len(spec.eta_grid))
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(payloads))  # a fork pool starts every worker at once
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_execute_unit, payloads, chunksize=1))
     else:
         outcomes = [_execute_unit(p) for p in payloads]

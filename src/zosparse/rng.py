@@ -12,6 +12,8 @@ per group.  Every shrink iteration cuts the live members into blocks in
 that order.  The probes depend only on which members share a block, never
 on the order within one, so given all that was observed, the kept block
 is still in uniformly random order: each cut is a fresh dependent partition.
+As a cut keeps one block whole and in order, a group's live members stay
+one contiguous run, and :func:`dependent_partition` cuts many runs at once.
 
 Indexing convention: dimensions are numbered 1..d in every index set,
 permutation image, and block label handed out by this module.  Arrays
@@ -21,6 +23,7 @@ are stored 0-based as usual; position ``p`` corresponds to dimension
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,15 +87,13 @@ def random_permutation(n: int, rng: RngStream) -> np.ndarray:
     return rng.gen.permutation(n) + 1
 
 
-def partition_groups(d: int, n: int, omega: np.ndarray) -> list[np.ndarray]:
+def partition_groups(d: int, n: int, omega: np.ndarray) -> np.ndarray:
     """Split {1..d} into ceil(d/n) groups of size n via the permutation omega.
 
-    Dimension i joins group ceil(omega(i)/n), so every group has exactly
-    n members except the last one, which takes the remainder.  Groups come
-    back as 1-based index arrays in omega's (for a uniform omega, random)
-    order, as :func:`dependent_partition` needs them.  Built in O(d) from the
-    inverse permutation: its k-th run of n entries holds the dimensions
-    that omega sends into group k.  No randomness is drawn here.
+    Dimension i joins group ceil(omega(i)/n): every group has n members but
+    the last, which takes the remainder.  Returns the inverse permutation,
+    built in O(d) with no draw: group k (from 0) is ``dims[k*n : (k+1)*n]``,
+    in omega's (for a uniform omega, random) order.
     """
     if not 1 <= n <= d:
         raise ValueError(f"need 1 <= n <= d, got n={n}, d={d}")
@@ -105,49 +106,62 @@ def partition_groups(d: int, n: int, omega: np.ndarray) -> list[np.ndarray]:
     # d images in 1..d leave a slot at 0 exactly when one repeats.
     if not dims.all():
         raise ValueError(message)
-    return [dims[start : start + n] for start in range(0, d, n)]
+    return dims
 
 
 @dataclass
 class DependentPartition:
-    """Random blocks plus signs over one index set.
+    """Random blocks plus signs over consecutive runs of one index array.
 
-    ``indices`` keeps the order it was given in; ``labels`` and ``signs``
-    align with it positionally.  Labels run 1..num_blocks in contiguous
-    runs of ``block_size`` positions, the last run possibly shorter, so
-    class sizes are worst-case bounded (unlike independent per-index
-    label draws).
+    Run i holds ``sizes[i]`` of ``indices``, in order; ``labels`` and
+    ``signs`` align with them.  Within a run labels count up from 1 in
+    stretches of ``block_size[i]``, the last possibly shorter, so class
+    sizes are worst-case bounded (unlike independent per-index draws).
     """
 
     indices: np.ndarray
-    block_size: int
+    sizes: list[int]
+    block_size: list[int]
     labels: np.ndarray
     signs: np.ndarray
 
-    @property
-    def num_blocks(self) -> int:
-        return -(-len(self.indices) // self.block_size)
 
+def dependent_partition(
+    members, divisor: int, keys, sizes=None, offsets=None
+) -> DependentPartition:
+    """Cut each run of members into blocks of size ceil(|run|/divisor), with fresh signs.
 
-def dependent_partition(members, divisor: int, keys) -> DependentPartition:
-    """Cut an index set into blocks of size ceil(|S|/divisor), with fresh signs.
-
-    Member t (from 0) gets label t // ceil(|S|/divisor) + 1, so the blocks are
-    random only when ``members`` comes in random order.  Signs read the first
-    |S| entries of the 1-d uniform ``keys``: a key < 1/2 gives +1 (exactly fair).
+    ``members`` is runs of lengths ``sizes`` (default: one run) end to end.
+    A run's member t (from 0) gets label t // ceil(|run|/divisor) + 1, so
+    blocks are random only when each run comes in random order.  Member t
+    of run i reads its sign from ``keys[offsets[i] + t]`` (default: keys
+    align with the members), a key < 1/2 giving +1, exactly fair.  Repeats
+    are not looked for: the estimator's runs slice one checked permutation.
     """
     if divisor < 2:
         raise ValueError(f"need divisor >= 2, got {divisor}")
-    message = "index set must hold distinct indices >= 1"
-    indices = as_indices(members, message).ravel()
-    if indices.size == 0:
-        raise ValueError("empty index set")
-    ordered = np.sort(indices)
-    if ordered[0] < 1 or np.count_nonzero(ordered[1:] == ordered[:-1]):
-        raise ValueError(message)
-    size = int(indices.size)
-    if np.ndim(keys) != 1 or len(keys) < size:
-        raise ValueError(f"need 1-d keys with {size} entries, got shape {np.shape(keys)}")
-    block_size = -(-size // divisor)
-    labels = np.arange(size) // block_size + 1
-    return DependentPartition(indices, block_size, labels, np.where(keys[:size] < 0.5, 1, -1))
+    indices = as_indices(members, "index set must hold indices >= 1").ravel()
+    if indices.size == 0 or indices.min() < 1:
+        raise ValueError("need a non-empty index set of indices >= 1")
+    size = indices.size
+    sizes = [size] if sizes is None else list(sizes)
+    starts = list(itertools.accumulate(sizes, initial=0))
+    offsets = starts[:-1] if offsets is None else list(offsets)
+    if starts[-1] != size or min(sizes) < 1 or len(offsets) != len(sizes) or min(offsets) < 0:
+        raise ValueError(f"need positive run sizes summing to {size}, one key offset >= 0 each")
+    reach = max(offset + length for offset, length in zip(offsets, sizes))
+    if np.ndim(keys) != 1 or reach > len(keys):
+        raise ValueError(f"need 1-d keys with {reach} entries, got shape {np.shape(keys)}")
+    blocks = [-(-length // divisor) for length in sizes]
+    if len(sizes) == 1:
+        labels = np.arange(1, -(-size // blocks[0]) + 1).repeat(blocks[0])[:size]
+        drawn = keys[offsets[0] : reach]
+    else:
+        # Per member: its run's start, key offset and block size.
+        start, offset, block = np.array([starts[:-1], offsets, blocks]).repeat(sizes, axis=1)
+        rank = np.arange(size) - start
+        labels = rank // block + 1
+        drawn = keys[rank + offset]
+    # As np.where(drawn < 0.5, 1, -1), at a quarter of its cost on long runs.
+    signs = (drawn < 0.5).astype(np.int64) * 2 - 1
+    return DependentPartition(indices, sizes, blocks, labels, signs)

@@ -29,7 +29,7 @@ from zosparse.estimator import (
     shrink_step,
 )
 from zosparse.optimizer import OptimizerConfig, run_optimizer
-from zosparse.rng import RngStream, dependent_partition, random_permutation
+from zosparse.rng import RngStream, dependent_partition, partition_groups, random_permutation
 from zosparse.theory import explicit_schedule, practical_schedule
 
 
@@ -62,10 +62,14 @@ def unhooked(f):
     return BlackBoxFunction(f.dim, f.eval)
 
 
-def located(f, *args, **kwargs):
-    """locate_in_group's survivors and the queries a ledger counted for it."""
+def located(f, x, f_x, epsilon, members, schedule, *, keys):
+    """locate_in_group's survivors for one group, and the queries a ledger counted for it."""
     counted, ledger = with_ledger(f)
-    return locate_in_group(counted, *args, **kwargs), ledger.count
+    members = np.asarray(members)
+    found = locate_in_group(
+        counted, x, f_x, epsilon, members, max(members.size, 1), schedule, keys=keys[None, :]
+    )
+    return np.array(found, dtype=np.int64), ledger.count
 
 
 class TestShrinkStep:
@@ -75,15 +79,15 @@ class TestShrinkStep:
         for seed in range(20):
             outcome = shrink_step(f, np.zeros(4), 0.0, 1e-3, np.arange(1, 5), 4, key_row(seed, 4))
             assert not outcome.degenerate
-            assert outcome.surviving.tolist() == [2]
+            assert outcome.kept[0].tolist() == [2]
 
     def test_keeps_whole_block_of_signal(self):
         f = linear(4, {3: 5.0})
         for seed in range(20):
             outcome = shrink_step(f, np.zeros(4), 0.0, 1e-3, shuffled(4, seed), 2, key_row(seed, 4))
             assert not outcome.degenerate
-            assert outcome.surviving.size == 2
-            assert 3 in outcome.surviving.tolist()
+            assert outcome.kept[0].size == 2
+            assert 3 in outcome.kept[0].tolist()
 
     def test_survivors_are_one_label_class(self):
         f = linear(4, {3: 5.0})
@@ -91,15 +95,15 @@ class TestShrinkStep:
             members = shuffled(4, seed)
             outcome = shrink_step(f, np.zeros(4), 0.0, 1e-3, members, 2, key_row(seed, 4))
             part = dependent_partition(members, 2, key_row(seed, 4))
-            expected = part.indices[part.labels == outcome.label]
-            np.testing.assert_array_equal(outcome.surviving, expected)
+            expected = part.indices[part.labels == outcome.labels[0]]
+            np.testing.assert_array_equal(outcome.kept[0], expected)
 
     def test_constant_function_is_degenerate(self):
         f = BlackBoxFunction(4, lambda x: 7.0)
         outcome = shrink_step(f, np.zeros(4), 7.0, 1e-3, np.arange(1, 5), 2, key_row(0, 4))
-        assert outcome.degenerate
-        assert outcome.label is None
-        assert outcome.surviving.size == 0
+        assert outcome.degenerate == 1
+        assert outcome.labels == [None]
+        assert outcome.kept[0].size == 0
 
     def test_out_of_range_ratio_is_degenerate(self):
         # f = x1 + x2 + x3 with one sign flipped: the ratio becomes
@@ -109,9 +113,10 @@ class TestShrinkStep:
         hits = 0
         for seed in range(200):
             outcome = shrink_step(f, np.zeros(3), 0.0, 1e-3, shuffled(3, seed), 3, key_row(seed, 3))
-            if outcome.degenerate and outcome.label is not None:
-                assert outcome.label < 1 or outcome.label > 3
-                assert outcome.surviving.size == 0
+            (label,) = outcome.labels
+            if outcome.degenerate and label is not None:
+                assert label < 1 or label > 3
+                assert outcome.kept[0].size == 0
                 hits += 1
         assert hits > 0
 
@@ -128,8 +133,8 @@ class TestShrinkStep:
             if sign[1] != sign[2] or {label[1], label[2]} != {2, 3}:
                 continue
             outcome = shrink_step(f, np.zeros(3), 0.0, 1e-3, members, 3, key_row(seed, 3))
-            assert outcome.label == 3
-            np.testing.assert_array_equal(outcome.surviving, part.indices[part.labels == 3])
+            assert outcome.labels == [3]
+            np.testing.assert_array_equal(outcome.kept[0], part.indices[part.labels == 3])
             hits += 1
         assert hits > 0
 
@@ -142,7 +147,7 @@ class TestShrinkStep:
                 f, np.zeros(12), 0.0, 1e-3, np.arange(1, 13), divisor, key_row(trial, 12)
             )
             block = -(-12 // divisor)
-            assert outcome.surviving.size <= block < 12
+            assert outcome.kept[0].size <= block < 12
 
     def test_rejects_single_member(self):
         f = linear(4, {2: 1.0})
@@ -161,9 +166,101 @@ class TestShrinkStep:
         values = iter([bad, 1.0] if probe == "scaled" else [1.0, bad])
         f = BlackBoxFunction(4, lambda x: next(values))
         outcome = shrink_step(f, np.zeros(4), 0.0, 1e-3, np.arange(1, 5), 2, key_row(0, 4))
-        assert outcome.degenerate
-        assert outcome.label is None
-        assert outcome.surviving.size == 0
+        assert outcome.degenerate == 1
+        assert outcome.labels == [None]
+        assert outcome.kept[0].size == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(2, 40), min_size=1, max_size=6),
+        divisor=st.integers(2, 12),
+        signals=st.lists(st.integers(1, 200), max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_runs_shrink_as_they_would_alone(self, sizes, divisor, signals, seed):
+        # One call over several runs reads each run's keys at its own offset and
+        # gives every run the label, kept block and query count it gets alone.
+        d = sum(sizes)
+        f = linear(d, {(j - 1) % d + 1: 1.5**k for k, j in enumerate(signals)})
+        members = shuffled(d, seed)
+        keys = key_row(seed, 3 * d)
+        offsets = [3 * start for start in itertools.accumulate(sizes[:-1], initial=0)]
+        counted, ledger = with_ledger(f)
+        outcome = shrink_step(
+            counted, np.zeros(d), 0.0, 1e-3, members, divisor, keys, sizes, offsets
+        )
+        assert ledger.count == 2 * len(sizes)
+        start = 0
+        for run, (size, offset) in enumerate(zip(sizes, offsets)):
+            alone = shrink_step(
+                f, np.zeros(d), 0.0, 1e-3, members[start : start + size], divisor,
+                keys[offset : offset + size],
+            )
+            assert outcome.labels[run] == alone.labels[0]
+            np.testing.assert_array_equal(outcome.kept[run], alone.kept[0])
+            start += size
+        assert outcome.degenerate == sum(block.size == 0 for block in outcome.kept)
+
+    def test_chunked_passes_match_one_pass(self):
+        # Runs are probed in passes of at most CHUNK members (or one longer
+        # run); where the passes split changes no sign, label, kept block or
+        # query, and no pass exceeds its bound.
+        sizes = [7, 9, 5, 12, 3, 8]
+        d = sum(sizes)
+        f = linear(d, {4: 1.0, 11: -2.0, 30: 0.5, 41: 3.0, 42: -1.5, 20: 2.5})
+        members, keys = shuffled(d, 3), key_row(3, 2 * d)
+        offsets = [2 * start for start in itertools.accumulate(sizes[:-1], initial=0)]
+
+        def shrunk(chunk):
+            parts = []
+
+            def recording(*args):
+                parts.append(dependent_partition(*args))
+                return parts[-1]
+
+            with mock.patch.object(estimator, "CHUNK", chunk), mock.patch.object(
+                estimator, "dependent_partition", recording
+            ):
+                outcome = shrink_step(f, np.zeros(d), 0.0, 1e-3, members, 3, keys, sizes, offsets)
+            return outcome, parts
+
+        whole, (part,) = shrunk(2**16)
+        for chunk in (1, 10, 16, 20):
+            split, parts = shrunk(chunk)
+            assert len(parts) > 1
+            assert all(sum(p.sizes) <= max(chunk, max(p.sizes)) for p in parts)
+            for field in ("indices", "labels", "signs"):
+                np.testing.assert_array_equal(
+                    np.concatenate([getattr(p, field) for p in parts]), getattr(part, field)
+                )
+            assert split.labels == whole.labels and split.degenerate == whole.degenerate
+            for a, b in zip(split.kept, whole.kept):
+                np.testing.assert_array_equal(a, b)
+
+    def test_probe_point_is_restored(self):
+        # Each probe is written into x and taken out again, also when f raises.
+        x = np.linspace(-1.0, 1.0, 12)
+        original = x.copy()
+        seen = []
+
+        def evaluate(point):
+            seen.append(np.flatnonzero(point != original).tolist())
+            return float(point @ np.arange(12.0))
+
+        f = BlackBoxFunction(12, evaluate)
+        shrink_step(f, x, 0.0, 1e-3, shuffled(12, 4), 3, key_row(4, 12), [5, 7])
+        np.testing.assert_array_equal(x, original)
+        # Probes v and u of a run move the same coordinates, one run at a time.
+        assert seen[0] == seen[1] and seen[2] == seen[3] and len(seen[0]) == 5
+
+        def failing(point):
+            raise RuntimeError("objective failed")
+
+        with pytest.raises(RuntimeError):
+            shrink_step(
+                BlackBoxFunction(12, failing), x, 0.0, 1e-3, np.arange(1, 13), 3, key_row(4, 12)
+            )
+        np.testing.assert_array_equal(x, original)
 
 
 class TestLocateInGroup:
@@ -224,16 +321,17 @@ class TestLocateInGroup:
         assert queries == 2 * (k - 1)
 
     def test_rng_is_required(self):
-        # The group's randomness comes in as its key row.
+        # The groups' randomness comes in as their key rows.
         f = linear(4, {1: 1.0})
         with pytest.raises(TypeError, match="keys"):
-            locate_in_group(f, np.zeros(4), 0.0, 1e-3, np.arange(1, 5), practical_schedule(20))
+            locate_in_group(f, np.zeros(4), 0.0, 1e-3, np.arange(1, 5), 4, practical_schedule(20))
 
     def test_rejects_empty_group(self):
         f = linear(4, {1: 1.0})
         with pytest.raises(ValueError, match="empty group"):
             locate_in_group(
-                f, np.zeros(4), 0.0, 1e-3, np.array([]), practical_schedule(20), keys=key_row(0, 1)
+                f, np.zeros(4), 0.0, 1e-3, np.array([]), 1, practical_schedule(20),
+                keys=key_row(0, 1)[None, :],
             )
 
     def test_rejects_float_members(self):
@@ -241,8 +339,18 @@ class TestLocateInGroup:
         f = linear(5, {1: 1.0})
         with pytest.raises(ValueError, match="integers"):
             locate_in_group(
-                f, np.zeros(5), 0.0, 1e-3, [1.0, 2.5, 3.9, 4.0, 5.0], practical_schedule(20),
-                keys=key_row(0, 5),
+                f, np.zeros(5), 0.0, 1e-3, [1.0, 2.5, 3.9, 4.0, 5.0], 5, practical_schedule(20),
+                keys=key_row(0, 5)[None, :],
+            )
+
+    def test_rejects_keys_too_narrow_for_the_schedule(self):
+        # Groups of 4 need 4 key columns; with 3, group 1's first cut would
+        # read the first key of group 2's row.
+        f = linear(8, {1: 1.0})
+        with pytest.raises(ValueError, match="keys of shape"):
+            locate_in_group(
+                f, np.zeros(8), 0.0, 1e-3, np.arange(1, 9), 4, explicit_schedule([2]),
+                keys=RngStream(0).gen.random((2, 3)),
             )
 
     @settings(max_examples=100, deadline=None)
@@ -257,31 +365,30 @@ class TestLocateInGroup:
     )
     def test_members_never_exceed_the_key_bound(self, n, schedule, signals, seed):
         # b_1 = n and b_{t+1} = ceil(b_t / min(max(D_t, 2), b_t)) while b_t > 2;
-        # iteration t gets the b_t key columns after the first b_1 + ... + b_{t-1}
-        # and at most b_t members.
+        # iteration t reads the key columns after the first b_1 + ... + b_{t-1},
+        # one per live member, and at most b_t members are live.
         bounds = [n]
         while bounds[-1] > 2:
             bound = bounds[-1]
             bounds.append(-(-bound // min(max(schedule.value(len(bounds)), 2), bound)))
         seen = []
 
-        def recording(f, x, f_x, epsilon, members, divisor, keys):
-            seen.append((len(members), keys))
-            return shrink_step(f, x, f_x, epsilon, members, divisor, keys)
+        def recording(f, x, f_x, epsilon, members, divisor, keys, sizes, offsets):
+            seen.append((sizes, offsets))
+            return shrink_step(f, x, f_x, epsilon, members, divisor, keys, sizes, offsets)
 
         coeffs = {(j - 1) % n + 1: 2.0**k for k, j in enumerate(signals)}
         row = key_row(seed, sum(bounds[:-1]))
         with mock.patch.object(estimator, "shrink_step", recording):
             survivors = locate_in_group(
-                linear(n, coeffs), np.zeros(n), 0.0, 1e-3, np.arange(1, n + 1), schedule,
-                keys=row,
+                linear(n, coeffs), np.zeros(n), 0.0, 1e-3, np.arange(1, n + 1), n, schedule,
+                keys=row[None, :],
             )
         assert len(seen) <= len(bounds) - 1
-        for t, (size, keys) in enumerate(seen):
-            assert size <= bounds[t]
-            offset = sum(bounds[:t])
-            np.testing.assert_array_equal(keys, row[offset : offset + bounds[t]])
-        assert survivors.size <= bounds[len(seen)]
+        for t, (sizes, offsets) in enumerate(seen):
+            assert len(sizes) == 1 and sizes[0] <= bounds[t]
+            assert offsets == [sum(bounds[:t])]
+        assert len(survivors) <= bounds[len(seen)]
 
 
 class TestGraceEstimate:
@@ -308,8 +415,8 @@ class TestGraceEstimate:
 
     def test_groups_draw_independently(self):
         # Each group's survivors come from its own key row alone: locate_in_group
-        # run alone on that row gives them back, and a group whose probes all
-        # read flat changes no other group's members, keys or survivors.
+        # run on that group and row alone gives them back, and a group whose
+        # probes all read flat changes no other group's members, keys or survivors.
         inst = make_planted_linear(256, 4, RngStream(11))
         cfg = GraceConfig.defaults(256, 4, epsilon=1e-3)
         base = inst.objective(inst.x1)
@@ -317,41 +424,45 @@ class TestGraceEstimate:
         def groups_of(f):
             calls = []
 
-            def recording(f, x, f_x, epsilon, members, schedule, *, keys):
-                survivors = locate_in_group(f, x, f_x, epsilon, members, schedule, keys=keys)
-                calls.append((members.tolist(), keys, survivors.tolist()))
+            def recording(f, x, f_x, epsilon, dims, n, schedule, *, keys):
+                survivors = locate_in_group(f, x, f_x, epsilon, dims, n, schedule, keys=keys)
+                calls.append((dims, keys, set(survivors)))
                 return survivors
 
             with mock.patch.object(estimator, "locate_in_group", recording):
                 grace_estimate(f, inst.x1, cfg, RngStream(3))
-            return calls
+            ((dims, keys, survivors),) = calls
+            starts = range(0, dims.size, cfg.n)
+            groups = [dims[start : start + cfg.n].tolist() for start in starts]
+            return [(members, row, survivors & set(members)) for members, row in zip(groups, keys)]
 
-        calls = groups_of(inst.objective)
-        for members, keys, survivors in calls:
+        groups = groups_of(inst.objective)
+        assert [len(members) for members, _, _ in groups] == [44] * 5 + [36]
+        for members, row, survivors in groups:
             alone = locate_in_group(
-                inst.objective, inst.x1, base, cfg.epsilon, np.array(members), cfg.schedule,
-                keys=keys,
+                inst.objective, inst.x1.copy(), base, cfg.epsilon, np.array(members), len(members),
+                cfg.schedule, keys=row[None, :],
             )
-            assert alone.tolist() == survivors
+            assert set(alone) == survivors
         # The first group that locates a planted coordinate goes flat; later
         # groups would read shifted draws if the groups shared one stream.
         support = set(inst.metadata["coeffs"])
-        flat = next(g for g, (_, _, found) in enumerate(calls) if support & set(found))
-        assert flat < len(calls) - 1
-        blanked = set(calls[flat][0])
+        flat = next(g for g, (_, _, found) in enumerate(groups) if support & found)
+        assert flat < len(groups) - 1
+        blanked = set(groups[flat][0])
 
         def blank(x):
             moved = np.flatnonzero(x != inst.x1) + 1
             return base if blanked.intersection(moved.tolist()) else inst.objective(x)
 
         again = groups_of(BlackBoxFunction(256, blank))
-        assert len(again) == len(calls)
-        for g, ((members, keys, survivors), (members2, keys2, survivors2)) in enumerate(
-            zip(calls, again)
+        assert len(again) == len(groups)
+        for g, ((members, row, survivors), (members2, row2, survivors2)) in enumerate(
+            zip(groups, again)
         ):
             assert members2 == members
-            np.testing.assert_array_equal(keys2, keys)
-            assert survivors2 == ([] if g == flat else survivors)
+            np.testing.assert_array_equal(row2, row)
+            assert survivors2 == (set() if g == flat else survivors)
 
     def test_zero_function_recovers_nothing(self):
         f = BlackBoxFunction(12, lambda x: 0.0)
@@ -627,6 +738,76 @@ class TestBatchedProbes:
         assert est.entries == plain.entries and est.queries_used == plain.queries_used
 
 
+class TestProbePoint:
+    """f sees one private copy of x, moved only where a probe moves it."""
+
+    @pytest.mark.parametrize("hook", [False, True])
+    def test_callers_x_is_never_written(self, hook):
+        inst = make_distance(64, 4, RngStream(1))
+        cfg = GraceConfig.defaults(64, 4)
+        x = inst.x1 + 0.01
+        x.setflags(write=False)
+        before = x.copy()
+        f = hooked(inst.objective) if hook else unhooked(inst.objective)
+        est = grace_estimate(f, x, cfg, RngStream(2))
+        np.testing.assert_array_equal(x, before)
+        plain = grace_estimate(unhooked(inst.objective), before, cfg, RngStream(2))
+        assert est.entries == plain.entries and est.queries_used == plain.queries_used
+
+    def test_points_differ_from_x_only_where_probed(self):
+        # The base query sees x itself.  A shrink iteration's two probes of a
+        # group move the same coordinates, all of them live members of that
+        # group; a forward difference moves its candidate alone.
+        inst = make_planted_linear(96, 4, RngStream(5))
+        x = np.linspace(0.5, 1.5, 96)
+        cfg = replace(
+            GraceConfig.defaults(96, 4, epsilon=1e-3), m=2, schedule=explicit_schedule([3])
+        )
+        moved, repeats, measured = [], [], []
+
+        def evaluate(point):
+            assert point is not x
+            moved.append(frozenset((np.flatnonzero(point != x) + 1).tolist()))
+            return inst.objective(point)
+
+        def grouping(d, n, omega):
+            dims = partition_groups(d, n, omega)
+            repeats.append([set(dims[start : start + n].tolist()) for start in range(0, d, n)])
+            return dims
+
+        def differences(f, x, f_x, indices, epsilon):
+            measured.extend(indices)
+            return finite_difference(f, x, f_x, indices, epsilon)
+
+        with mock.patch.object(estimator, "partition_groups", grouping), mock.patch.object(
+            estimator, "finite_difference", differences
+        ):
+            est = grace_estimate(BlackBoxFunction(96, evaluate), x, cfg, RngStream(6))
+        assert len(moved) == est.queries_used and moved[0] == frozenset()
+        shrink, fd = moved[1 : len(moved) - len(measured)], moved[len(moved) - len(measured) :]
+        assert fd == [frozenset([j]) for j in measured]
+        groups = [group for groups in repeats for group in groups]
+        for v, u in zip(shrink[::2], shrink[1::2]):
+            assert v == u and len(v) >= 3
+            assert sum(v <= group for group in groups) == 1
+
+    def test_eval_receives_the_same_buffer_back_restored(self):
+        # Without a hook the probes share one buffer, which is x again
+        # between two runs' probes.
+        f = linear(40, {3: 1.0, 17: 2.0, 33: -1.0})
+        x = np.arange(40.0)
+        buffers = []
+
+        def evaluate(point):
+            buffers.append(point)
+            return f.eval(point)
+
+        cfg = GraceConfig(epsilon=1e-3, n=10)
+        grace_estimate(BlackBoxFunction(40, evaluate), x, cfg, RngStream(1))
+        assert len({id(buffer) for buffer in buffers}) == 1
+        np.testing.assert_array_equal(buffers[0], x)
+
+
 class TestSparseGradient:
     def test_value_defaults_to_zero(self):
         g = SparseGradient(6, {2: 1.5}, queries_used=4)
@@ -645,20 +826,33 @@ class TestSparseGradient:
 class TestFiniteDifference:
     def test_exact_on_linear(self):
         f = linear(5, {3: 2.5})
-        assert finite_difference(f, np.zeros(5), 0.0, 3, 1e-4) == pytest.approx(2.5)
+        assert finite_difference(f, np.zeros(5), 0.0, [3], 1e-4) == [pytest.approx(2.5)]
 
     def test_uses_shared_base_value(self):
         # The base value is trusted as given, not re-queried.
         counted, ledger = with_ledger(make_sparse_linear(5, {3: 2.5}).objective)
-        finite_difference(counted, np.zeros(5), 0.0, 3, 1e-4)
+        finite_difference(counted, np.zeros(5), 0.0, [3], 1e-4)
         assert ledger.count == 1
 
     def test_rejects_bad_arguments(self):
         f = linear(5, {3: 2.5})
         with pytest.raises(ValueError):
-            finite_difference(f, np.zeros(5), 0.0, 0, 1e-4)
+            finite_difference(f, np.zeros(5), 0.0, [0], 1e-4)
         with pytest.raises(ValueError):
-            finite_difference(f, np.zeros(5), 0.0, 6, 1e-4)
+            finite_difference(f, np.zeros(5), 0.0, [2, 6], 1e-4)
+        with pytest.raises(ValueError, match="integers"):
+            finite_difference(f, np.zeros(5), 0.0, [2.5], 1e-4)
         for epsilon in (0.0, math.inf, math.nan):
             with pytest.raises(ValueError):
-                finite_difference(f, np.zeros(5), 0.0, 3, epsilon)
+                finite_difference(f, np.zeros(5), 0.0, [3], epsilon)
+
+    @pytest.mark.parametrize("hook", [False, True])
+    def test_one_query_per_dimension_in_order(self, hook):
+        f = linear(6, {2: 1.5, 5: -2.0})
+        counted, ledger = with_ledger(hooked(f) if hook else f)
+        x = np.zeros(6)
+        got = finite_difference(counted, x, 0.0, [5, 1, 2], 1e-3)
+        assert got == [pytest.approx(-2.0), 0.0, pytest.approx(1.5)]
+        assert ledger.count == 3
+        assert finite_difference(counted, x, 0.0, [], 1e-3) == []
+        np.testing.assert_array_equal(x, np.zeros(6))

@@ -20,6 +20,7 @@ from zosparse.blackbox import (
     make_magnitude,
     make_planted_linear,
 )
+from zosparse import harness
 from zosparse.cli import main
 from zosparse.harness import (
     METHOD_KEYS,
@@ -312,6 +313,41 @@ class TestRunExperiment:
         parallel = run_experiment(spec, output_dir=tmp_path / "parallel", jobs=2)
         assert serial.trace_path.read_bytes() == parallel.trace_path.read_bytes()
         assert serial.summary_path.read_bytes() == parallel.summary_path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "jobs, cells, workers", [(64, 3, [3]), (2, 3, [2]), (64, 1, []), (1, 3, [])]
+    )
+    def test_pool_has_at_most_one_worker_per_cell(
+        self, jobs, cells, workers, tmp_path, monkeypatch
+    ):
+        # A stand-in pool notes the worker count it is asked for and runs the
+        # cells in this process, so that no worker process starts.
+        asked = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+        spec = small_spec(
+            methods=[MethodSpec("grace", "grace", {})],
+            instance_seeds=[1],
+            eta_grid=[0.2, 0.1, 0.05][:cells],
+        )
+        result = run_experiment(spec, output_dir=tmp_path / "pool", jobs=jobs)
+        assert asked == workers
+        serial = run_experiment(spec, output_dir=tmp_path / "serial", jobs=1)
+        assert result.num_runs == cells
+        assert result.trace_path.read_bytes() == serial.trace_path.read_bytes()
 
     def test_failing_runs_become_failed_rows(self, tmp_path):
         spec = small_spec(family_params={"d": 4, "s": 9})  # s > d fails in-instance

@@ -30,6 +30,13 @@ def _reference_groups(d, n, omega):
     return [np.flatnonzero(labels == k) + 1 for k in range(1, -(-d // n) + 1)]
 
 
+def _groups(d, n, omega):
+    """partition_groups' flat result cut into its groups of n."""
+    dims = partition_groups(d, n, omega)
+    assert dims.shape == (d,)
+    return [dims[start : start + n] for start in range(0, d, n)]
+
+
 def _keys(seed, width):
     """A 1-d sign key row for dependent_partition."""
     return RngStream(seed).gen.random(width)
@@ -143,26 +150,26 @@ class TestPartitionGroups:
     def test_groups_partition_the_dimensions(self):
         rng = RngStream(3)
         omega = random_permutation(20, rng)
-        groups = partition_groups(20, 6, omega)
+        groups = _groups(20, 6, omega)
         combined = np.concatenate(groups)
         assert sorted(combined.tolist()) == list(range(1, 21))
 
     def test_group_count_and_sizes(self):
         omega = np.arange(1, 21)
-        groups = partition_groups(20, 6, omega)
+        groups = _groups(20, 6, omega)
         assert len(groups) == 4  # ceil(20 / 6)
         assert [len(g) for g in groups] == [6, 6, 6, 2]
 
     def test_identity_permutation_gives_contiguous_groups(self):
         omega = np.arange(1, 9)
-        groups = partition_groups(8, 3, omega)
+        groups = _groups(8, 3, omega)
         assert groups[0].tolist() == [1, 2, 3]
         assert groups[1].tolist() == [4, 5, 6]
         assert groups[2].tolist() == [7, 8]
 
     def test_n_equals_d_single_group(self):
         omega = random_permutation(7, RngStream(0))
-        groups = partition_groups(7, 7, omega)
+        groups = _groups(7, 7, omega)
         assert len(groups) == 1
         assert sorted(groups[0].tolist()) == list(range(1, 8))
 
@@ -196,7 +203,7 @@ class TestPartitionGroups:
             omegas += [random_permutation(d, RngStream(seed, path=(d,))) for seed in range(3)]
             for n in sorted(sizes):
                 for omega in omegas:
-                    got = partition_groups(d, n, omega)
+                    got = _groups(d, n, omega)
                     want = _reference_groups(d, n, omega)
                     assert len(got) == len(want)
                     for g, w in zip(got, want):
@@ -214,7 +221,7 @@ class TestPartitionGroups:
     def test_partition_properties(self, d, seed, data):
         n = data.draw(st.integers(min_value=1, max_value=d))
         omega = random_permutation(d, RngStream(seed))
-        groups = partition_groups(d, n, omega)
+        groups = _groups(d, n, omega)
         assert len(groups) == -(-d // n)
         sizes = [len(g) for g in groups]
         assert all(size == n for size in sizes[:-1])
@@ -228,17 +235,17 @@ class TestDependentPartition:
         members = np.arange(1, 13)
         part = dependent_partition(members, 4, _keys(5, 12))
         assert isinstance(part, DependentPartition)
-        assert part.block_size == 3
-        assert part.num_blocks == 4
+        assert part.block_size == [3]
+        assert part.labels.max() == 4
         assert sorted(part.labels.tolist()) == [1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4]
 
     def test_ragged_final_block(self):
         members = np.arange(1, 11)
         part = dependent_partition(members, 4, _keys(5, 10))
-        assert part.block_size == 3  # ceil(10 / 4)
+        assert part.block_size == [3]  # ceil(10 / 4)
         counts = np.bincount(part.labels, minlength=5)[1:]
         assert counts.tolist() == [3, 3, 3, 1]
-        assert part.num_blocks == 4
+        assert part.labels.max() == 4
 
     def test_signs_are_unit(self):
         part = dependent_partition(np.arange(1, 31), 5, _keys(1, 30))
@@ -248,7 +255,7 @@ class TestDependentPartition:
     def test_divisor_larger_than_size(self):
         # Callers cap the divisor at the member count; block size 1 results.
         part = dependent_partition(np.array([3, 7, 9]), 3, _keys(0, 3))
-        assert part.block_size == 1
+        assert part.block_size == [1]
         assert sorted(part.labels.tolist()) == [1, 2, 3]
 
     def test_members_preserved_in_order(self):
@@ -271,9 +278,11 @@ class TestDependentPartition:
             with pytest.raises(ValueError, match="empty index set"):
                 dependent_partition(members, 2, _keys(0, 12))
 
-    def test_rejects_repeated_or_nonpositive_members(self):
-        for members in ([1, 1, 2], [0, 1], [3, 3], [1.2, 2.7, 3.0], [1.0, 2.0]):
-            with pytest.raises(ValueError, match="distinct indices >= 1"):
+    def test_rejects_nonpositive_or_float_members(self):
+        # Repeats are not looked for: the estimator's runs are slices of one
+        # permutation, which partition_groups checks once per repeat.
+        for members in ([0, 1], [2, -1, 3], [1.2, 2.7, 3.0], [1.0, 2.0]):
+            with pytest.raises(ValueError, match="indices >= 1"):
                 dependent_partition(np.array(members), 2, _keys(0, 3))
 
     def test_rejects_short_keys(self):
@@ -285,6 +294,42 @@ class TestDependentPartition:
         part = dependent_partition(members, 3, _keys(4, 7))
         np.testing.assert_array_equal(part.indices, members)
         assert part.labels.tolist() == [1, 1, 1, 2, 2, 2, 3]
+
+    def test_runs_are_cut_as_they_would_be_alone(self):
+        # Several runs in one call: each reads its keys from its own offset and
+        # gets the labels and signs it gets alone.
+        sizes, offsets = [5, 2, 9, 4], [30, 0, 11, 40]
+        members = random_permutation(20, RngStream(8))
+        keys = _keys(8, 44)
+        part = dependent_partition(members, 3, keys, sizes, offsets)
+        np.testing.assert_array_equal(part.indices, members)
+        assert part.sizes == sizes and part.block_size == [2, 1, 3, 2]
+        start = 0
+        for size, offset, block in zip(sizes, offsets, part.block_size):
+            alone = dependent_partition(members[start : start + size], 3, keys[offset:])
+            assert alone.block_size == [block]
+            np.testing.assert_array_equal(part.labels[start : start + size], alone.labels)
+            np.testing.assert_array_equal(part.signs[start : start + size], alone.signs)
+            start += size
+
+    def test_rejects_runs_that_do_not_fit(self):
+        members = np.arange(1, 7)
+        bad = [
+            ([3, 2], None),  # sizes sum to 5, not 6
+            ([3, 3, 0], None),  # an empty run
+            ([3, 3], [0]),  # one key offset for two runs
+            ([3, 3], [-1, 3]),  # a negative offset
+            ([3, 3], [0, 5]),  # the second run reads past the 7 keys
+        ]
+        for sizes, offsets in bad:
+            with pytest.raises(ValueError):
+                dependent_partition(members, 2, _keys(0, 7), sizes, offsets)
+
+    def test_signs_match_the_plain_threshold(self):
+        # The signs are np.where(key < 1/2, 1, -1), exactly, at 1/2 too.
+        keys = np.concatenate((_keys(9, 5000), [0.5, np.nextafter(0.5, 0.0), 0.0]))
+        part = dependent_partition(np.arange(1, keys.size + 1), 2, keys)
+        np.testing.assert_array_equal(part.signs, np.where(keys < 0.5, 1, -1))
 
     def test_chi_square_uniform_label_patterns(self):
         # Size 4, divisor 2: two blocks of two, so 4!/(2! 2!) = 6 label patterns;
@@ -317,7 +362,7 @@ class TestDependentPartition:
         members = np.arange(1, size + 1)
         part = dependent_partition(members, divisor, _keys(seed, size))
         expected_block = -(-size // divisor)
-        assert part.block_size == expected_block
+        assert part.block_size == [expected_block]
         labels = part.labels
         assert labels.min() >= 1
         assert labels.max() == -(-size // expected_block)
@@ -332,12 +377,20 @@ class TestEstimateDraws:
 
     @staticmethod
     def _partitions(f, cfg, seed, estimates):
-        """Per estimate, every partition it cut, in call order."""
+        """Per estimate, every run's partition it cut, run by run in call order."""
         seen = []
 
-        def recording(members, divisor, keys):
-            part = dependent_partition(members, divisor, keys)
-            seen[-1].append(part)
+        def recording(members, divisor, keys, sizes, offsets):
+            part = dependent_partition(members, divisor, keys, sizes, offsets)
+            start = 0
+            for size, block in zip(part.sizes, part.block_size):
+                run = slice(start, start + size)
+                seen[-1].append(
+                    DependentPartition(
+                        part.indices[run], [size], [block], part.labels[run], part.signs[run]
+                    )
+                )
+                start += size
             return part
 
         rng = RngStream(seed)
@@ -370,7 +423,7 @@ class TestEstimateDraws:
         cfg = GraceConfig(epsilon=1e-3, n=8, schedule=explicit_schedule([2, 2]))
         given = defaultdict(Counter)
         for first, second in self._partitions(f, cfg, 33, 4200):
-            assert 1 in second.indices and first.block_size == 4 and second.block_size == 2
+            assert 1 in second.indices and first.block_size == [4] and second.block_size == [2]
             given[_pattern(first)][_pattern(second)] += 1
         assert len(given) == 70
         total = sum(_chi_square_uniform(counts, 6) for counts in given.values())
