@@ -25,6 +25,7 @@ iteration; the results are the same.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import numbers
@@ -168,12 +169,15 @@ def _read_label(f_x: float, f_v: float, f_u: float, num_blocks: int) -> tuple[in
     return label, 1 <= label <= num_blocks
 
 
-def _probe(f: BlackBoxFunction, x, positions, moved, bounds, values) -> list[list[float]]:
+def _probe(f: BlackBoxFunction, x, positions, moved, bounds, values, sizes) -> list[list[float]]:
     """Per row of values, f at x with positions[lo:hi] set to row[lo:hi], per run [lo, hi).
 
-    Without a hook, x itself is moved and restored from ``moved``, which is
+    Run i spans bounds[i]:bounds[i + 1] and holds sizes[i] members.  Without
+    a hook, x itself is moved and restored from ``moved``, which is
     x[positions], also when f raises.  With one, probe k of run i is row
-    k * runs + i of matrices of at most max(1, BATCH_FLOATS // d) rows.
+    k * runs + i, and the rows go out in order, at most max(1, BATCH_FLOATS
+    // d) a call: each call's matrix is x broadcast, with each probe's
+    members scattered in by one fancy assignment per row of values.
     """
     if f.batch is None:
         evaluate, out = f.eval, [[] for _ in values]
@@ -188,16 +192,18 @@ def _probe(f: BlackBoxFunction, x, positions, moved, bounds, values) -> list[lis
             finally:
                 x[at] = moved[run]
         return out
-    count = len(values) * (len(bounds) - 1)
-    rows = np.arange(count).repeat(np.tile(np.diff(bounds), len(values)))
-    columns, moves = np.tile(positions, len(values)), np.concatenate(values)
-    per_call = max(1, BATCH_FLOATS // x.size)
+    runs, d = len(sizes), x.size
+    count, per_call = len(values) * runs, max(1, BATCH_FLOATS // d)
+    run_of = np.arange(runs).repeat(sizes)
     out = np.empty(count)
     for start in range(0, count, per_call):
         stop = min(start + per_call, count)
-        lo, hi = np.searchsorted(rows, (start, stop))
-        probes = np.tile(x, (stop - start, 1))
-        probes[rows[lo:hi] - start, columns[lo:hi]] = moves[lo:hi]
+        probes = np.empty((stop - start, d))
+        probes[:] = x
+        # Rows start..stop - 1: per probe k among them, the runs i whose row k * runs + i is here.
+        for k in range(start // runs, -(-stop // runs)):
+            lo, hi = bounds[max(start - k * runs, 0)], bounds[min(stop - k * runs, runs)]
+            probes[run_of[lo:hi] + (k * runs - start), positions[lo:hi]] = values[k][lo:hi]
         got = np.asarray(f.batch(probes), dtype=float)
         if got.shape != (stop - start,):
             raise ValueError(f"batch returned shape {got.shape} for {stop - start} points")
@@ -229,40 +235,47 @@ def shrink_step(
     sizes = [len(members)] if sizes is None else list(sizes)
     if min(sizes) < 2:
         raise ValueError("shrink_step needs at least 2 members in every run")
-    labels, kept, ends = [], [], [0, *itertools.accumulate(sizes)]
+    labels, kept, ends, first = [], [], [0, *itertools.accumulate(sizes)], 0
     offsets = ends[:-1] if offsets is None else offsets
-    per_pass = max(1, CHUNK // max(sizes))  # whole runs, at most CHUNK members or one run
-    for first in range(0, len(sizes), per_pass):
-        last = min(first + per_pass, len(sizes))
+    while first < len(sizes):
+        # Whole runs of at most CHUNK members, or one longer run: mostly a single pass.
+        last = max(bisect.bisect_right(ends, ends[first] + CHUNK, first + 1) - 1, first + 1)
+        bounds = [end - ends[first] for end in ends[first : last + 1]]
         runs = sizes[first:last], offsets[first:last]
         part = dependent_partition(members[ends[first] : ends[last]], divisor, keys, *runs)
         positions, step = part.indices - 1, epsilon * part.signs
         moved = x[positions]
-        bounds = [0, *itertools.accumulate(part.sizes)]
         values = (moved + step * part.labels, moved + step)
-        f_v, f_u = _probe(f, x, positions, moved, bounds, values)
+        f_v, f_u = _probe(f, x, positions, moved, bounds, values, part.sizes)
         for start, size, block, v, u in zip(bounds, part.sizes, part.block_size, f_v, f_u):
             label, locates = _read_label(f_x, v, u, -(-size // block))
             # The kept block starts (label - 1) blocks into its run; else it is empty.
             begin = start + (label - 1) * block if locates else start + size
             kept.append(part.indices[begin : min(begin + block, start + size)])
             labels.append(label)
+        first = last
     return ShrinkOutcome(kept, labels, sum(block.size == 0 for block in kept))
 
 
-def _key_spans(size: int, schedule: DivisionSchedule) -> tuple[list[int], list[int]]:
+def _key_spans(
+    size: int, schedule: DivisionSchedule, ragged: int = 0
+) -> tuple[list[int], list[int], list[int]]:
     """Each shrink iteration's divisor max(D_t, 2), and where its key columns start.
 
     Iteration t owns b_t columns: b_1 = size and, while b_t > 2,
     b_{t+1} = ceil(b_t / min(max(D_t, 2), b_t)), so at most b_t members
-    reach iteration t.  The starts end with the total.
+    reach iteration t.  The starts end with the total; so do ``last``, those
+    of a group of ``ragged`` <= size members, which ends no later.
     """
-    steps, starts, bound = [], [0], size
+    steps, starts, last, bound = [], [0], [0], size
     while bound > 2:
         steps.append(max(schedule.value(len(steps) + 1), 2))
         starts.append(starts[-1] + bound)
         bound = -(-bound // min(steps[-1], bound))
-    return steps, starts
+        if ragged > 2:
+            last.append(last[-1] + ragged)
+            ragged = -(-ragged // min(steps[-1], ragged))
+    return steps, starts, last
 
 
 def locate_in_group(
@@ -291,11 +304,11 @@ def locate_in_group(
         return live.tolist()
     groups = -(-live.size // n)
     ragged = live.size - (groups - 1) * n
-    steps, starts = _key_spans(n, schedule)
+    steps, starts, last = _key_spans(n, schedule, ragged)
     if np.ndim(keys) != 2 or keys.shape[0] != groups or keys.shape[1] < starts[-1]:
         raise ValueError(f"need keys of shape ({groups}, >= {starts[-1]}), got {np.shape(keys)}")
     # Each group's first key column per iteration; the ragged last group owns fewer.
-    columns = [starts] * (groups - 1) + [_key_spans(ragged, schedule)[1]]
+    columns = [starts] * (groups - 1) + [last]
     width, flat = keys.shape[1], keys.ravel()
     sizes, group, found, iteration = [n] * (groups - 1) + [ragged], list(range(groups)), [], 0
     if ragged <= 2:
@@ -304,10 +317,15 @@ def locate_in_group(
         offsets = [g * width + columns[g][iteration] for g in group]
         kept = shrink_step(f, x, f_x, epsilon, live, steps[iteration], flat, sizes, offsets).kept
         # Runs of at most two members are done; the others stay live.
-        found += [j for block in kept if block.size <= 2 for j in block.tolist()]
-        group = [g for block, g in zip(kept, group) if block.size > 2]
-        runs = [block for block in kept if block.size > 2]
-        sizes, live = [block.size for block in runs], np.concatenate([live[:0], *runs])
+        runs, alive, sizes = [], [], []
+        for g, block in zip(group, kept):
+            if block.size > 2:
+                runs.append(block)
+                alive.append(g)
+                sizes.append(block.size)
+            else:
+                found += block.tolist()
+        group, live = alive, runs[0] if len(runs) == 1 else np.concatenate([live[:0], *runs])
         iteration += 1
     return found
 
@@ -371,5 +389,6 @@ def finite_difference(
         raise ValueError(f"need a finite epsilon > 0, got {epsilon}")
     # Python numbers: every run holds one member, written by a scalar store.
     moved = x[positions].tolist()
-    (probed,) = _probe(f, x, listed, moved, range(len(listed) + 1), ([m + epsilon for m in moved],))
+    bounds, values = range(len(listed) + 1), ([m + epsilon for m in moved],)
+    (probed,) = _probe(f, x, listed, moved, bounds, values, [1] * len(listed))
     return [(value - f_x) / epsilon for value in probed]

@@ -737,6 +737,51 @@ class TestBatchedProbes:
         assert sum(calls) == est.queries_used - 1  # all but the base value
         assert est.entries == plain.entries and est.queries_used == plain.queries_used
 
+    @pytest.mark.parametrize("per_call", [None, 3, 1])
+    def test_rows_are_x_with_one_runs_probe_in_k_runs_plus_i_order(self, per_call):
+        # Probe k of run i is row k * runs + i: x everywhere but at run i's
+        # members, which hold probe k's values (v = x + eps * sign * label,
+        # u = x + eps * sign).  Past BATCH_FLOATS the same rows come in
+        # order over several calls, some of them cut between the v and u rows.
+        sizes, offsets, divisor, epsilon = [4, 7, 3, 9, 5], [0, 9, 20, 30, 45], 3, 1e-3
+        d = sum(sizes) + 6
+        x = np.linspace(-1.0, 2.0, d)
+        members, keys = shuffled(d, 7)[: sum(sizes)], key_row(7, 60)
+        matrices = []
+
+        def batch(rows):
+            matrices.append(rows.copy())
+            return rows @ np.arange(1.0, d + 1)
+
+        f = BlackBoxFunction(d, lambda point: float(point @ np.arange(1.0, d + 1)), batch)
+        bound = estimator.BATCH_FLOATS if per_call is None else per_call * d
+        with mock.patch.object(estimator, "BATCH_FLOATS", bound):
+            shrink_step(f, x.copy(), 0.0, epsilon, members, divisor, keys, sizes, offsets)
+        part = dependent_partition(members, divisor, keys, sizes, offsets)
+        positions, step = part.indices - 1, epsilon * part.signs
+        values = (x[positions] + step * part.labels, x[positions] + step)
+        expected = np.tile(x, (2 * len(sizes), 1))
+        starts = list(itertools.accumulate(sizes, initial=0))
+        for k, row in enumerate(values):
+            for i, (lo, hi) in enumerate(zip(starts, starts[1:])):
+                expected[k * len(sizes) + i, positions[lo:hi]] = row[lo:hi]
+        assert len(matrices) == (1 if per_call is None else -(-2 * len(sizes) // per_call))
+        assert all(len(rows) <= (per_call or 2 * len(sizes)) for rows in matrices)
+        np.testing.assert_array_equal(np.concatenate(matrices), expected)
+
+    def test_no_hook_call_without_rows(self):
+        # A raw hooked objective, with no ledger in front, never gets an empty matrix.
+        def batch(rows):
+            if len(rows) == 0:
+                raise AssertionError("batch called with zero rows")
+            return np.full(len(rows), 7.0)
+
+        f = BlackBoxFunction(12, lambda point: 7.0, batch)
+        assert finite_difference(f, np.zeros(12), 7.0, [], 1e-3) == []
+        # A constant f leaves every group without signal, so no candidate survives.
+        est = grace_estimate(f, np.zeros(12), GraceConfig(epsilon=1e-3, n=5, m=2), RngStream(0))
+        assert est.entries == {} and est.queries_used > 1
+
 
 class TestProbePoint:
     """f sees one private copy of x, moved only where a probe moves it."""
