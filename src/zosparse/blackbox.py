@@ -24,6 +24,7 @@ import numpy as np
 from .rng import RngStream
 
 __all__ = [
+    "BATCH_FLOATS",
     "BlackBoxFunction",
     "QueryLedger",
     "BudgetExhaustedError",
@@ -43,6 +44,21 @@ __all__ = [
 ]
 
 
+# Most floats in one matrix handed to a batch hook.  Past about 2^14
+# (128 KB), each (rows, d) temporary is a fresh large allocation, and a
+# stacked call costs more than its rows one at a time.
+BATCH_FLOATS = 2**14
+
+
+def _hook(d: int, batch):
+    """batch while 16 rows of d fit in BATCH_FLOATS (d <= 1024), else None.
+
+    At d = 2048, 8 rows a call, a hooked grace descent on distance took 1.4
+    to 1.6 times the CPU time of a plain one on a 2-core x86-64 host.
+    """
+    return batch if 16 * d <= BATCH_FLOATS else None
+
+
 @dataclass
 class BlackBoxFunction:
     """A dimension-d objective evaluable only pointwise.
@@ -50,8 +66,10 @@ class BlackBoxFunction:
     eval must not keep or write to the array it is given: the estimator
     passes one buffer, moving a few coordinates between queries.  batch,
     when set, maps a (k, d) array of points to k values, each bit-identical
-    to eval on that row.  It only saves time: the estimator sends its
-    probes through it, and an objective without it gets one point a call.
+    to eval on that row.  It only saves time: the estimator's probes and
+    the zo-signsgd and gld steps' points go through it, at most
+    BATCH_FLOATS floats a call, and an objective without it gets one point
+    a call.
     """
 
     dim: int
@@ -250,7 +268,8 @@ def make_distance(d: int, s: int, rng: RngStream) -> BenchmarkInstance:
         "center": center,
         "weights": weights,
     }
-    return BenchmarkInstance(BlackBoxFunction(d, evaluate, evaluate_rows), np.zeros(d), metadata)
+    objective = BlackBoxFunction(d, evaluate, _hook(d, evaluate_rows))
+    return BenchmarkInstance(objective, np.zeros(d), metadata)
 
 
 def make_magnitude(d: int, s: int, lam: float, w: float, rng: RngStream) -> BenchmarkInstance:
@@ -310,24 +329,35 @@ def make_attack(graph: Graph, u: int, v: int, hops: int, lam: float) -> Benchmar
     base = graph.adjacency.astype(float)
     complement = 1.0 - base
 
-    def evaluate(x):
-        x = np.asarray(x, dtype=float)
-        magnitude = np.abs(x.reshape(n, n))
+    def walks(x):
+        """The walk sum over hops of the normalized adjacency, per (n, n) matrix of x."""
+        magnitude = np.abs(x)
         perturbed = np.maximum(base * (1.0 - magnitude) + complement * magnitude, 0.0)
-        degrees = perturbed.sum(axis=1)
+        degrees = perturbed.sum(axis=-1)
         if not degrees.all():
-            dead = np.flatnonzero(degrees == 0.0)
+            dead = np.unique(np.nonzero(degrees == 0.0)[-1])
             raise DegenerateDegreeError(
                 f"perturbed adjacency has zero-degree vertices {(dead + 1).tolist()}"
             )
         scale = 1.0 / np.sqrt(degrees)
-        normalized = perturbed * (scale[:, None] * scale)
+        normalized = perturbed * (scale[..., :, None] * scale[..., None, :])
         power = normalized
-        total = power[u - 1, v - 1]
+        total = power[..., u - 1, v - 1]
         for _ in range(hops - 1):
             power = power @ normalized
-            total += power[u - 1, v - 1]
-        return float(total + lam * (x @ x))
+            total = total + power[..., u - 1, v - 1]
+        return total
+
+    def evaluate(x):
+        x = np.asarray(x, dtype=float)
+        return float(walks(x.reshape(n, n)) + lam * (x @ x))
+
+    def evaluate_rows(rows):
+        # Each row goes through evaluate's elementwise steps and the same
+        # matmul and dot kernels, stacked, so its value is bit-identical.
+        rows = np.asarray(rows, dtype=float)
+        penalty = np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]
+        return walks(rows.reshape(-1, n, n)) + lam * penalty
 
     metadata = {
         "family": "attack",
@@ -338,7 +368,8 @@ def make_attack(graph: Graph, u: int, v: int, hops: int, lam: float) -> Benchmar
         "hops": hops,
         "lam": lam,
     }
-    return BenchmarkInstance(BlackBoxFunction(n * n, evaluate), np.zeros(n * n), metadata)
+    objective = BlackBoxFunction(n * n, evaluate, _hook(n * n, evaluate_rows))
+    return BenchmarkInstance(objective, np.zeros(n * n), metadata)
 
 
 def make_planted_linear(d: int, s: int, rng: RngStream) -> BenchmarkInstance:

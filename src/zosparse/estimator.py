@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # By name, so a tracer that replaces blackbox.with_ledger leaves this count alone.
-from .blackbox import BlackBoxFunction, BudgetExhaustedError, with_ledger
+from .blackbox import BATCH_FLOATS, BlackBoxFunction, BudgetExhaustedError, with_ledger
 from .rng import (
     RngStream,
     as_indices,
@@ -58,9 +58,6 @@ __all__ = [
 # Below this, the unscaled probe difference carries no usable signal and
 # the ratio is declared degenerate rather than divided out.
 DENOMINATOR_TOLERANCE = 1e-12
-
-# Most floats in one probe matrix handed to an objective's batch hook.
-BATCH_FLOATS = 2**20
 
 # Most live members one shrink pass labels and probes at once, unless one run is longer.
 CHUNK = 2**16

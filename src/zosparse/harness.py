@@ -227,7 +227,11 @@ class ExperimentResult:
 
 
 def _infinite_on_degenerate(f: BlackBoxFunction) -> BlackBoxFunction:
-    """Degenerate degrees read as +inf, preserving minimization semantics."""
+    """Degenerate degrees read as +inf, preserving minimization semantics.
+
+    A batch that holds a degenerate row is evaluated again row by row, so
+    only those rows read +inf.
+    """
 
     def evaluate(x):
         try:
@@ -235,7 +239,13 @@ def _infinite_on_degenerate(f: BlackBoxFunction) -> BlackBoxFunction:
         except DegenerateDegreeError:
             return math.inf
 
-    return BlackBoxFunction(f.dim, evaluate)
+    def evaluate_rows(rows):
+        try:
+            return f.batch(rows)
+        except DegenerateDegreeError:
+            return np.array([evaluate(row) for row in rows])
+
+    return BlackBoxFunction(f.dim, evaluate, evaluate_rows if f.batch is not None else None)
 
 
 def _optimizer_config(method: MethodSpec, eta: float, spec: ExperimentSpec) -> OptimizerConfig:

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blackbox import BlackBoxFunction, BudgetExhaustedError, with_ledger
+from .blackbox import BATCH_FLOATS, BlackBoxFunction, BudgetExhaustedError, with_ledger
 from .estimator import GraceConfig, grace_estimate
-from .rng import RngStream
+from .rng import RngStream, StepStreams
 
 __all__ = [
     "METHODS",
@@ -133,6 +133,15 @@ def estimate_rs(
     return ((f(x + mu * direction) - f_x) / mu) * direction
 
 
+def _values(f: BlackBoxFunction, points: np.ndarray) -> np.ndarray:
+    """f at each row of points: through f.batch if set, BATCH_FLOATS a call, else row by row."""
+    if f.batch is None:
+        return np.array([f.eval(point) for point in points])
+    per_call = max(1, BATCH_FLOATS // f.dim)
+    calls = range(0, len(points), per_call)
+    return np.concatenate([np.asarray(f.batch(points[i : i + per_call]), float) for i in calls])
+
+
 def step_zo_signsgd(
     f: BlackBoxFunction,
     x: np.ndarray,
@@ -144,14 +153,19 @@ def step_zo_signsgd(
 ) -> np.ndarray:
     """Average several smoothing estimates and move by the sign pattern.
 
-    sign(0) = 0, so coordinates with a perfectly balanced estimate stay
-    put.  Queries: directions per call.
+    The directions are estimate_rs's, drawn as one (directions, d) block and
+    queried in one call.  sign(0) = 0, so coordinates with a perfectly
+    balanced estimate stay put.  Queries: directions per call.
     """
     if directions < 1:
         raise ValueError(f"need directions >= 1, got {directions}")
+    if not mu > 0:
+        raise ValueError(f"need mu > 0, got {mu}")
+    normals = rng.gen.standard_normal((directions, f.dim))
+    scaled = ((_values(f, x + mu * normals) - f_x) / mu)[:, None] * normals
     total = np.zeros(f.dim)
-    for _ in range(directions):
-        total += estimate_rs(f, x, f_x, mu, rng)
+    for estimate in scaled:  # summed in direction order, as one at a time
+        total += estimate
     return x - eta * np.sign(total / directions)
 
 
@@ -160,17 +174,17 @@ def step_gld(
 ) -> tuple[np.ndarray, float]:
     """Gaussian local search over radii eta, eta/2, ..., eta/2^(scales-1).
 
-    Evaluates one candidate per radius and keeps the best of the
-    incumbent and the candidates (ties keep the incumbent).  Returns the
-    chosen point with its objective value so the caller need not
-    re-query it.  Queries: scales per call.
+    Evaluates one candidate per radius, all in one call, and keeps the best
+    of the incumbent and the candidates (ties keep the incumbent, then the
+    larger radius).  Returns the chosen point with its objective value so
+    the caller need not re-query it.  Queries: scales per call.
     """
     if not eta > 0:
         raise ValueError(f"need eta > 0, got {eta}")
+    radii = np.array([eta / 2**k for k in range(scales)])
+    candidates = x + radii[:, None] * rng.gen.standard_normal((scales, f.dim))
     best_x, best_value = x, f_x
-    for k in range(scales):
-        candidate = x + (eta / 2**k) * rng.gen.standard_normal(f.dim)
-        value = f(candidate)
+    for candidate, value in zip(candidates, _values(f, candidates).tolist()):
         if value < best_value:
             best_x, best_value = candidate, value
     return best_x, best_value
@@ -185,11 +199,12 @@ def run_optimizer(
 ) -> RunTrace:
     """Descend with the configured method until the budget or step limit.
 
-    grace moves x <- x - eta * g on the estimated support only.  Each
-    step derives its own rng sub-stream, so a run is reproducible from
-    (x1, configs, rng key) alone.  On budget exhaustion mid step the
-    partial step is discarded; only its already-measured f(x_t) still
-    enters the trace.
+    grace moves x <- x - eta * g on the estimated support only.  Step t
+    draws from the stream rng.derive(t), so a run is reproducible from
+    (x1, configs, rng key) alone; the streams come from one
+    :class:`~zosparse.rng.StepStreams`, whose generator is re-keyed every
+    step.  On budget exhaustion mid step the partial step is discarded;
+    only its already-measured f(x_t) still enters the trace.
     """
     if opt.method == "grace" and grace is None:
         raise ValueError("method 'grace' needs a GraceConfig")
@@ -197,10 +212,11 @@ def run_optimizer(
     x = np.array(x1, dtype=float)
     trace = _TraceBuilder(x)
     carried = None  # gld re-uses the accepted candidate's value as the next f_x
+    streams = StepStreams(rng)
     step = 0
     while opt.max_steps is None or step < opt.max_steps:
         step += 1
-        step_rng = rng.derive(step)
+        step_rng = streams.derive(step)
         f_x = carried
         try:
             if opt.method == "grace":

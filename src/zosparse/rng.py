@@ -4,7 +4,9 @@ All randomness in the toolkit flows through :class:`RngStream`, a
 counter-based generator keyed by ``(seed, stream, path)``.  The same key
 always replays the same draws, so an experiment is reproducible from the
 seeds in its config alone, and derived child streams are independent of
-the parent and of each other.
+the parent and of each other.  :class:`StepStreams` gives a run's
+per-step streams ``rng.derive(step)`` on one reused generator, re-keyed
+for each step, so no caller may keep a step's stream past its step.
 
 Every draw is one numpy call in C: one permutation per repeat, which
 groups the dimensions and orders each group, and one row of sign keys
@@ -30,6 +32,7 @@ import numpy as np
 
 __all__ = [
     "RngStream",
+    "StepStreams",
     "random_permutation",
     "partition_groups",
     "DependentPartition",
@@ -62,6 +65,72 @@ class RngStream:
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream={self.stream}, path={self.path})"
+
+
+# numpy's SeedSequence constants: its hashes and mixes are uint32 arithmetic.
+_MASK = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _words(n: int) -> list[int]:
+    """n as SeedSequence reads it: 32-bit words, least significant first; [0] for 0."""
+    return [n >> shift & _MASK for shift in range(0, max(n.bit_length(), 1), 32)]
+
+
+class StepStreams:
+    """``rng.derive(step)`` for each step of one run, on one reused generator.
+
+    SeedSequence hashes its entropy words into a pool of four one after
+    another, and the spawn key follows the seed's four words, so the pool
+    after ``(seed, stream, *path)`` is kept and only a step's words are mixed
+    in.  The resulting Philox key is written into one generator with counter
+    0 and an empty buffer, which then draws exactly as a fresh
+    ``rng.derive(step).gen``.  The stream returned for a step is re-keyed by
+    the next call, so no caller may keep it past its step.
+    """
+
+    def __init__(self, rng: RngStream):
+        seq = np.random.SeedSequence(entropy=rng.seed, spawn_key=(rng.stream, *rng.path))
+        self._pool = [int(word) for word in seq.pool]
+        # Every entropy word took four hashes; the seed is padded to four words.
+        words = max(4, len(_words(rng.seed))) + sum(len(_words(k)) for k in seq.spawn_key)
+        self._hash = _INIT_A * pow(_MULT_A, 4 * words, 2**32) & _MASK
+        self._step = RngStream(rng.seed, rng.stream, rng.path)
+        self._path = rng.path
+
+    def key(self, step: int) -> list[int]:
+        """SeedSequence(seed, spawn_key=(stream, *path, step)).generate_state(2, uint64)."""
+        if step < 0:
+            raise ValueError(f"need a step >= 0, got {step}")
+        pool, hashed = list(self._pool), self._hash
+        for word in _words(step):
+            for i in range(4):
+                value = word ^ hashed
+                hashed = hashed * _MULT_A & _MASK
+                value = value * hashed & _MASK
+                mixed = (_MIX_L * pool[i] - _MIX_R * (value ^ value >> 16)) & _MASK
+                pool[i] = mixed ^ mixed >> 16
+        state, hashed = [], _INIT_B
+        for value in pool:
+            value ^= hashed
+            hashed = hashed * _MULT_B & _MASK
+            value = value * hashed & _MASK
+            state.append(value ^ value >> 16)
+        return [state[0] | state[1] << 32, state[2] | state[3] << 32]
+
+    def derive(self, step: int) -> RngStream:
+        """The stream of rng.derive(step), valid until the next call."""
+        self._step.path = (*self._path, step)
+        self._step.gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": self.key(step)},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return self._step
 
 
 def as_indices(values, message: str) -> np.ndarray:

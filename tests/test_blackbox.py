@@ -1,5 +1,7 @@
 """Benchmark objectives, query ledger, graph parsing."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,9 +22,21 @@ from zosparse.blackbox import (
     make_sparse_linear,
     with_ledger,
 )
+from zosparse.harness import _infinite_on_degenerate
 from zosparse.rng import RngStream
 
 PATH_3 = "3 2\n1 2\n2 3\n"
+
+
+def ring_with_chords(n, seed):
+    """A ring 1-2-...-n-1 plus n random chords: connected, every degree >= 2."""
+    adjacency = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        adjacency[i, (i + 1) % n] = adjacency[(i + 1) % n, i] = 1
+    for a, b in RngStream(seed).gen.integers(0, n, size=(n, 2)).tolist():
+        if a != b:
+            adjacency[a, b] = adjacency[b, a] = 1
+    return Graph(n, adjacency)
 
 
 class TestQueryLedger:
@@ -330,6 +344,28 @@ class TestAttack:
                 power = power @ normalized
                 total += power[0, 1]
             assert inst.objective(x) == float(total + 0.3 * (x @ x))
+
+    @pytest.mark.parametrize("n", [5, 12, 32])
+    @pytest.mark.parametrize("k", [1, 2, 10, 64])
+    def test_batch_is_bit_identical_to_eval(self, n, k):
+        inst = make_attack(ring_with_chords(n, n), 1, 2, 4, 100.0 / n**2)
+        assert inst.objective.batch is not None
+        for scale in (1e-6, 0.02, 0.3):
+            rows = scale * RngStream(n, k).gen.standard_normal((k, n * n))
+            expected = [inst.objective(row) for row in rows]
+            assert inst.objective.batch(rows).tolist() == expected
+
+    def test_degenerate_row_raises_in_a_batch_and_reads_inf_through_the_harness(self):
+        inst = make_attack(load_graph(PATH_3), 1, 2, 2, 0.5)
+        rows = 0.05 * RngStream(3).gen.standard_normal((4, 9))
+        rows[2, :3] = 0.0, 1.0, 0.0  # vertex 1 loses its only edge and gains none
+        with pytest.raises(DegenerateDegreeError, match=r"\[1\]"):
+            inst.objective.batch(rows)
+        guarded = _infinite_on_degenerate(inst.objective)
+        expected = [inst.objective(row) for row in rows[[0, 1, 3]]]
+        values = guarded.batch(rows).tolist()
+        assert values[2] == math.inf and guarded(rows[2]) == math.inf
+        assert values[:2] + values[3:] == expected
 
     def test_degenerate_degree_raises_with_vertices(self):
         inst = make_attack(load_graph("2 1\n1 2\n"), 1, 2, 1, 0.0)

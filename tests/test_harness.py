@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from zosparse.blackbox import (
     FAMILIES,
+    BlackBoxFunction,
     load_graph,
     make_attack,
     make_distance,
@@ -38,6 +39,8 @@ from zosparse.harness import (
 from zosparse.rng import RngStream
 
 PATH_3 = "3 2\n1 2\n2 3\n"
+# An 8-vertex ring with three chords: d = 64, every degree at least 2.
+RING_8 = "8 11\n1 2\n2 3\n3 4\n4 5\n5 6\n6 7\n7 8\n1 8\n1 5\n2 6\n3 7\n"
 
 # Spec keys that break no range check but that no family or method reads,
 # each with the section it goes into.
@@ -304,6 +307,38 @@ class TestRunExperiment:
             (a.trace_path, b.trace_path),
             (a.runs_path, b.runs_path),
             (a.summary_path, b.summary_path),
+        ]:
+            assert first.read_bytes() == second.read_bytes()
+
+    def test_attack_csvs_alike_with_hooks_stripped(self, tmp_path, monkeypatch):
+        # Attack's hook, and the +inf guard that carries it, change how a
+        # step's points are sent, never a byte that a run writes.
+        (tmp_path / "g.txt").write_text(RING_8, encoding="utf-8")
+        spec = small_spec(
+            family="attack",
+            family_params={"graph": str(tmp_path / "g.txt")},
+            methods=[MethodSpec(m, m, {}) for m in ("grace", "rs", "zo-signsgd", "gld")],
+            instance_seeds=[1],
+            run_seeds=[5, 6],
+            eta_grid=[0.05],
+            budget=90,
+        )
+        hooked = run_experiment(spec, output_dir=tmp_path / "hooked")
+        row = FAMILIES["attack"]
+
+        def build(params, rng):
+            instance = row.build(params, rng)
+            assert instance.objective.batch is not None
+            instance.objective = BlackBoxFunction(instance.objective.dim, instance.objective.eval)
+            return instance
+
+        monkeypatch.setitem(FAMILIES, "attack", dataclasses.replace(row, build=build))
+        plain = run_experiment(spec, output_dir=tmp_path / "plain")
+        assert plain.num_failures == hooked.num_failures == 0
+        for first, second in [
+            (hooked.trace_path, plain.trace_path),
+            (hooked.runs_path, plain.runs_path),
+            (hooked.summary_path, plain.summary_path),
         ]:
             assert first.read_bytes() == second.read_bytes()
 

@@ -1,11 +1,20 @@
 """Descent loops: update rules, trace semantics, query accounting."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from zosparse.blackbox import BlackBoxFunction, make_distance, make_sparse_linear, with_ledger
+from zosparse import optimizer
+from zosparse.blackbox import (
+    BlackBoxFunction,
+    load_graph,
+    make_attack,
+    make_distance,
+    make_sparse_linear,
+    with_ledger,
+)
 from zosparse.estimator import GraceConfig
 from zosparse.optimizer import (
     METHODS,
@@ -18,8 +27,26 @@ from zosparse.optimizer import (
 from zosparse.rng import RngStream
 
 
+# An 8-vertex ring with three chords: d = 64, every degree at least 2.
+RING_8 = "8 11\n1 2\n2 3\n3 4\n4 5\n5 6\n6 7\n7 8\n1 8\n1 5\n2 6\n3 7\n"
+
+
 def quadratic_1d():
     return BlackBoxFunction(1, lambda x: float(x[0]) ** 2)
+
+
+def stripped(f):
+    return BlackBoxFunction(f.dim, f.eval)
+
+
+def noting(f, calls):
+    """f with a batch hook that loops over eval and notes each call's row count."""
+
+    def batch(rows):
+        calls.append(len(rows))
+        return [f.eval(row) for row in rows]
+
+    return BlackBoxFunction(f.dim, f.eval, batch)
 
 
 class TestOptimizerConfig:
@@ -246,3 +273,56 @@ class TestTraceSemantics:
         gld = self.budgeted("gld", 10_000, max_steps=2, scales=4)
         # First step pays for f(x1); later steps carry the accepted value.
         assert [r.queries for r in gld.records] == [5, 9]
+
+
+class TestBatchedSteps:
+    """A step's points go out in one call; the runs are those of one point a call."""
+
+    @pytest.mark.parametrize("method", ["zo-signsgd", "gld", "rs"])
+    @pytest.mark.parametrize("family", ["attack", "distance"])
+    def test_budget_cut_runs_record_alike(self, method, family):
+        # zo-signsgd's steps take 11 queries and gld's 4 or 5, so most
+        # budgets run out in the middle of a batch.
+        if family == "attack":
+            inst = make_attack(load_graph(RING_8), 1, 2, 4, 100.0 / 64)
+        else:
+            inst = make_distance(64, 4, RngStream(3))
+        assert inst.objective.batch is not None
+        for budget in range(1, 100):
+            opt = OptimizerConfig(method=method, step_size=0.05, budget=budget)
+            plain = run_optimizer(stripped(inst.objective), inst.x1, opt, RngStream(4))
+            trace = run_optimizer(inst.objective, inst.x1, opt, RngStream(4))
+            assert trace.records == plain.records
+            assert trace.best_value == plain.best_value
+            np.testing.assert_array_equal(trace.best_point, plain.best_point)
+
+    @pytest.mark.parametrize("per_call", [None, 3])
+    def test_one_hook_call_per_step_within_the_float_bound(self, per_call):
+        inst = make_distance(16, 3, RngStream(1))
+        f, x = inst.objective, np.full(16, 0.1)
+        bound = optimizer.BATCH_FLOATS if per_call is None else per_call * 16
+        sign_calls, gld_calls = [], []
+        with mock.patch.object(optimizer, "BATCH_FLOATS", bound):
+            moved = step_zo_signsgd(noting(f, sign_calls), x, f(x), 1e-3, 10, 0.1, RngStream(2))
+            best_x, best_value = step_gld(noting(f, gld_calls), x, f(x), 0.5, 4, RngStream(3))
+        assert sign_calls == ([10] if per_call is None else [3, 3, 3, 1])
+        assert gld_calls == ([4] if per_call is None else [3, 1])
+        plain = stripped(f)
+        np.testing.assert_array_equal(
+            moved, step_zo_signsgd(plain, x, f(x), 1e-3, 10, 0.1, RngStream(2))
+        )
+        plain_x, plain_value = step_gld(plain, x, f(x), 0.5, 4, RngStream(3))
+        np.testing.assert_array_equal(best_x, plain_x)
+        assert best_value == plain_value
+
+    def test_step_t_draws_from_rng_derive_t(self):
+        # rs moves by one estimate a step, so its run can be replayed by hand.
+        inst = make_distance(16, 3, RngStream(1))
+        f, rng = inst.objective, RngStream(7, 2).derive(3)
+        opt = OptimizerConfig(method="rs", step_size=0.1, max_steps=5)
+        trace = run_optimizer(f, inst.x1, opt, rng)
+        x, values = inst.x1, []
+        for step in range(1, 6):
+            values.append(f(x))
+            x = x - 0.1 * estimate_rs(f, x, values[-1], 1e-3, rng.derive(step))
+        assert [record.value for record in trace.records] == values

@@ -15,6 +15,7 @@ from zosparse.estimator import GraceConfig, grace_estimate
 from zosparse.rng import (
     DependentPartition,
     RngStream,
+    StepStreams,
     dependent_partition,
     partition_groups,
     random_permutation,
@@ -99,6 +100,59 @@ class TestRngStream:
     def test_repr_mentions_seed_and_path(self):
         text = repr(RngStream(3).derive(1, 4))
         assert "3" in text and "1" in text and "4" in text
+
+
+def _draws(gen):
+    """Draws of every kind a step makes; the permutation leaves half a 64-bit word."""
+    return (
+        gen.permutation(7).tolist(),
+        gen.random(3).tolist(),
+        gen.standard_normal(5).tolist(),
+        gen.permutation(300).tolist(),
+    )
+
+
+key_words = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**80), st.just(0))
+
+
+class TestStepStreams:
+    """StepStreams(rng).derive(step) keys and draws exactly as rng.derive(step)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=key_words,
+        stream=key_words,
+        path=st.lists(key_words, max_size=3),
+        steps=st.lists(key_words, min_size=1, max_size=4),
+    )
+    def test_keys_are_seed_sequences(self, seed, stream, path, steps):
+        source = StepStreams(RngStream(seed, stream, tuple(path)))
+        for step in steps:
+            key = np.random.SeedSequence(entropy=seed, spawn_key=(stream, *path, step))
+            assert source.key(step) == key.generate_state(2, np.uint64).tolist()
+
+    @pytest.mark.parametrize(
+        "seed, stream, path",
+        [(0, 0, ()), (5, 1, (2, 3)), (2**32, 0, ()), (2**64 + 5, 2**40, (2**33, 0, 7))],
+    )
+    def test_draws_equal_derive_step_by_step(self, seed, stream, path):
+        rng = RngStream(seed, stream, path)
+        source = StepStreams(rng)
+        for step in [1, 2, 0, 3, 2**32, 2**32 + 1, 10**6]:
+            stream_of_step = source.derive(step)
+            assert stream_of_step.path == rng.derive(step).path
+            assert _draws(stream_of_step.gen) == _draws(rng.derive(step).gen)
+
+    def test_rejects_a_negative_step(self):
+        with pytest.raises(ValueError, match="step"):
+            StepStreams(RngStream(1)).derive(-1)
+
+    def test_never_calls_derive(self):
+        # run_optimizer's steps must not pay for a SeedSequence each.
+        with mock.patch.object(RngStream, "derive", side_effect=AssertionError("derive")):
+            source = StepStreams(RngStream(3, 1, (4,)))
+            for step in range(1, 5):
+                source.derive(step).gen.random()
 
 
 class TestRandomPermutation:
