@@ -241,8 +241,8 @@ def shrink_step(
         runs = sizes[first:last], offsets[first:last]
         part = dependent_partition(members[ends[first] : ends[last]], divisor, keys, *runs)
         positions, step = part.indices - 1, epsilon * part.signs
-        moved = x[positions]
-        values = (moved + step * part.labels, moved + step)
+        moved, scaled = x[positions], step * part.labels
+        values = (np.add(scaled, moved, out=scaled), moved + step)  # Same bits as moved + scaled.
         f_v, f_u = _probe(f, x, positions, moved, bounds, values, part.sizes)
         for start, size, block, v, u in zip(bounds, part.sizes, part.block_size, f_v, f_u):
             label, locates = _read_label(f_x, v, u, -(-size // block))

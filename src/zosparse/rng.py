@@ -1,12 +1,12 @@
 """Seeded randomness: permutations, dimension groups, and block partitions.
 
 All randomness in the toolkit flows through :class:`RngStream`, a
-counter-based generator keyed by ``(seed, stream, path)``.  The same key
-always replays the same draws, so an experiment is reproducible from the
-seeds in its config alone, and derived child streams are independent of
-the parent and of each other.  :class:`StepStreams` gives a run's
-per-step streams ``rng.derive(step)`` on one reused generator, re-keyed
-for each step, so no caller may keep a step's stream past its step.
+counter-based generator keyed by ``(seed, stream, path)`` on its first draw.
+The same key always replays the same draws, so an experiment is
+reproducible from the seeds in its config alone, and derived child streams
+are independent of the parent and of each other.  :class:`StepStreams`
+gives a run's per-step streams ``rng.derive(step)`` on one reused
+generator, re-keyed per step, so no caller may keep one past its step.
 
 Every draw is one numpy call in C: one permutation per repeat, which
 groups the dimensions and orders each group, and one row of sign keys
@@ -25,6 +25,7 @@ are stored 0-based as usual; position ``p`` corresponds to dimension
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -44,9 +45,9 @@ class RngStream:
     """Deterministic stream of randomness keyed by ``(seed, stream, path)``.
 
     Backed by Philox, which is counter-based: the key alone fixes the
-    entire sequence, with no global state shared between streams.  Use
-    :meth:`derive` to key independent sub-streams for subcomputations
-    (one per optimization step, per run, per worker, ...).
+    entire sequence, with no global state shared between streams.  The key
+    is checked here, and :attr:`gen` is keyed on its first read.  Use
+    :meth:`derive` for sub-streams (per optimization step, run, worker, ...).
     """
 
     def __init__(self, seed: int, stream: int = 0, path: tuple[int, ...] = ()):
@@ -56,8 +57,11 @@ class RngStream:
         self.seed = int(seed)
         self.stream = int(stream)
         self.path = path
-        seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream, *path))
-        self.gen = np.random.Generator(np.random.Philox(seq))
+
+    @functools.cached_property
+    def gen(self) -> np.random.Generator:
+        seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream, *self.path))
+        return np.random.Generator(np.random.Philox(seq))
 
     def derive(self, *keys: int) -> "RngStream":
         """Child stream for a subcomputation; distinct key paths never collide."""
@@ -170,12 +174,12 @@ def partition_groups(d: int, n: int, omega: np.ndarray) -> np.ndarray:
     omega = as_indices(omega, message)
     if omega.shape != (d,) or omega.min() < 1 or omega.max() > d:
         raise ValueError(message)
-    dims = np.zeros(d, dtype=np.int64)
-    dims[omega - 1] = np.arange(1, d + 1)
-    # d images in 1..d leave a slot at 0 exactly when one repeats.
-    if not dims.all():
+    dims = np.zeros(d + 1, dtype=np.int64)
+    dims[omega] = np.arange(1, d + 1)
+    # d images in 1..d leave a slot of 1..d at 0 exactly when one repeats.
+    if not dims[1:].all():
         raise ValueError(message)
-    return dims
+    return dims[1:]
 
 
 @dataclass
@@ -195,16 +199,22 @@ class DependentPartition:
     signs: np.ndarray
 
 
+@functools.lru_cache(maxsize=128)  # A d <= 16384 scaling pass cuts runs of 32 lengths.
+def _label_bytes(length: int, block: int) -> bytes:  # Bytes join cheaper than np.concatenate.
+    return np.arange(1, -(-length // block) + 1).repeat(block)[:length].tobytes()
+
+
 def dependent_partition(
     members, divisor: int, keys, sizes=None, offsets=None
 ) -> DependentPartition:
     """Cut each run of members into blocks of size ceil(|run|/divisor), with fresh signs.
 
     ``members`` is runs of lengths ``sizes`` (default: one run) end to end.
-    A run's member t (from 0) gets label t // ceil(|run|/divisor) + 1, so
-    blocks are random only when each run comes in random order.  Member t
-    of run i reads its sign from ``keys[offsets[i] + t]`` (default: keys
-    align with the members), a key < 1/2 giving +1, exactly fair.  Repeats
+    A run's member t (from 0) gets label t // ceil(|run|/divisor) + 1, from a
+    cached read-only pattern per run length, so blocks are random only when
+    each run comes in random order.  Member t of run i reads its sign from
+    ``keys[offsets[i] + t]`` (default: keys align with the members; runs'
+    key slices are joined), a key < 1/2 giving +1, exactly fair.  Repeats
     are not looked for: the estimator's runs slice one checked permutation.
     """
     if divisor < 2:
@@ -222,15 +232,15 @@ def dependent_partition(
     if np.ndim(keys) != 1 or reach > len(keys):
         raise ValueError(f"need 1-d keys with {reach} entries, got shape {np.shape(keys)}")
     blocks = [-(-length // divisor) for length in sizes]
+    labels = np.frombuffer(b"".join(map(_label_bytes, sizes, blocks)), np.int64)
     if len(sizes) == 1:
-        labels = np.arange(1, -(-size // blocks[0]) + 1).repeat(blocks[0])[:size]
         drawn = keys[offsets[0] : reach]
     else:
-        # Per member: its run's start, key offset and block size.
-        start, offset, block = np.array([starts[:-1], offsets, blocks]).repeat(sizes, axis=1)
-        rank = np.arange(size) - start
-        labels = rank // block + 1
-        drawn = keys[rank + offset]
+        view = memoryview(np.ascontiguousarray(keys))
+        runs = b"".join([view[offset : offset + n] for offset, n in zip(offsets, sizes)])
+        drawn = np.frombuffer(runs, keys.dtype)
     # As np.where(drawn < 0.5, 1, -1), at a quarter of its cost on long runs.
-    signs = (drawn < 0.5).astype(np.int64) * 2 - 1
+    signs = (drawn < 0.5).astype(np.int64)
+    signs *= 2
+    signs -= 1
     return DependentPartition(indices, sizes, blocks, labels, signs)

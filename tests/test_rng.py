@@ -60,6 +60,19 @@ def _chi_square_uniform(counts, cells):
     return sum((count - expected) ** 2 / expected for count in counts.values())
 
 
+def _draws(gen):
+    """Draws of every kind a step makes; the permutation leaves half a 64-bit word."""
+    return (
+        gen.permutation(7).tolist(),
+        gen.random(3).tolist(),
+        gen.standard_normal(5).tolist(),
+        gen.permutation(300).tolist(),
+    )
+
+
+key_words = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**80), st.just(0))
+
+
 class TestRngStream:
     def test_same_seed_same_draws(self):
         a = RngStream(42).gen.random(8)
@@ -101,18 +114,30 @@ class TestRngStream:
         text = repr(RngStream(3).derive(1, 4))
         assert "3" in text and "1" in text and "4" in text
 
+    def test_keys_its_generator_on_first_read(self):
+        seeds = mock.Mock(wraps=np.random.SeedSequence)
+        with mock.patch("zosparse.rng.np.random.SeedSequence", seeds):
+            child = RngStream(5, 2, (1,)).derive(3).derive(4)
+            assert seeds.call_count == 0
+            gen = child.gen
+            assert seeds.call_count == 1
+            assert child.gen is gen
+            child.gen.random(3)
+            assert seeds.call_count == 1
 
-def _draws(gen):
-    """Draws of every kind a step makes; the permutation leaves half a 64-bit word."""
-    return (
-        gen.permutation(7).tolist(),
-        gen.random(3).tolist(),
-        gen.standard_normal(5).tolist(),
-        gen.permutation(300).tolist(),
-    )
+    @settings(max_examples=100, deadline=None)
+    @given(seed=key_words, stream=key_words, path=st.lists(key_words, max_size=3))
+    def test_draws_equal_a_seed_sequence_philox(self, seed, stream, path):
+        key = np.random.SeedSequence(entropy=seed, spawn_key=(stream, *path))
+        want = np.random.Generator(np.random.Philox(key))
+        assert _draws(RngStream(seed, stream, tuple(path)).gen) == _draws(want)
 
-
-key_words = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**80), st.just(0))
+    @pytest.mark.parametrize("seed, stream, path", [(-1, 0, ()), (1, -2, ()), (1, 0, (3, -1))])
+    def test_negative_keys_raise_before_any_draw(self, seed, stream, path):
+        with pytest.raises(ValueError, match="nonnegative"):
+            RngStream(seed, stream, path)
+        with pytest.raises(ValueError, match="nonnegative"):
+            RngStream(1).derive(3, -1)
 
 
 class TestStepStreams:
@@ -364,6 +389,43 @@ class TestDependentPartition:
             assert alone.block_size == [block]
             np.testing.assert_array_equal(part.labels[start : start + size], alone.labels)
             np.testing.assert_array_equal(part.signs[start : start + size], alone.signs)
+            start += size
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        lengths=st.lists(
+            st.one_of(st.sampled_from([1, 2, 3, 7]), st.integers(1, 60)), min_size=1, max_size=12
+        ),
+        long_run=st.sampled_from([None, 4097, 5000]),
+        divisor=st.integers(2, 30),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_any_runs_are_cut_as_they_would_be_alone(self, lengths, long_run, divisor, seed, data):
+        # Repeated lengths share a label pattern, runs of 1 and 2 members and
+        # one run past 4096 all cut as they do alone, at arbitrary key offsets,
+        # and alone a run gets labels t // block + 1 and signs from its keys.
+        sizes = list(lengths)
+        if long_run is not None:
+            sizes.insert(data.draw(st.integers(0, len(sizes))), long_run)
+        offsets = data.draw(st.lists(st.integers(0, 300), min_size=len(sizes), max_size=len(sizes)))
+        keys = _keys(seed, max(offsets) + max(sizes))
+        if data.draw(st.booleans()):
+            keys = keys.repeat(2)[::2]  # the same keys, not contiguous
+        members = random_permutation(sum(sizes), RngStream(seed, path=(1,)))
+        part = dependent_partition(members, divisor, keys, sizes, offsets)
+        assert part.labels.dtype == part.signs.dtype == np.int64
+        assert part.sizes == sizes
+        start = 0
+        for size, offset, block in zip(sizes, offsets, part.block_size):
+            run = slice(start, start + size)
+            alone = dependent_partition(members[run], divisor, keys[offset : offset + size])
+            assert alone.block_size == [block] == [-(-size // divisor)]
+            np.testing.assert_array_equal(alone.labels, np.arange(size) // block + 1)
+            plain = np.where(keys[offset : offset + size] < 0.5, 1, -1)
+            np.testing.assert_array_equal(alone.signs, plain)
+            np.testing.assert_array_equal(part.labels[run], alone.labels)
+            np.testing.assert_array_equal(part.signs[run], alone.signs)
             start += size
 
     def test_rejects_runs_that_do_not_fit(self):
