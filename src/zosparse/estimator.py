@@ -18,14 +18,16 @@ order (:mod:`zosparse.rng` says why each cut is a fresh dependent
 partition), so the live members stay one contiguous run, and the kept run
 starts (label - 1) blocks into it.  All groups of a repeat shrink
 together, their runs end to end in one array: an iteration costs O(live
-members) whatever d is.  Each probe is written into one copy of x and
-taken out again, or, with a ``batch`` hook, sent in one matrix per
-iteration; the results are the same.
+members) whatever d is, and the first one takes its run sizes, blocks and
+labels from a plan cached per shape (d, n, D_1).  Each probe is written
+into one copy of x and taken out again, or, with a ``batch`` hook, sent in
+one matrix per iteration; the results are the same.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 import numbers
@@ -36,11 +38,14 @@ import numpy as np
 # By name, so a tracer that replaces blackbox.with_ledger leaves this count alone.
 from .blackbox import BATCH_FLOATS, BlackBoxFunction, BudgetExhaustedError, with_ledger
 from .rng import (
+    DependentPartition,
     RngStream,
     as_indices,
     dependent_partition,
+    key_signs,
     partition_groups,
     random_permutation,
+    run_labels,
 )
 from .theory import DivisionSchedule, practical_schedule
 
@@ -97,8 +102,9 @@ class GraceConfig:
     def validate(self, d: int) -> None:
         if not 0 < self.epsilon < math.inf:
             raise ValueError(f"need a finite epsilon > 0, got {self.epsilon}")
-        if any(isinstance(k, bool) or not isinstance(k, numbers.Integral) for k in (self.n, self.m)):
-            raise ValueError(f"need integers n and m, got n={self.n!r}, m={self.m!r}")
+        for k in (self.n, self.m):  # type(k) is int first: the ABC check is slow.
+            if type(k) is not int and (isinstance(k, bool) or not isinstance(k, numbers.Integral)):
+                raise ValueError(f"need integers n and m, got n={self.n!r}, m={self.m!r}")
         if not 1 <= self.n <= d:
             raise ValueError(f"need 1 <= n <= d, got n={self.n}, d={d}")
         if self.m < 1:
@@ -166,32 +172,34 @@ def _read_label(f_x: float, f_v: float, f_u: float, num_blocks: int) -> tuple[in
     return label, 1 <= label <= num_blocks
 
 
-def _probe(f: BlackBoxFunction, x, positions, moved, bounds, values, sizes) -> list[list[float]]:
+def _probe(f: BlackBoxFunction, x, positions, moved, bounds, values) -> list[list[float]]:
     """Per row of values, f at x with positions[lo:hi] set to row[lo:hi], per run [lo, hi).
 
-    Run i spans bounds[i]:bounds[i + 1] and holds sizes[i] members.  Without
-    a hook, x itself is moved and restored from ``moved``, which is
-    x[positions], also when f raises.  With one, probe k of run i is row
-    k * runs + i, and the rows go out in order, at most max(1, BATCH_FLOATS
-    // d) a call: each call's matrix is x broadcast, with each probe's
+    x itself is moved, and restored from ``moved`` = x[positions] also when f raises.
+    """
+    evaluate, out = f.eval, [[] for _ in values]
+    for lo, hi in zip(bounds, bounds[1:]):
+        # A run of one member is written as a scalar, at a quarter of the cost.
+        run = slice(lo, hi) if hi - lo > 1 else lo
+        at = positions[run]
+        try:
+            for row, got in zip(values, out):
+                x[at] = row[run]
+                got.append(evaluate(x))
+        finally:
+            x[at] = moved[run]
+    return out
+
+
+def _probe_rows(f: BlackBoxFunction, x, positions, bounds, values, run_of, first=0) -> list:
+    """As :func:`_probe`, through f.batch: probe k of run i is row k * runs + i.
+
+    Member j is in run run_of[j] - first.  At most max(1, BATCH_FLOATS // d)
+    rows go out a call, each call's matrix x broadcast with each probe's
     members scattered in by one fancy assignment per row of values.
     """
-    if f.batch is None:
-        evaluate, out = f.eval, [[] for _ in values]
-        for lo, hi in zip(bounds, bounds[1:]):
-            # A run of one member is written as a scalar, at a quarter of the cost.
-            run = slice(lo, hi) if hi - lo > 1 else lo
-            at = positions[run]
-            try:
-                for row, got in zip(values, out):
-                    x[at] = row[run]
-                    got.append(evaluate(x))
-            finally:
-                x[at] = moved[run]
-        return out
-    runs, d = len(sizes), x.size
+    runs, d = len(bounds) - 1, x.size
     count, per_call = len(values) * runs, max(1, BATCH_FLOATS // d)
-    run_of = np.arange(runs).repeat(sizes)
     out = np.empty(count)
     for start in range(0, count, per_call):
         stop = min(start + per_call, count)
@@ -200,7 +208,7 @@ def _probe(f: BlackBoxFunction, x, positions, moved, bounds, values, sizes) -> l
         # Rows start..stop - 1: per probe k among them, the runs i whose row k * runs + i is here.
         for k in range(start // runs, -(-stop // runs)):
             lo, hi = bounds[max(start - k * runs, 0)], bounds[min(stop - k * runs, runs)]
-            probes[run_of[lo:hi] + (k * runs - start), positions[lo:hi]] = values[k][lo:hi]
+            probes[run_of[lo:hi] + (k * runs - start - first), positions[lo:hi]] = values[k][lo:hi]
         got = np.asarray(f.batch(probes), dtype=float)
         if got.shape != (stop - start,):
             raise ValueError(f"batch returned shape {got.shape} for {stop - start} points")
@@ -209,46 +217,39 @@ def _probe(f: BlackBoxFunction, x, positions, moved, bounds, values, sizes) -> l
 
 
 def shrink_step(
-    f: BlackBoxFunction,
-    x: np.ndarray,
-    f_x: float,
-    epsilon: float,
-    members,
-    divisor: int,
-    keys,
-    sizes=None,
-    offsets=None,
+    f: BlackBoxFunction, x: np.ndarray, f_x: float, epsilon: float, part: DependentPartition
 ) -> ShrinkOutcome:
-    """One two-query probe per run, keeping only the block whose label matches the ratio.
+    """One two-query probe per run of ``part``, keeping the block whose label matches the ratio.
 
-    The runs of ``members``, their ``sizes`` and key ``offsets`` are as
-    :func:`dependent_partition` takes them.  Probe v of a run moves each
-    member i by epsilon * sign_i * label_i, probe u by epsilon * sign_i.
-    For a gradient dominated by one coordinate j, (f(x+v) - f(x)) /
-    (f(x+u) - f(x)) sits within 1/2 of j's label, so rounding it picks j's
-    block; a non-finite value or ratio keeps nothing.  Each probe is
-    written into the writable float array x and taken out again.
+    Probe v of a run moves each member i by epsilon * sign_i * label_i,
+    probe u by epsilon * sign_i.  For a gradient dominated by one coordinate
+    j, (f(x+v) - f(x)) / (f(x+u) - f(x)) sits within 1/2 of j's label, so
+    rounding it picks j's block; a non-finite value or ratio keeps nothing.
+    Each probe is written into the writable float array x and taken out
+    again, or sent through a ``batch`` hook, in passes of whole runs of at
+    most CHUNK members (or one longer run).
     """
-    sizes = [len(members)] if sizes is None else list(sizes)
+    sizes, blocks = part.sizes, part.block_size
     if min(sizes) < 2:
         raise ValueError("shrink_step needs at least 2 members in every run")
     labels, kept, ends, first = [], [], [0, *itertools.accumulate(sizes)], 0
-    offsets = ends[:-1] if offsets is None else offsets
     while first < len(sizes):
         # Whole runs of at most CHUNK members, or one longer run: mostly a single pass.
         last = max(bisect.bisect_right(ends, ends[first] + CHUNK, first + 1) - 1, first + 1)
-        bounds = [end - ends[first] for end in ends[first : last + 1]]
-        runs = sizes[first:last], offsets[first:last]
-        part = dependent_partition(members[ends[first] : ends[last]], divisor, keys, *runs)
-        positions, step = part.indices - 1, epsilon * part.signs
-        moved, scaled = x[positions], step * part.labels
+        lo, hi = ends[first], ends[last]
+        bounds, indices = [end - lo for end in ends[first : last + 1]], part.indices[lo:hi]
+        positions, step = indices - 1, epsilon * part.signs[lo:hi]
+        moved, scaled = x[positions], step * part.labels[lo:hi]
         values = (np.add(scaled, moved, out=scaled), moved + step)  # Same bits as moved + scaled.
-        f_v, f_u = _probe(f, x, positions, moved, bounds, values, part.sizes)
-        for start, size, block, v, u in zip(bounds, part.sizes, part.block_size, f_v, f_u):
+        if f.batch is None:
+            f_v, f_u = _probe(f, x, positions, moved, bounds, values)
+        else:
+            f_v, f_u = _probe_rows(f, x, positions, bounds, values, part.run_of[lo:hi], first)
+        for start, size, block, v, u in zip(bounds, sizes[first:], blocks[first:], f_v, f_u):
             label, locates = _read_label(f_x, v, u, -(-size // block))
             # The kept block starts (label - 1) blocks into its run; else it is empty.
             begin = start + (label - 1) * block if locates else start + size
-            kept.append(part.indices[begin : min(begin + block, start + size)])
+            kept.append(indices[begin : min(begin + block, start + size)])
             labels.append(label)
         first = last
     return ShrinkOutcome(kept, labels, sum(block.size == 0 for block in kept))
@@ -275,6 +276,26 @@ def _key_spans(
     return steps, starts, last
 
 
+@functools.lru_cache(maxsize=64)  # Keyed on values: a DivisionSchedule grows as it is read.
+def _plan(d: int, n: int, divisor: int) -> tuple:
+    """(full, tail, sizes, blocks, labels, run_of) of the first shrink pass over d members.
+
+    Pass 1 cuts ``full`` groups of n > 2, then a ragged group of ``tail`` > 2
+    (else tail is 0); the rest are found as they are.  labels and run_of are
+    None past d = 1024, where families give no batch hook, so that no cached
+    array grows with d.
+    """
+    full, rest = divmod(d, n)
+    tail = rest if rest > 2 else 0
+    sizes = (n,) * full + (tail,) * (tail > 0)
+    blocks = tuple(-(-size // divisor) for size in sizes)
+    if d > 1024:
+        return full, tail, sizes, blocks, None, None
+    run_of = np.arange(len(sizes)).repeat(sizes)
+    run_of.setflags(write=False)
+    return full, tail, sizes, blocks, run_labels(sizes, blocks), run_of
+
+
 def locate_in_group(
     f: BlackBoxFunction,
     x: np.ndarray,
@@ -291,28 +312,29 @@ def locate_in_group(
     Group g is ``dims[g*n : (g+1)*n]``, in random order; its iteration t
     reads row g of ``keys`` from column b_1 + ... + b_{t-1}.  Returns every
     group's survivors after at most ceil(log2 n) - 1 iterations, each
-    keeping at most half of a group.  (perfbench's tracer finds the phases,
-    this one, shrink_step and finite_difference, by these names.)
+    keeping at most half of a group, the first cut from a cached plan.
+    (perfbench's tracer finds the phases, this one, shrink_step and
+    finite_difference, by these names.)
     """
     live = as_indices(dims, "group members must be integers").ravel()
-    if live.size == 0:
-        raise ValueError("empty group")
+    if live.size == 0 or live.min() < 1:
+        raise ValueError("need a non-empty group of members >= 1")
     if n <= 2:
         return live.tolist()
     groups = -(-live.size // n)
-    ragged = live.size - (groups - 1) * n
-    steps, starts, last = _key_spans(n, schedule, ragged)
+    steps, starts, last = _key_spans(n, schedule, live.size - (groups - 1) * n)
     if np.ndim(keys) != 2 or keys.shape[0] != groups or keys.shape[1] < starts[-1]:
         raise ValueError(f"need keys of shape ({groups}, >= {starts[-1]}), got {np.shape(keys)}")
-    # Each group's first key column per iteration; the ragged last group owns fewer.
-    columns = [starts] * (groups - 1) + [last]
-    width, flat = keys.shape[1], keys.ravel()
-    sizes, group, found, iteration = [n] * (groups - 1) + [ragged], list(range(groups)), [], 0
-    if ragged <= 2:
-        found, live, sizes, group = live[-ragged:].tolist(), live[:-ragged], sizes[:-1], group[:-1]
+    full, tail, sizes, blocks, labels, run_of = _plan(live.size, n, steps[0])
+    # Pass 1 reads each group's signs from the head of its key row.
+    signs = key_signs(np.concatenate((keys[:full, :n], keys[full:, :tail]), axis=None))
+    labels = run_labels(sizes, blocks) if labels is None else labels
+    part = DependentPartition(live[: signs.size], sizes, blocks, labels, signs)
+    if run_of is not None:
+        part.run_of = run_of
+    found, group, iteration = live[signs.size :].tolist(), range(len(sizes)), 0
     while group:
-        offsets = [g * width + columns[g][iteration] for g in group]
-        kept = shrink_step(f, x, f_x, epsilon, live, steps[iteration], flat, sizes, offsets).kept
+        kept = shrink_step(f, x, f_x, epsilon, part).kept
         # Runs of at most two members are done; the others stay live.
         runs, alive, sizes = [], [], []
         for g, block in zip(group, kept):
@@ -322,8 +344,11 @@ def locate_in_group(
                 sizes.append(block.size)
             else:
                 found += block.tolist()
-        group, live = alive, runs[0] if len(runs) == 1 else np.concatenate([live[:0], *runs])
-        iteration += 1
+        group, iteration = alive, iteration + 1
+        if alive:  # Key columns per group: the ragged last one, group full, owns fewer.
+            offsets = [g * keys.shape[1] + (starts, last)[g == full][iteration] for g in alive]
+            live = runs[0] if len(runs) == 1 else np.concatenate(runs)
+            part = dependent_partition(live, steps[iteration], keys.ravel(), sizes, offsets)
     return found
 
 
@@ -384,8 +409,10 @@ def finite_difference(
         raise ValueError(f"dimension indices {indices} out of range 1..{f.dim}")
     if not 0 < epsilon < math.inf:
         raise ValueError(f"need a finite epsilon > 0, got {epsilon}")
-    # Python numbers: every run holds one member, written by a scalar store.
-    moved = x[positions].tolist()
-    bounds, values = range(len(listed) + 1), ([m + epsilon for m in moved],)
-    (probed,) = _probe(f, x, listed, moved, bounds, values, [1] * len(listed))
+    bounds, moved = range(len(listed) + 1), x[positions]
+    if f.batch is not None:  # Row i moves candidate i alone.
+        (probed,) = _probe_rows(f, x, positions, bounds, (moved + epsilon,), np.arange(len(listed)))
+    else:  # Python numbers: every run holds one member, written by a scalar store.
+        moved = moved.tolist()
+        (probed,) = _probe(f, x, listed, moved, bounds, ([m + epsilon for m in moved],))
     return [(value - f_x) / epsilon for value in probed]

@@ -101,6 +101,7 @@ class StepStreams:
         words = max(4, len(_words(rng.seed))) + sum(len(_words(k)) for k in seq.spawn_key)
         self._hash = _INIT_A * pow(_MULT_A, 4 * words, 2**32) & _MASK
         self._step = RngStream(rng.seed, rng.stream, rng.path)
+        self._step.gen = np.random.Generator(np.random.Philox(seq))  # Re-keyed by every derive.
         self._path = rng.path
 
     def key(self, step: int) -> list[int]:
@@ -190,6 +191,7 @@ class DependentPartition:
     ``signs`` align with them.  Within a run labels count up from 1 in
     stretches of ``block_size[i]``, the last possibly shorter, so class
     sizes are worst-case bounded (unlike independent per-index draws).
+    sizes and block_size may be tuples shared with a cache.
     """
 
     indices: np.ndarray
@@ -198,10 +200,26 @@ class DependentPartition:
     labels: np.ndarray
     signs: np.ndarray
 
+    @functools.cached_property
+    def run_of(self) -> np.ndarray:
+        """Each member's run, from 0; a caller holding it cached may set it instead."""
+        return np.arange(len(self.sizes)).repeat(self.sizes)
+
 
 @functools.lru_cache(maxsize=128)  # A d <= 16384 scaling pass cuts runs of 32 lengths.
 def _label_bytes(length: int, block: int) -> bytes:  # Bytes join cheaper than np.concatenate.
     return np.arange(1, -(-length // block) + 1).repeat(block)[:length].tobytes()
+
+
+def run_labels(sizes, blocks) -> np.ndarray:
+    """Per run of sizes[i] members, labels 1, 2, ... in stretches of blocks[i]; read-only."""
+    return np.frombuffer(b"".join(map(_label_bytes, sizes, blocks)), np.int64)
+
+
+def key_signs(drawn: np.ndarray) -> np.ndarray:
+    """np.where(drawn < 0.5, 1, -1), exactly fair, at a quarter of its cost on long runs."""
+    signs = (drawn < 0.5).astype(np.int64)
+    return np.subtract(np.multiply(signs, 2, out=signs), 1, out=signs)
 
 
 def dependent_partition(
@@ -232,15 +250,10 @@ def dependent_partition(
     if np.ndim(keys) != 1 or reach > len(keys):
         raise ValueError(f"need 1-d keys with {reach} entries, got shape {np.shape(keys)}")
     blocks = [-(-length // divisor) for length in sizes]
-    labels = np.frombuffer(b"".join(map(_label_bytes, sizes, blocks)), np.int64)
     if len(sizes) == 1:
         drawn = keys[offsets[0] : reach]
     else:
         view = memoryview(np.ascontiguousarray(keys))
         runs = b"".join([view[offset : offset + n] for offset, n in zip(offsets, sizes)])
         drawn = np.frombuffer(runs, keys.dtype)
-    # As np.where(drawn < 0.5, 1, -1), at a quarter of its cost on long runs.
-    signs = (drawn < 0.5).astype(np.int64)
-    signs *= 2
-    signs -= 1
-    return DependentPartition(indices, sizes, blocks, labels, signs)
+    return DependentPartition(indices, sizes, blocks, run_labels(sizes, blocks), key_signs(drawn))

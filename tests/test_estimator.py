@@ -62,6 +62,12 @@ def unhooked(f):
     return BlackBoxFunction(f.dim, f.eval)
 
 
+def shrunk(f, x, f_x, epsilon, members, divisor, keys, sizes=None, offsets=None):
+    """shrink_step over dependent_partition's cut of members."""
+    part = dependent_partition(members, divisor, keys, sizes, offsets)
+    return shrink_step(f, x, f_x, epsilon, part)
+
+
 def located(f, x, f_x, epsilon, members, schedule, *, keys):
     """locate_in_group's survivors for one group, and the queries a ledger counted for it."""
     counted, ledger = with_ledger(f)
@@ -77,14 +83,14 @@ class TestShrinkStep:
         # Block size 1 reads the signal's label exactly; any seed works.
         f = linear(4, {2: 3.0})
         for seed in range(20):
-            outcome = shrink_step(f, np.zeros(4), 0.0, 1e-3, np.arange(1, 5), 4, key_row(seed, 4))
+            outcome = shrunk(f, np.zeros(4), 0.0, 1e-3, np.arange(1, 5), 4, key_row(seed, 4))
             assert not outcome.degenerate
             assert outcome.kept[0].tolist() == [2]
 
     def test_keeps_whole_block_of_signal(self):
         f = linear(4, {3: 5.0})
         for seed in range(20):
-            outcome = shrink_step(f, np.zeros(4), 0.0, 1e-3, shuffled(4, seed), 2, key_row(seed, 4))
+            outcome = shrunk(f, np.zeros(4), 0.0, 1e-3, shuffled(4, seed), 2, key_row(seed, 4))
             assert not outcome.degenerate
             assert outcome.kept[0].size == 2
             assert 3 in outcome.kept[0].tolist()
@@ -93,14 +99,14 @@ class TestShrinkStep:
         f = linear(4, {3: 5.0})
         for seed in range(20):
             members = shuffled(4, seed)
-            outcome = shrink_step(f, np.zeros(4), 0.0, 1e-3, members, 2, key_row(seed, 4))
+            outcome = shrunk(f, np.zeros(4), 0.0, 1e-3, members, 2, key_row(seed, 4))
             part = dependent_partition(members, 2, key_row(seed, 4))
             expected = part.indices[part.labels == outcome.labels[0]]
             np.testing.assert_array_equal(outcome.kept[0], expected)
 
     def test_constant_function_is_degenerate(self):
         f = BlackBoxFunction(4, lambda x: 7.0)
-        outcome = shrink_step(f, np.zeros(4), 7.0, 1e-3, np.arange(1, 5), 2, key_row(0, 4))
+        outcome = shrunk(f, np.zeros(4), 7.0, 1e-3, np.arange(1, 5), 2, key_row(0, 4))
         assert outcome.degenerate == 1
         assert outcome.labels == [None]
         assert outcome.kept[0].size == 0
@@ -112,7 +118,7 @@ class TestShrinkStep:
         f = linear(3, {1: 1.0, 2: 1.0, 3: 1.0})
         hits = 0
         for seed in range(200):
-            outcome = shrink_step(f, np.zeros(3), 0.0, 1e-3, shuffled(3, seed), 3, key_row(seed, 3))
+            outcome = shrunk(f, np.zeros(3), 0.0, 1e-3, shuffled(3, seed), 3, key_row(seed, 3))
             (label,) = outcome.labels
             if outcome.degenerate and label is not None:
                 assert label < 1 or label > 3
@@ -132,7 +138,7 @@ class TestShrinkStep:
             label = dict(zip(part.indices.tolist(), part.labels.tolist()))
             if sign[1] != sign[2] or {label[1], label[2]} != {2, 3}:
                 continue
-            outcome = shrink_step(f, np.zeros(3), 0.0, 1e-3, members, 3, key_row(seed, 3))
+            outcome = shrunk(f, np.zeros(3), 0.0, 1e-3, members, 3, key_row(seed, 3))
             assert outcome.labels == [3]
             np.testing.assert_array_equal(outcome.kept[0], part.indices[part.labels == 3])
             hits += 1
@@ -143,7 +149,7 @@ class TestShrinkStep:
         f = linear(12, {4: 2.0, 9: -1.0})
         for trial in range(50):
             divisor = int(rng.gen.integers(2, 13))
-            outcome = shrink_step(
+            outcome = shrunk(
                 f, np.zeros(12), 0.0, 1e-3, np.arange(1, 13), divisor, key_row(trial, 12)
             )
             block = -(-12 // divisor)
@@ -152,11 +158,11 @@ class TestShrinkStep:
     def test_rejects_single_member(self):
         f = linear(4, {2: 1.0})
         with pytest.raises(ValueError):
-            shrink_step(f, np.zeros(4), 0.0, 1e-3, np.array([2]), 2, key_row(0, 1))
+            shrunk(f, np.zeros(4), 0.0, 1e-3, np.array([2]), 2, key_row(0, 1))
 
     def test_uses_exactly_two_queries(self):
         counted, ledger = with_ledger(make_sparse_linear(6, {2: 3.0}).objective)
-        shrink_step(counted, np.zeros(6), 0.0, 1e-3, np.arange(1, 7), 3, key_row(1, 6))
+        shrunk(counted, np.zeros(6), 0.0, 1e-3, np.arange(1, 7), 3, key_row(1, 6))
         assert ledger.count == 2
 
     @pytest.mark.parametrize("probe", ["scaled", "unscaled"])
@@ -165,7 +171,7 @@ class TestShrinkStep:
         # shrink_step queries the scaled probe first, then the unscaled one.
         values = iter([bad, 1.0] if probe == "scaled" else [1.0, bad])
         f = BlackBoxFunction(4, lambda x: next(values))
-        outcome = shrink_step(f, np.zeros(4), 0.0, 1e-3, np.arange(1, 5), 2, key_row(0, 4))
+        outcome = shrunk(f, np.zeros(4), 0.0, 1e-3, np.arange(1, 5), 2, key_row(0, 4))
         assert outcome.degenerate == 1
         assert outcome.labels == [None]
         assert outcome.kept[0].size == 0
@@ -186,13 +192,13 @@ class TestShrinkStep:
         keys = key_row(seed, 3 * d)
         offsets = [3 * start for start in itertools.accumulate(sizes[:-1], initial=0)]
         counted, ledger = with_ledger(f)
-        outcome = shrink_step(
+        outcome = shrunk(
             counted, np.zeros(d), 0.0, 1e-3, members, divisor, keys, sizes, offsets
         )
         assert ledger.count == 2 * len(sizes)
         start = 0
         for run, (size, offset) in enumerate(zip(sizes, offsets)):
-            alone = shrink_step(
+            alone = shrunk(
                 f, np.zeros(d), 0.0, 1e-3, members[start : start + size], divisor,
                 keys[offset : offset + size],
             )
@@ -203,39 +209,43 @@ class TestShrinkStep:
 
     def test_chunked_passes_match_one_pass(self):
         # Runs are probed in passes of at most CHUNK members (or one longer
-        # run); where the passes split changes no sign, label, kept block or
-        # query, and no pass exceeds its bound.
+        # run); where the passes split changes no moved coordinate, probe
+        # value, label, kept block or query, with or without a hook, and no
+        # pass exceeds its bound.
         sizes = [7, 9, 5, 12, 3, 8]
         d = sum(sizes)
         f = linear(d, {4: 1.0, 11: -2.0, 30: 0.5, 41: 3.0, 42: -1.5, 20: 2.5})
         members, keys = shuffled(d, 3), key_row(3, 2 * d)
         offsets = [2 * start for start in itertools.accumulate(sizes[:-1], initial=0)]
+        part, probe = dependent_partition(members, 3, keys, sizes, offsets), estimator._probe
 
-        def shrunk(chunk):
-            parts = []
+        def shrunk_in(chunk, objective=f):
+            passes = []
 
-            def recording(*args):
-                parts.append(dependent_partition(*args))
-                return parts[-1]
+            def recording(f, x, positions, moved, bounds, values):
+                passes.append((positions.copy(), list(bounds), [row.copy() for row in values]))
+                return probe(f, x, positions, moved, bounds, values)
 
             with mock.patch.object(estimator, "CHUNK", chunk), mock.patch.object(
-                estimator, "dependent_partition", recording
+                estimator, "_probe", recording
             ):
-                outcome = shrink_step(f, np.zeros(d), 0.0, 1e-3, members, 3, keys, sizes, offsets)
-            return outcome, parts
+                outcome = shrink_step(objective, np.zeros(d), 0.0, 1e-3, part)
+            return outcome, passes
 
-        whole, (part,) = shrunk(2**16)
+        whole, (one,) = shrunk_in(2**16)
         for chunk in (1, 10, 16, 20):
-            split, parts = shrunk(chunk)
-            assert len(parts) > 1
-            assert all(sum(p.sizes) <= max(chunk, max(p.sizes)) for p in parts)
-            for field in ("indices", "labels", "signs"):
+            (split, passes), (rows, _) = shrunk_in(chunk), shrunk_in(chunk, hooked(f))
+            for outcome in (split, rows):
+                assert outcome.labels == whole.labels and outcome.degenerate == whole.degenerate
+                for a, b in zip(outcome.kept, whole.kept):
+                    np.testing.assert_array_equal(a, b)
+            assert len(passes) > 1
+            assert all(b[-1] <= max(chunk, max(np.diff(b))) for _, b, _ in passes)
+            np.testing.assert_array_equal(np.concatenate([p for p, _, _ in passes]), one[0])
+            for k in range(2):
                 np.testing.assert_array_equal(
-                    np.concatenate([getattr(p, field) for p in parts]), getattr(part, field)
+                    np.concatenate([values[k] for _, _, values in passes]), one[2][k]
                 )
-            assert split.labels == whole.labels and split.degenerate == whole.degenerate
-            for a, b in zip(split.kept, whole.kept):
-                np.testing.assert_array_equal(a, b)
 
     def test_probe_point_is_restored(self):
         # Each probe is written into x and taken out again, also when f raises.
@@ -248,7 +258,7 @@ class TestShrinkStep:
             return float(point @ np.arange(12.0))
 
         f = BlackBoxFunction(12, evaluate)
-        shrink_step(f, x, 0.0, 1e-3, shuffled(12, 4), 3, key_row(4, 12), [5, 7])
+        shrunk(f, x, 0.0, 1e-3, shuffled(12, 4), 3, key_row(4, 12), [5, 7])
         np.testing.assert_array_equal(x, original)
         # Probes v and u of a run move the same coordinates, one run at a time.
         assert seen[0] == seen[1] and seen[2] == seen[3] and len(seen[0]) == 5
@@ -257,7 +267,7 @@ class TestShrinkStep:
             raise RuntimeError("objective failed")
 
         with pytest.raises(RuntimeError):
-            shrink_step(
+            shrunk(
                 BlackBoxFunction(12, failing), x, 0.0, 1e-3, np.arange(1, 13), 3, key_row(4, 12)
             )
         np.testing.assert_array_equal(x, original)
@@ -373,9 +383,9 @@ class TestLocateInGroup:
             bounds.append(-(-bound // min(max(schedule.value(len(bounds)), 2), bound)))
         seen = []
 
-        def recording(f, x, f_x, epsilon, members, divisor, keys, sizes, offsets):
-            seen.append((sizes, offsets))
-            return shrink_step(f, x, f_x, epsilon, members, divisor, keys, sizes, offsets)
+        def recording(f, x, f_x, epsilon, part):
+            seen.append((list(part.sizes), part.signs.copy()))
+            return shrink_step(f, x, f_x, epsilon, part)
 
         coeffs = {(j - 1) % n + 1: 2.0**k for k, j in enumerate(signals)}
         row = key_row(seed, sum(bounds[:-1]))
@@ -385,10 +395,107 @@ class TestLocateInGroup:
                 keys=row[None, :],
             )
         assert len(seen) <= len(bounds) - 1
-        for t, (sizes, offsets) in enumerate(seen):
+        for t, (sizes, signs) in enumerate(seen):
             assert len(sizes) == 1 and sizes[0] <= bounds[t]
-            assert offsets == [sum(bounds[:t])]
+            columns = row[sum(bounds[:t]) :][: sizes[0]]
+            np.testing.assert_array_equal(signs, np.where(columns < 0.5, 1, -1))
         assert len(survivors) <= bounds[len(seen)]
+
+
+def first_pass(dims, n, schedule, keys):
+    """The partition locate_in_group cuts for its first shrink pass, or None if it makes none."""
+    parts = []
+
+    def recording(f, x, f_x, epsilon, part):
+        parts.append(part)
+        return shrink_step(f, x, f_x, epsilon, part)
+
+    # A flat f leaves every run without a label, so pass 1 is the only pass.
+    f = BlackBoxFunction(len(dims), lambda point: 0.0)
+    with mock.patch.object(estimator, "shrink_step", recording):
+        found = locate_in_group(f, np.zeros(len(dims)), 0.0, 1e-3, dims, n, schedule, keys=keys)
+    assert len(parts) <= 1
+    return (parts[0] if parts else None), found
+
+
+def check_first_pass(d, n, schedule, seed):
+    """Pass 1 equals dependent_partition over the groups of more than two members."""
+    dims = shuffled(d, seed)
+    width = estimator._key_spans(n, schedule)[1][-1]
+    keys = RngStream(seed, 2).gen.random((-(-d // n), width))
+    part, found = first_pass(dims, n, schedule, keys)
+    sizes = [n] * (d // n) + [d % n] * (d % n > 2) if n > 2 else []
+    if not sizes:
+        assert part is None and found == dims.tolist()
+        return
+    offsets = [g * width for g in range(len(sizes))]
+    divisor = max(schedule.value(1), 2)
+    want = dependent_partition(dims[: sum(sizes)], divisor, keys.ravel(), sizes, offsets)
+    np.testing.assert_array_equal(part.indices, want.indices)
+    assert list(part.sizes) == want.sizes and list(part.block_size) == want.block_size
+    for got, expected in ((part.labels, want.labels), (part.signs, want.signs)):
+        assert got.dtype == expected.dtype == np.int64
+        np.testing.assert_array_equal(got, expected)
+    np.testing.assert_array_equal(part.run_of, np.arange(len(sizes)).repeat(sizes))
+    # The members of a ragged group of at most two are found as they are.
+    assert found[: d - sum(sizes)] == dims[sum(sizes) :].tolist()
+
+
+class TestFirstPassPlan:
+    """Pass 1 of every repeat comes from a plan cached per (d, n, D_1)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        d=st.integers(1, 300),
+        data=st.data(),
+        schedule=st.one_of(
+            st.integers(2, 30).map(practical_schedule),
+            st.builds(explicit_schedule, st.just([2])),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_dependent_partition(self, d, data, schedule, seed):
+        check_first_pass(d, data.draw(st.integers(1, d), label="n"), schedule, seed)
+
+    @pytest.mark.parametrize(
+        "d, n",
+        [(1, 1), (2, 2), (9, 2), (10, 4), (9, 4), (12, 4), (7, 7), (3, 3), (300, 300), (2000, 35)],
+    )
+    @pytest.mark.parametrize("d1", [2, 20, None])
+    def test_edge_shapes_equal_dependent_partition(self, d, n, d1):
+        # n <= 2; ragged groups of 2, 1 and n; d = n; past d = 1024, uncached labels.
+        schedule = explicit_schedule([2]) if d1 is None else practical_schedule(d1)
+        check_first_pass(d, n, schedule, d + n)
+
+    def test_cache_is_keyed_on_what_the_plan_reads(self):
+        inst = make_distance(512, 10, RngStream(4))
+        x = inst.x1 + 0.01
+        base = GraceConfig.defaults(512, 10)
+        configs = [
+            base,
+            GraceConfig.defaults(512, 10, d1=10),
+            replace(base, n=50),
+            replace(base, schedule=explicit_schedule([2])),
+            base,
+        ]
+
+        def estimates(clear):
+            seen = []
+            for cfg in configs:
+                if clear:
+                    estimator._plan.cache_clear()
+                estimate = grace_estimate(inst.objective, x, cfg, RngStream(5))
+                seen.append((estimate.queries_used, estimate.entries))
+            return seen
+
+        assert estimates(False) == estimates(True)
+
+    def test_cached_arrays_are_read_only_and_bounded(self):
+        *_, labels, run_of = estimator._plan(512, 35, 20)
+        for array in (labels, run_of):
+            with pytest.raises(ValueError):
+                array[0] = 7
+        assert estimator._plan(2048, 35, 20)[4:] == (None, None)
 
 
 class TestGraceEstimate:
@@ -756,7 +863,7 @@ class TestBatchedProbes:
         f = BlackBoxFunction(d, lambda point: float(point @ np.arange(1.0, d + 1)), batch)
         bound = estimator.BATCH_FLOATS if per_call is None else per_call * d
         with mock.patch.object(estimator, "BATCH_FLOATS", bound):
-            shrink_step(f, x.copy(), 0.0, epsilon, members, divisor, keys, sizes, offsets)
+            shrunk(f, x.copy(), 0.0, epsilon, members, divisor, keys, sizes, offsets)
         part = dependent_partition(members, divisor, keys, sizes, offsets)
         positions, step = part.indices - 1, epsilon * part.signs
         values = (x[positions] + step * part.labels, x[positions] + step)

@@ -18,6 +18,7 @@ import pytest
 
 from zosparse.blackbox import make_distance, make_planted_linear
 from zosparse.estimator import GraceConfig, grace_estimate
+from zosparse.optimizer import OptimizerConfig, run_optimizer
 from zosparse.rng import RngStream
 
 
@@ -133,3 +134,35 @@ def test_distance_outputs_at_three_repeats_are_pinned(d1, instance, point):
     cfg = replace(GraceConfig.defaults(512, 10, d1=d1), m=3)
     estimate = grace_estimate(problem.objective, x, cfg, root.derive(1, instance, point))
     assert outputs(estimate) == DISTANCE[d1, instance, point]
+
+
+def run_outputs(trace):
+    """The run's record count, its final queries, and a digest of every record's queries."""
+    queries = np.asarray([record.queries for record in trace.records], dtype="<i8").tobytes()
+    return len(trace.records), trace.records[-1].queries, hashlib.sha256(queries).hexdigest()[:16]
+
+
+# Whole grace descents at budget 1500 on distance-d/10, four instances each:
+# d = 512 goes through the objective's batch hook, d = 2048 has none.
+# (d, instance): (records, final queries, digest of the record queries)
+DESCENT = {
+    (512, 0): (34, 1500, "fea7c37d1ec5cdea"),
+    (512, 1): (35, 1500, "18929d2e53576907"),
+    (512, 2): (34, 1500, "b8cc1b3bcf459bb3"),
+    (512, 3): (35, 1500, "6359f1b0c29da7e6"),
+    (2048, 0): (32, 1500, "e17d8f5ed5a52441"),
+    (2048, 1): (33, 1500, "b3cb61f8344771fb"),
+    (2048, 2): (33, 1500, "e4682d907259f7d2"),
+    (2048, 3): (33, 1500, "86effdba89bcf11c"),
+}
+
+
+@pytest.mark.parametrize("d, instance", sorted(DESCENT))
+def test_descent_runs_are_pinned(d, instance):
+    root = RngStream(1)
+    problem = make_distance(d, 10, root.derive(3, d, instance))
+    assert (problem.objective.batch is not None) == (d <= 1024)
+    opt = OptimizerConfig(method="grace", step_size=0.5, budget=1500)
+    cfg = GraceConfig.defaults(d, 10)
+    trace = run_optimizer(problem.objective, problem.x1, opt, root.derive(4, d, instance), cfg)
+    assert run_outputs(trace) == DESCENT[d, instance]

@@ -172,6 +172,17 @@ class TestStepStreams:
         with pytest.raises(ValueError, match="step"):
             StepStreams(RngStream(1)).derive(-1)
 
+    def test_one_seed_sequence_per_run(self):
+        # The generator is keyed once, from the SeedSequence the constructor
+        # builds for the run's pool; each step only writes a new key into it.
+        rng = RngStream(3, 1, (4,))
+        seeds = mock.Mock(wraps=np.random.SeedSequence)
+        with mock.patch("zosparse.rng.np.random.SeedSequence", seeds):
+            source = StepStreams(rng)
+            draws = [_draws(source.derive(step).gen) for step in range(1, 5)]
+        assert seeds.call_count == 1
+        assert draws == [_draws(rng.derive(step).gen) for step in range(1, 5)]
+
     def test_never_calls_derive(self):
         # run_optimizer's steps must not pay for a SeedSequence each.
         with mock.patch.object(RngStream, "derive", side_effect=AssertionError("derive")):
@@ -489,15 +500,15 @@ class TestDependentPartition:
 
 
 class TestEstimateDraws:
-    """The blocks and signs that grace_estimate draws, as dependent_partition sees them."""
+    """The blocks and signs that grace_estimate draws, as shrink_step sees them."""
 
     @staticmethod
     def _partitions(f, cfg, seed, estimates):
         """Per estimate, every run's partition it cut, run by run in call order."""
         seen = []
+        shrink_step = estimator.shrink_step
 
-        def recording(members, divisor, keys, sizes, offsets):
-            part = dependent_partition(members, divisor, keys, sizes, offsets)
+        def recording(f, x, f_x, epsilon, part):
             start = 0
             for size, block in zip(part.sizes, part.block_size):
                 run = slice(start, start + size)
@@ -507,10 +518,10 @@ class TestEstimateDraws:
                     )
                 )
                 start += size
-            return part
+            return shrink_step(f, x, f_x, epsilon, part)
 
         rng = RngStream(seed)
-        with mock.patch.object(estimator, "dependent_partition", recording):
+        with mock.patch.object(estimator, "shrink_step", recording):
             for _ in range(estimates):
                 seen.append([])
                 grace_estimate(f, np.zeros(f.dim), cfg, rng)
