@@ -151,27 +151,6 @@ class ShrinkOutcome:
     degenerate: int
 
 
-def _read_label(f_x: float, f_v: float, f_u: float, num_blocks: int) -> tuple[int | None, bool]:
-    """The ratio test: a label, and whether it locates a block.
-
-    The label is (f_v - f_x) / (f_u - f_x) rounded half away from zero.  None
-    is read from a non-finite value or ratio, or from a denominator below
-    DENOMINATOR_TOLERANCE * max(1, |f_x|).  A label locates when it lies in
-    1..num_blocks.  It takes Python floats: on one group's values, numpy
-    calls cost about 20 times as much.
-    """
-    if not (math.isfinite(f_x) and math.isfinite(f_v) and math.isfinite(f_u)):
-        return None, False
-    denominator = f_u - f_x
-    if abs(denominator) < DENOMINATOR_TOLERANCE * max(1.0, abs(f_x)):
-        return None, False
-    ratio = (f_v - f_x) / denominator
-    if not math.isfinite(ratio):
-        return None, False
-    label = math.floor(ratio + 0.5) if ratio >= 0.0 else math.ceil(ratio - 0.5)
-    return label, 1 <= label <= num_blocks
-
-
 def _probe(f: BlackBoxFunction, x, positions, moved, bounds, values) -> list[list[float]]:
     """Per row of values, f at x with positions[lo:hi] set to row[lo:hi], per run [lo, hi).
 
@@ -208,7 +187,8 @@ def _probe_rows(f: BlackBoxFunction, x, positions, bounds, values, run_of, first
         # Rows start..stop - 1: per probe k among them, the runs i whose row k * runs + i is here.
         for k in range(start // runs, -(-stop // runs)):
             lo, hi = bounds[max(start - k * runs, 0)], bounds[min(stop - k * runs, runs)]
-            probes[run_of[lo:hi] + (k * runs - start - first), positions[lo:hi]] = values[k][lo:hi]
+            rows, offset = run_of[lo:hi], k * runs - start - first
+            probes[rows + offset if offset else rows, positions[lo:hi]] = values[k][lo:hi]
         got = np.asarray(f.batch(probes), dtype=float)
         if got.shape != (stop - start,):
             raise ValueError(f"batch returned shape {got.shape} for {stop - start} points")
@@ -224,20 +204,27 @@ def shrink_step(
     Probe v of a run moves each member i by epsilon * sign_i * label_i,
     probe u by epsilon * sign_i.  For a gradient dominated by one coordinate
     j, (f(x+v) - f(x)) / (f(x+u) - f(x)) sits within 1/2 of j's label, so
-    rounding it picks j's block; a non-finite value or ratio keeps nothing.
-    Each probe is written into the writable float array x and taken out
-    again, or sent through a ``batch`` hook, in passes of whole runs of at
-    most CHUNK members (or one longer run).
+    rounding it, half away from zero, picks j's block.  Each run's label is
+    read inline in Python floats, where numpy costs 20 times as much: none
+    from a non-finite f(x), value or ratio or a denominator below
+    DENOMINATOR_TOLERANCE * max(1, |f(x)|); one outside 1..ceil(size/block)
+    keeps nothing either.  Each probe is written into the writable float
+    array x and taken out again, or sent through a ``batch`` hook, in
+    passes of whole runs of at most CHUNK members (or one longer run).
     """
     sizes, blocks = part.sizes, part.block_size
     if min(sizes) < 2:
         raise ValueError("shrink_step needs at least 2 members in every run")
-    labels, kept, ends, first = [], [], [0, *itertools.accumulate(sizes)], 0
+    labels, kept, ends, first, degenerate = [], [], [0, *itertools.accumulate(sizes)], 0, 0
+    # No distance compares >= nan, so a non-finite f_x reads no label.
+    tolerance = DENOMINATOR_TOLERANCE * max(1.0, abs(f_x)) if math.isfinite(f_x) else math.nan
     while first < len(sizes):
         # Whole runs of at most CHUNK members, or one longer run: mostly a single pass.
         last = max(bisect.bisect_right(ends, ends[first] + CHUNK, first + 1) - 1, first + 1)
         lo, hi = ends[first], ends[last]
-        bounds, indices = [end - lo for end in ends[first : last + 1]], part.indices[lo:hi]
+        # A pass over every run, the usual case, is bounded by ends itself.
+        bounds = ends if last - first == len(sizes) else [e - lo for e in ends[first : last + 1]]
+        indices = part.indices[lo:hi]
         positions, step = indices - 1, epsilon * part.signs[lo:hi]
         moved, scaled = x[positions], step * part.labels[lo:hi]
         values = (np.add(scaled, moved, out=scaled), moved + step)  # Same bits as moved + scaled.
@@ -246,25 +233,38 @@ def shrink_step(
         else:
             f_v, f_u = _probe_rows(f, x, positions, bounds, values, part.run_of[lo:hi], first)
         for start, size, block, v, u in zip(bounds, sizes[first:], blocks[first:], f_v, f_u):
-            label, locates = _read_label(f_x, v, u, -(-size // block))
+            label, end = None, start + size
+            if math.isfinite(v) and math.isfinite(u) and abs(denominator := u - f_x) >= tolerance:
+                ratio = (v - f_x) / denominator
+                if math.isfinite(ratio):
+                    label = math.floor(ratio + 0.5) if ratio >= 0.0 else math.ceil(ratio - 0.5)
             # The kept block starts (label - 1) blocks into its run; else it is empty.
-            begin = start + (label - 1) * block if locates else start + size
-            kept.append(indices[begin : min(begin + block, start + size)])
+            locates = label is not None and 1 <= label <= -(-size // block)
+            begin = start + (label - 1) * block if locates else end
+            kept.append(indices[begin : min(begin + block, end)])
             labels.append(label)
+            degenerate += not locates
         first = last
-    return ShrinkOutcome(kept, labels, sum(block.size == 0 for block in kept))
+    return ShrinkOutcome(kept, labels, degenerate)
 
 
 def _key_spans(
     size: int, schedule: DivisionSchedule, ragged: int = 0
-) -> tuple[list[int], list[int], list[int]]:
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """Each shrink iteration's divisor max(D_t, 2), and where its key columns start.
 
     Iteration t owns b_t columns: b_1 = size and, while b_t > 2,
     b_{t+1} = ceil(b_t / min(max(D_t, 2), b_t)), so at most b_t members
     reach iteration t.  The starts end with the total; so do ``last``, those
-    of a group of ``ragged`` <= size members, which ends no later.
+    of a group of ``ragged`` <= size members, which ends no later.  Answered
+    from a cache keyed on the schedule's values, walked on a copy of it.
     """
+    return _spans(size, ragged, schedule.kind, tuple(schedule.terms), schedule.params)
+
+
+@functools.lru_cache(maxsize=64)  # Keyed on values: a DivisionSchedule grows as it is read.
+def _spans(size: int, ragged: int, kind: str, terms: tuple, params) -> tuple:
+    schedule = DivisionSchedule(kind, list(terms), params)
     steps, starts, last, bound = [], [0], [0], size
     while bound > 2:
         steps.append(max(schedule.value(len(steps) + 1), 2))
@@ -273,7 +273,7 @@ def _key_spans(
         if ragged > 2:
             last.append(last[-1] + ragged)
             ragged = -(-ragged // min(steps[-1], ragged))
-    return steps, starts, last
+    return tuple(steps), tuple(starts), tuple(last)
 
 
 @functools.lru_cache(maxsize=64)  # Keyed on values: a DivisionSchedule grows as it is read.

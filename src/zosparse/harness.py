@@ -131,6 +131,8 @@ def _checked(spec: ExperimentSpec) -> ExperimentSpec:
         raise ExperimentSpecError(f"[family] unknown family {spec.family!r}; expected {families}")
     if spec.budget < 1 or (spec.max_steps is not None and spec.max_steps < 1):
         raise ExperimentSpecError("[experiment] budget and max-steps: need integers >= 1")
+    if not spec.eta_grid or not all(0 < eta < math.inf for eta in spec.eta_grid):
+        raise ExperimentSpecError("[experiment] eta-grid: need finite step sizes > 0")
     row = FAMILIES[spec.family]
     methods = []
     for method in spec.methods:
@@ -138,6 +140,11 @@ def _checked(spec: ExperimentSpec) -> ExperimentSpec:
         if method.method not in METHOD_KEYS:
             raise ExperimentSpecError(f"[{section}] unknown method {method.method!r}")
         params = _typed(section, METHOD_KEYS[method.method], (), method.params)
+        for key, value in params.items():  # No cell's d brings these into range.
+            least, real = 2 if key == "d1" else 1, isinstance(value, float)
+            if (not 0 < value < math.inf) if real else value < least:
+                need = "a finite value > 0" if real else f"an integer >= {least}"
+                raise ExperimentSpecError(f"[{section}] {key}: need {need}, got {value!r}")
         methods.append(replace(method, params=params))
     family_params = _typed("family", row.keys, row.required, spec.family_params)
     return replace(spec, family_params=family_params, methods=methods)
@@ -172,8 +179,6 @@ def parse_spec(text: str) -> ExperimentSpec:
         eta_grid = [float(tok) for tok in exp.get("eta-grid", "").split()]
     except ValueError:
         raise ExperimentSpecError("[experiment] eta-grid: expected floats") from None
-    if not eta_grid or any(eta <= 0 for eta in eta_grid):
-        raise ExperimentSpecError("[experiment] eta-grid: need positive step sizes")
     instance_seeds = _int_list("experiment", "instance-seeds", exp.get("instance-seeds", ""))
     run_seeds = _int_list("experiment", "run-seeds", exp.get("run-seeds", ""))
 

@@ -17,6 +17,7 @@ objective, judged only from values already paid for.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,14 +68,12 @@ class OptimizerConfig:
             raise ValueError(f"need a finite step_size > 0, got {self.step_size}")
         if self.budget is None and self.max_steps is None:
             raise ValueError("need a stopping rule: budget, max_steps, or both")
-        if self.budget is not None and self.budget < 1:
-            raise ValueError(f"need budget >= 1, got {self.budget}")
-        if self.max_steps is not None and self.max_steps < 1:
-            raise ValueError(f"need max_steps >= 1, got {self.max_steps}")
+        for name in ("budget", "max_steps", "directions", "scales"):
+            k = getattr(self, name)  # A bool is an Integral, but no count.
+            if k is not None and (type(k) is bool or not isinstance(k, numbers.Integral) or k < 1):
+                raise ValueError(f"need an integer {name} >= 1, got {k!r}")
         if not 0 < self.mu < math.inf:
             raise ValueError(f"need a finite mu > 0, got {self.mu}")
-        if self.directions < 1 or self.scales < 1:
-            raise ValueError("need directions and scales >= 1")
 
 
 @dataclass

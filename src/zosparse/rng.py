@@ -76,10 +76,18 @@ _MASK = 0xFFFFFFFF
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
+# Steps keyed at once; it divides 2**32, so the steps of a block have equally many words.
+_BLOCK = 256
+
 
 def _words(n: int) -> list[int]:
     """n as SeedSequence reads it: 32-bit words, least significant first; [0] for 0."""
     return [n >> shift & _MASK for shift in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _hashes(start: int, mult: int, count: int) -> np.ndarray:
+    """SeedSequence's running hash constant: start, start * mult, ... (count terms), as uint32."""
+    return np.array([start * pow(mult, i, 2**32) & _MASK for i in range(count)], np.uint32)
 
 
 class StepStreams:
@@ -88,7 +96,9 @@ class StepStreams:
     SeedSequence hashes its entropy words into a pool of four one after
     another, and the spawn key follows the seed's four words, so the pool
     after ``(seed, stream, *path)`` is kept and only a step's words are mixed
-    in.  The resulting Philox key is written into one generator with counter
+    in.  That is done for a block of _BLOCK consecutive steps at once, one
+    lane each, in numpy uint32 arrays, which wrap as SeedSequence's C code
+    does.  The resulting Philox key is written into one generator with counter
     0 and an empty buffer, which then draws exactly as a fresh
     ``rng.derive(step).gen``.  The stream returned for a step is re-keyed by
     the next call, so no caller may keep it past its step.
@@ -96,33 +106,40 @@ class StepStreams:
 
     def __init__(self, rng: RngStream):
         seq = np.random.SeedSequence(entropy=rng.seed, spawn_key=(rng.stream, *rng.path))
-        self._pool = [int(word) for word in seq.pool]
+        self._pool = seq.pool.astype(np.uint32)
         # Every entropy word took four hashes; the seed is padded to four words.
         words = max(4, len(_words(rng.seed))) + sum(len(_words(k)) for k in seq.spawn_key)
         self._hash = _INIT_A * pow(_MULT_A, 4 * words, 2**32) & _MASK
+        self._block, self._keys = -1, []
         self._step = RngStream(rng.seed, rng.stream, rng.path)
         self._step.gen = np.random.Generator(np.random.Philox(seq))  # Re-keyed by every derive.
         self._path = rng.path
 
     def key(self, step: int) -> list[int]:
-        """SeedSequence(seed, spawn_key=(stream, *path, step)).generate_state(2, uint64)."""
+        """SeedSequence(seed, spawn_key=(stream, *path, step)).generate_state(2, uint64).
+
+        The list is shared with the block's cache: read it, never change it.
+        """
         if step < 0:
             raise ValueError(f"need a step >= 0, got {step}")
-        pool, hashed = list(self._pool), self._hash
-        for word in _words(step):
-            for i in range(4):
-                value = word ^ hashed
-                hashed = hashed * _MULT_A & _MASK
-                value = value * hashed & _MASK
-                mixed = (_MIX_L * pool[i] - _MIX_R * (value ^ value >> 16)) & _MASK
-                pool[i] = mixed ^ mixed >> 16
-        state, hashed = [], _INIT_B
-        for value in pool:
-            value ^= hashed
-            hashed = hashed * _MULT_B & _MASK
-            value = value * hashed & _MASK
-            state.append(value ^ value >> 16)
-        return [state[0] | state[1] << 32, state[2] | state[3] << 32]
+        block, row = divmod(step, _BLOCK)
+        if block != self._block:
+            self._block, self._keys = block, self._block_keys(block * _BLOCK)
+        return self._keys[row]
+
+    def _block_keys(self, first: int) -> list[list[int]]:
+        """The keys of steps first .. first + _BLOCK - 1; first is a multiple of _BLOCK."""
+        words = np.array(_words(first), np.uint32) + np.zeros((_BLOCK, 1), np.uint32)
+        words[:, 0] += np.arange(_BLOCK, dtype=np.uint32)  # Only word 0 differs in a block.
+        pool = np.tile(self._pool, (_BLOCK, 1))
+        hashed = _hashes(self._hash, _MULT_A, 4 * words.shape[1] + 1)
+        for k in range(words.shape[1]):  # Word k's four hashes take constants 4k .. 4k + 4.
+            value = (words[:, k, None] ^ hashed[4 * k : 4 * k + 4]) * hashed[4 * k + 1 : 4 * k + 5]
+            mixed = _MIX_L * pool - _MIX_R * (value ^ value >> 16)
+            pool = mixed ^ mixed >> 16
+        hashed = _hashes(_INIT_B, _MULT_B, 5)
+        pool = (pool ^ hashed[:-1]) * hashed[1:]
+        return (pool ^ pool >> 16).astype("<u4", copy=False).view("<u8").tolist()
 
     def derive(self, step: int) -> RngStream:
         """The stream of rng.derive(step), valid until the next call."""
@@ -161,6 +178,9 @@ def random_permutation(n: int, rng: RngStream) -> np.ndarray:
     return rng.gen.permutation(n) + 1
 
 
+_COUNT = [np.arange(1, 1)]
+
+
 def partition_groups(d: int, n: int, omega: np.ndarray) -> np.ndarray:
     """Split {1..d} into ceil(d/n) groups of size n via the permutation omega.
 
@@ -175,8 +195,11 @@ def partition_groups(d: int, n: int, omega: np.ndarray) -> np.ndarray:
     omega = as_indices(omega, message)
     if omega.shape != (d,) or omega.min() < 1 or omega.max() > d:
         raise ValueError(message)
+    if _COUNT[0].size < d:  # 1..d for the largest d so far, read-only; smaller ones slice it.
+        _COUNT[0] = np.arange(1, d + 1)
+        _COUNT[0].setflags(write=False)
     dims = np.zeros(d + 1, dtype=np.int64)
-    dims[omega] = np.arange(1, d + 1)
+    dims[omega] = _COUNT[0][:d]
     # d images in 1..d leave a slot of 1..d at 0 exactly when one repeats.
     if not dims[1:].all():
         raise ValueError(message)

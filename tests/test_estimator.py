@@ -30,7 +30,7 @@ from zosparse.estimator import (
 )
 from zosparse.optimizer import OptimizerConfig, run_optimizer
 from zosparse.rng import RngStream, dependent_partition, partition_groups, random_permutation
-from zosparse.theory import explicit_schedule, practical_schedule
+from zosparse.theory import DivisionSchedule, explicit_schedule, practical_schedule
 
 
 def linear(d, coeffs):
@@ -271,6 +271,138 @@ class TestShrinkStep:
                 BlackBoxFunction(12, failing), x, 0.0, 1e-3, np.arange(1, 13), 3, key_row(4, 12)
             )
         np.testing.assert_array_equal(x, original)
+
+
+def read_label(f_x, f_v, f_u, num_blocks):
+    """The ratio test as one function, as it stood before shrink_step read it inline.
+
+    The label is (f_v - f_x) / (f_u - f_x) rounded half away from zero.  None
+    is read from a non-finite value or ratio, or from a denominator below
+    DENOMINATOR_TOLERANCE * max(1, |f_x|).  A label locates when it lies in
+    1..num_blocks.
+    """
+    if not (math.isfinite(f_x) and math.isfinite(f_v) and math.isfinite(f_u)):
+        return None, False
+    denominator = f_u - f_x
+    if abs(denominator) < estimator.DENOMINATOR_TOLERANCE * max(1.0, abs(f_x)):
+        return None, False
+    ratio = (f_v - f_x) / denominator
+    if not math.isfinite(ratio):
+        return None, False
+    label = math.floor(ratio + 0.5) if ratio >= 0.0 else math.ceil(ratio - 0.5)
+    return label, 1 <= label <= num_blocks
+
+
+SPECIAL = [math.nan, math.inf, -math.inf]
+
+
+@st.composite
+def probe_pairs(draw, f_x):
+    """(f_v, f_u) for one run: non-finite values, denominators on either side of
+    the tolerance, exact halves, huge ratios, or any two floats."""
+    if draw(st.booleans()):
+        anything = st.floats() | st.sampled_from(SPECIAL)
+        return draw(anything), draw(anything)
+    scale = max(1.0, abs(f_x)) if math.isfinite(f_x) else 1.0
+    tolerance = estimator.DENOMINATOR_TOLERANCE * scale
+    denominator = draw(
+        st.sampled_from([1.0, -2.0, 0.25, 0.0])
+        | st.sampled_from([1.0, 1 - 2**-10, 1 + 2**-10, -1.0, -(1 - 2**-10)]).map(
+            lambda k: k * tolerance
+        )
+    )
+    ratio = draw(
+        st.sampled_from([k + 0.5 for k in range(-3, 6)])
+        | st.sampled_from([1e300, -1e300, 2.0**1000, 1.0, 2.0])
+        | st.floats(-8.0, 8.0)
+    )
+    base = f_x if math.isfinite(f_x) else 0.0
+    return base + ratio * denominator, base + denominator
+
+
+@st.composite
+def label_cases(draw):
+    f_x = draw(
+        st.sampled_from([0.0, 1.0, -2.5, 3e12, -7e-300, 1e300, *SPECIAL]) | st.floats(-1e6, 1e6)
+    )
+    sizes = draw(st.lists(st.integers(2, 7), min_size=1, max_size=6))
+    return f_x, sizes, [draw(probe_pairs(f_x)) for _ in sizes]
+
+
+class TestInlineLabel:
+    """shrink_step reads every run's label as read_label does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        case=label_cases(),
+        divisor=st.integers(2, 4),
+        hook=st.booleans(),
+        chunk=st.sampled_from([None, 3]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_labels_kept_blocks_and_degenerate_count_match(self, case, divisor, hook, chunk, seed):
+        f_x, sizes, pairs = case
+        d, epsilon = sum(sizes), 1e-3
+        part = dependent_partition(shuffled(d, seed), divisor, key_row(seed, d), sizes)
+        run_of = dict(zip(part.indices.tolist(), np.arange(len(sizes)).repeat(sizes).tolist()))
+
+        def scripted(point):
+            # From x = 0, a probe moves one run; only probe v moves a member by a label >= 2.
+            f_v, f_u = pairs[run_of[int(np.flatnonzero(point)[0]) + 1]]
+            return f_v if np.abs(point).max() > 1.5 * epsilon else f_u
+
+        f = BlackBoxFunction(d, scripted)
+        f = hooked(f) if hook else f
+        with mock.patch.object(estimator, "CHUNK", chunk or estimator.CHUNK):
+            outcome = shrink_step(f, np.zeros(d), f_x, epsilon, part)
+        labels, degenerate, start = [], 0, 0
+        for size, block, (f_v, f_u), kept in zip(sizes, part.block_size, pairs, outcome.kept):
+            label, locates = read_label(f_x, f_v, f_u, -(-size // block))
+            labels.append(label)
+            degenerate += not locates
+            begin = start + (label - 1) * block if locates else start + size
+            want = part.indices[begin : min(begin + block, start + size)]
+            np.testing.assert_array_equal(kept, want)
+            start += size
+        assert outcome.labels == labels
+        assert all(type(label) is int for label in labels if label is not None)
+        assert outcome.degenerate == degenerate
+
+    @pytest.mark.parametrize("f_x", SPECIAL)
+    def test_non_finite_base_value_reads_no_label(self, f_x):
+        f = linear(6, {2: 3.0})
+        outcome = shrunk(f, np.zeros(6), f_x, 1e-3, np.arange(1, 7), 3, key_row(1, 6))
+        assert outcome.labels == [None] and outcome.degenerate == 1
+
+
+class TestKeySpans:
+    def test_cache_follows_the_schedules_values(self):
+        schedule = explicit_schedule([4, 3])
+        before = estimator._key_spans(50, schedule, 7)
+        schedule.terms[:] = [3]
+        after = estimator._key_spans(50, schedule, 7)
+        assert after == estimator._spans.__wrapped__(50, 7, "explicit", (3,), None) != before
+        assert after == estimator._key_spans(50, explicit_schedule([3]), 7)
+
+    def test_a_grown_schedule_gives_the_same_spans(self):
+        fresh, grown = practical_schedule(20), practical_schedule(20)
+        grown.value(4)
+        assert estimator._key_spans(5000, fresh, 33) == estimator._key_spans(5000, grown, 33)
+        assert estimator._key_spans(5000, grown) == estimator._spans.__wrapped__(
+            5000, 0, "practical", (20,), None
+        )
+
+    def test_steady_state_walks_no_schedule(self):
+        f = make_distance(128, 4, RngStream(3)).objective
+        cfg = GraceConfig.defaults(128, 4, d1=7)
+        grace_estimate(f, np.zeros(128), cfg, RngStream(1))
+        value = DivisionSchedule.value
+        with mock.patch.object(DivisionSchedule, "value", autospec=True, side_effect=value) as walk:
+            for seed in range(2, 6):
+                grace_estimate(f, np.zeros(128), cfg, RngStream(seed))
+            assert walk.call_count == 0
+            estimator._key_spans(128, explicit_schedule([5, 4]))  # A new schedule is walked.
+            assert walk.call_count > 0
 
 
 class TestLocateInGroup:

@@ -62,6 +62,24 @@ UNREAD_SECTIONS = [
     ("[DEFAULT]\nfoo = 1", "DEFAULT"),
 ]
 
+# Values that fail in every cell whatever d is, each with its method; the
+# experiment's eta-grid is checked with them.
+OUT_OF_RANGE = [
+    ("grace", "epsilon", "0.0"),
+    ("grace", "epsilon", "-0.001"),
+    ("grace", "epsilon", "nan"),
+    ("grace", "epsilon", "inf"),
+    ("grace", "n", "0"),
+    ("grace", "m", "0"),
+    ("grace", "d1", "1"),
+    ("grace", "s", "0"),
+    ("rs", "mu", "-1"),
+    ("rs", "mu", "inf"),
+    ("zo-signsgd", "mu", "nan"),
+    ("zo-signsgd", "directions", "0"),
+    ("gld", "scales", "0"),
+]
+
 
 def with_unread(text, header, line):
     """text with line added to section header, appended when header is new."""
@@ -135,6 +153,18 @@ def drawn_params(keys, required):
     )
 
 
+def method_params(method):
+    """Strategy for a method's params: any subset of its keys, each within its spec range."""
+    least = {"d1": 2}  # Counts start at 1, the first divisor at 2; floats are finite and > 0.
+    return st.fixed_dictionaries(
+        {},
+        optional={
+            key: POSITIVE if kind is float else st.integers(least.get(key, 1), 10**12)
+            for key, kind in METHOD_KEYS[method].items()
+        },
+    )
+
+
 @st.composite
 def specs(draw):
     """Valid specs over every family of FAMILIES and every method of METHOD_KEYS."""
@@ -144,7 +174,7 @@ def specs(draw):
     methods = []
     for name in names:
         method = draw(st.sampled_from(list(METHOD_KEYS)))
-        methods.append(MethodSpec(name, method, draw(drawn_params(METHOD_KEYS[method], ()))))
+        methods.append(MethodSpec(name, method, draw(method_params(method))))
     return ExperimentSpec(
         family=family,
         family_params=draw(drawn_params(FAMILIES[family].keys, FAMILIES[family].required)),
@@ -219,6 +249,23 @@ class TestSpecDocuments:
         text = serialize_spec(small_spec()).replace("eta-grid = 0.2 0.05", "eta-grid =")
         with pytest.raises(ExperimentSpecError, match="eta-grid"):
             parse_spec(text)
+
+    @pytest.mark.parametrize("eta", ["nan", "inf", "0.1 -inf", "0"])
+    def test_eta_grid_must_be_finite_and_positive(self, eta):
+        text = serialize_spec(small_spec()).replace("eta-grid = 0.2 0.05", f"eta-grid = {eta}")
+        with pytest.raises(ExperimentSpecError, match=r"\[experiment\] eta-grid"):
+            parse_spec(text)
+
+    @pytest.mark.parametrize("method, key, value", OUT_OF_RANGE)
+    def test_method_values_that_fail_in_every_cell_are_rejected(self, method, key, value, tmp_path):
+        odd = f"\n[method:odd]\nmethod = {method}\n{key} = {value}\n"
+        text = serialize_spec(small_spec()) + odd
+        with pytest.raises(ExperimentSpecError, match=rf"\[method:odd\] {key}: need"):
+            parse_spec(text)
+        spec = small_spec(methods=[MethodSpec("odd", method, {key: value})])
+        with pytest.raises(ExperimentSpecError, match=rf"\[method:odd\] {key}: need"):
+            run_experiment(spec, output_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_float_params_survive_exactly(self):
         spec = small_spec(methods=[MethodSpec("rs", "rs", {"mu": 0.1 + 0.2})])
@@ -583,6 +630,23 @@ class TestCli:
             code = main(["run", str(bad), "--jobs", "1", "--output", str(tmp_path / "out")])
             assert code == 2
         assert not (tmp_path / "out").exists()  # rejected before any cell ran
+
+    @pytest.mark.parametrize("method, key, value", OUT_OF_RANGE)
+    def test_run_out_of_range_value_is_usage_error(self, method, key, value, tmp_path, capsys):
+        (tmp_path / "g.txt").write_text("6 6\n1 2\n2 3\n3 4\n4 5\n5 6\n1 6\n", encoding="utf-8")
+        spec = small_spec(
+            family="attack",
+            family_params={"graph": "g.txt", "hops": 2},
+            methods=[MethodSpec("odd", method, {key: value})],
+            instance_seeds=[1],
+            eta_grid=[0.1],
+            budget=60,
+        )
+        spec_path = self.write_spec(tmp_path, spec)
+        code = main(["run", str(spec_path), "--jobs", "1", "--output", str(tmp_path / "out")])
+        assert code == 2
+        assert f"[method:odd] {key}: need" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("jobs", ["-3", "0", "two"])
     def test_run_bad_jobs_is_usage_error(self, jobs, tmp_path, capsys):

@@ -76,6 +76,19 @@ class TestOptimizerConfig:
             with pytest.raises(ValueError, match="mu"):
                 OptimizerConfig(method="rs", step_size=0.1, budget=10, mu=mu)
 
+    @pytest.mark.parametrize("key", ["budget", "max_steps", "directions", "scales"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "4", np.float64(2.0)])
+    def test_counts_must_be_integers(self, key, value):
+        # As GraceConfig's n and m: 2.5 steps would run 3, and True would cap at 1.
+        settings = {"budget": 10, key: value}
+        with pytest.raises(ValueError, match=f"integer {key}"):
+            OptimizerConfig(method="gld", step_size=0.1, **settings)
+
+    @pytest.mark.parametrize("key", ["budget", "max_steps", "directions", "scales"])
+    def test_integer_counts_of_any_integer_type_pass(self, key):
+        opt = OptimizerConfig(method="gld", step_size=0.1, **{"budget": 10, key: np.int64(3)})
+        assert getattr(opt, key) == 3
+
 
 class TestEstimateRs:
     def test_unbiased_on_linear_function(self):

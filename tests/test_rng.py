@@ -71,6 +71,10 @@ def _draws(gen):
 
 
 key_words = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**80), st.just(0))
+# Steps at the edges of StepStreams' 256-step blocks and of 32-bit words.
+block_edges = st.sampled_from(
+    [0, 1, 255, 256, 257, 511, 512, 2**32 - 257, 2**32 - 1, 2**32, 2**32 + 256, 2**40, 2**64]
+)
 
 
 class TestRngStream:
@@ -155,6 +159,29 @@ class TestStepStreams:
         for step in steps:
             key = np.random.SeedSequence(entropy=seed, spawn_key=(stream, *path, step))
             assert source.key(step) == key.generate_state(2, np.uint64).tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=key_words | st.integers(2**80, 2**200),
+        stream=key_words,
+        path=st.lists(key_words, max_size=3),
+        steps=st.lists(block_edges | key_words, min_size=1, max_size=8),
+    )
+    def test_block_keys_are_seed_sequences_in_any_order(self, seed, stream, path, steps):
+        # Keys come 256 steps at a time; steps jump between blocks and back.
+        source = StepStreams(RngStream(seed, stream, tuple(path)))
+        for step in steps:
+            key = np.random.SeedSequence(entropy=seed, spawn_key=(stream, *path, step))
+            assert source.key(step) == key.generate_state(2, np.uint64).tolist()
+
+    def test_one_block_hash_serves_256_steps(self):
+        source = StepStreams(RngStream(7, 2, (1,)))
+        blocks = mock.Mock(wraps=source._block_keys)
+        with mock.patch.object(source, "_block_keys", blocks):
+            keys = [source.key(step) for step in range(1, 300)]
+        assert [call.args for call in blocks.call_args_list] == [(0,), (256,)]
+        seeds = [np.random.SeedSequence(7, spawn_key=(2, 1, step)) for step in range(1, 300)]
+        assert keys == [seq.generate_state(2, np.uint64).tolist() for seq in seeds]
 
     @pytest.mark.parametrize(
         "seed, stream, path",
@@ -285,6 +312,20 @@ class TestPartitionGroups:
         for omega in bad:
             with pytest.raises(ValueError, match="omega must be a permutation"):
                 partition_groups(4, 2, np.array(omega))
+
+    @pytest.mark.parametrize(
+        "omega",
+        [[1, 1, 2, 3, 4, 5], [0, 1, 2, 3, 4, 5], [-1, 1, 2, 3, 4, 5], [1, 2, 3, 4, 5, 7]],
+    )
+    def test_rejects_non_permutation_below_a_larger_d(self, omega):
+        # 1..d is sliced from the array of the largest d so far; the checks still hold.
+        partition_groups(64, 5, random_permutation(64, RngStream(1)))
+        with pytest.raises(ValueError, match="omega must be a permutation"):
+            partition_groups(6, 2, np.array(omega))
+        dims = partition_groups(6, 2, np.array([6, 5, 4, 3, 2, 1]))
+        assert dims.tolist() == [6, 5, 4, 3, 2, 1]
+        dims[:] = 0  # The result is the caller's own array.
+        assert partition_groups(6, 2, np.arange(1, 7)).tolist() == [1, 2, 3, 4, 5, 6]
 
     def test_matches_reference_grouping(self):
         for d in (1, 2, 7, 20, 64, 513):
