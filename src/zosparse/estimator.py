@@ -18,17 +18,17 @@ order (:mod:`zosparse.rng` says why each cut is a fresh dependent
 partition), so the live members stay one contiguous run, and the kept run
 starts (label - 1) blocks into it.  All groups of a repeat shrink
 together, their runs end to end in one array: an iteration costs O(live
-members) whatever d is, and the first one takes its run sizes, blocks and
-labels from a plan cached per shape (d, n, D_1).  Each probe is written
-into one copy of x and taken out again, or, with a ``batch`` hook, sent in
-one matrix per iteration; the results are the same.
+members) whatever d is.  Its partition brings the run ends and each probe's
+matrix row, pass 1's from a plan cached per shape (d, n, D_1) with the run
+sizes, blocks and labels.  Each probe is written into one copy of x and
+taken out again, or, with a ``batch`` hook, sent in one matrix per
+iteration; the results are the same.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -67,6 +67,8 @@ DENOMINATOR_TOLERANCE = 1e-12
 # Most live members one shrink pass labels and probes at once, unless one run is longer.
 CHUNK = 2**16
 
+_NONE = np.empty(0, dtype=np.int64)  # What a run that locates nothing keeps: no slice is cut.
+
 
 @dataclass
 class GraceConfig:
@@ -100,7 +102,7 @@ class GraceConfig:
         return cls(epsilon=epsilon, n=max(1, 7 * d // (10 * s)), schedule=practical_schedule(d1))
 
     def validate(self, d: int) -> None:
-        if not 0 < self.epsilon < math.inf:
+        if type(self.epsilon) is bool or not 0 < self.epsilon < math.inf:  # True is no step.
             raise ValueError(f"need a finite epsilon > 0, got {self.epsilon}")
         for k in (self.n, self.m):  # type(k) is int first: the ABC check is slow.
             if type(k) is not int and (isinstance(k, bool) or not isinstance(k, numbers.Integral)):
@@ -170,30 +172,30 @@ def _probe(f: BlackBoxFunction, x, positions, moved, bounds, values) -> list[lis
     return out
 
 
-def _probe_rows(f: BlackBoxFunction, x, positions, bounds, values, run_of, first=0) -> list:
-    """As :func:`_probe`, through f.batch: probe k of run i is row k * runs + i.
+def _probe_rows(f: BlackBoxFunction, x, positions, bounds, values, rows) -> list[float]:
+    """As :func:`_probe`, through f.batch, in one list: probe k of member j is row rows[k, j].
 
-    Member j is in run run_of[j] - first.  At most max(1, BATCH_FLOATS // d)
-    rows go out a call, each call's matrix x broadcast with each probe's
-    members scattered in by one fancy assignment per row of values.
+    rows[k] is k * runs plus each member's run.  At most max(1, BATCH_FLOATS // d)
+    rows go out a call, each call's matrix x broadcast with the probes' members
+    scattered in at once when one call holds every row, else probe by probe.
     """
     runs, d = len(bounds) - 1, x.size
-    count, per_call = len(values) * runs, max(1, BATCH_FLOATS // d)
-    out = np.empty(count)
+    count, per_call, out = len(values) * runs, max(1, BATCH_FLOATS // d), []
     for start in range(0, count, per_call):
         stop = min(start + per_call, count)
         probes = np.empty((stop - start, d))
         probes[:] = x
+        if stop - start == count:
+            probes[rows, positions] = np.asarray(values)  # A tuple costs more to scatter.
         # Rows start..stop - 1: per probe k among them, the runs i whose row k * runs + i is here.
-        for k in range(start // runs, -(-stop // runs)):
+        for k in range(start // runs, -(-stop // runs)) if stop - start < count else ():
             lo, hi = bounds[max(start - k * runs, 0)], bounds[min(stop - k * runs, runs)]
-            rows, offset = run_of[lo:hi], k * runs - start - first
-            probes[rows + offset if offset else rows, positions[lo:hi]] = values[k][lo:hi]
+            probes[rows[k, lo:hi] - start, positions[lo:hi]] = values[k][lo:hi]
         got = np.asarray(f.batch(probes), dtype=float)
         if got.shape != (stop - start,):
             raise ValueError(f"batch returned shape {got.shape} for {stop - start} points")
-        out[start:stop] = got
-    return out.reshape(len(values), -1).tolist()
+        out += got.tolist()
+    return out
 
 
 def shrink_step(
@@ -212,38 +214,44 @@ def shrink_step(
     array x and taken out again, or sent through a ``batch`` hook, in
     passes of whole runs of at most CHUNK members (or one longer run).
     """
-    sizes, blocks = part.sizes, part.block_size
+    sizes, blocks, ends = part.sizes, part.block_size, part.ends
     if min(sizes) < 2:
         raise ValueError("shrink_step needs at least 2 members in every run")
-    labels, kept, ends, first, degenerate = [], [], [0, *itertools.accumulate(sizes)], 0, 0
+    labels, kept, first, degenerate, chunk = [], [], 0, 0, part
     # No distance compares >= nan, so a non-finite f_x reads no label.
     tolerance = DENOMINATOR_TOLERANCE * max(1.0, abs(f_x)) if math.isfinite(f_x) else math.nan
     while first < len(sizes):
-        # Whole runs of at most CHUNK members, or one longer run: mostly a single pass.
+        # Whole runs of at most CHUNK members, or one longer run: mostly one pass over part.
         last = max(bisect.bisect_right(ends, ends[first] + CHUNK, first + 1) - 1, first + 1)
-        lo, hi = ends[first], ends[last]
-        # A pass over every run, the usual case, is bounded by ends itself.
-        bounds = ends if last - first == len(sizes) else [e - lo for e in ends[first : last + 1]]
-        indices = part.indices[lo:hi]
-        positions, step = indices - 1, epsilon * part.signs[lo:hi]
-        moved, scaled = x[positions], step * part.labels[lo:hi]
+        if last - first < len(sizes):  # One pass of several: a partition of its own runs.
+            run, cut = slice(ends[first], ends[last]), slice(first, last)
+            chunk = DependentPartition(
+                part.indices[run], sizes[cut], blocks[cut], part.labels[run], part.signs[run]
+            )
+        indices, bounds = chunk.indices, chunk.ends
+        positions, step = indices - 1, epsilon * chunk.signs
+        moved, scaled = x[positions], step * chunk.labels
         values = (np.add(scaled, moved, out=scaled), moved + step)  # Same bits as moved + scaled.
         if f.batch is None:
             f_v, f_u = _probe(f, x, positions, moved, bounds, values)
         else:
-            f_v, f_u = _probe_rows(f, x, positions, bounds, values, part.run_of[lo:hi], first)
-        for start, size, block, v, u in zip(bounds, sizes[first:], blocks[first:], f_v, f_u):
-            label, end = None, start + size
-            if math.isfinite(v) and math.isfinite(u) and abs(denominator := u - f_x) >= tolerance:
+            f_v = _probe_rows(f, x, positions, bounds, values, chunk.rows)  # Zipped to its runs.
+            f_u = f_v[len(bounds) - 1 :]
+        for start, size, block, v, u in zip(bounds, chunk.sizes, chunk.block_size, f_v, f_u):
+            label = None
+            # A non-finite v makes the ratio non-finite, so only u is checked on its own.
+            if math.isfinite(u) and abs(denominator := u - f_x) >= tolerance:
                 ratio = (v - f_x) / denominator
                 if math.isfinite(ratio):
                     label = math.floor(ratio + 0.5) if ratio >= 0.0 else math.ceil(ratio - 0.5)
-            # The kept block starts (label - 1) blocks into its run; else it is empty.
-            locates = label is not None and 1 <= label <= -(-size // block)
-            begin = start + (label - 1) * block if locates else end
-            kept.append(indices[begin : min(begin + block, end)])
             labels.append(label)
-            degenerate += not locates
+            # The kept block starts (label - 1) blocks into its run; else it is empty.
+            if label is not None and 1 <= label <= -(-size // block):
+                begin = start + (label - 1) * block
+                kept.append(indices[begin : min(begin + block, start + size)])
+            else:
+                kept.append(_NONE)
+                degenerate += 1
         first = last
     return ShrinkOutcome(kept, labels, degenerate)
 
@@ -278,22 +286,22 @@ def _spans(size: int, ragged: int, kind: str, terms: tuple, params) -> tuple:
 
 @functools.lru_cache(maxsize=64)  # Keyed on values: a DivisionSchedule grows as it is read.
 def _plan(d: int, n: int, divisor: int) -> tuple:
-    """(full, tail, sizes, blocks, labels, run_of) of the first shrink pass over d members.
+    """(full, tail, sizes, blocks, ends, labels, rows) of the first shrink pass over d members.
 
     Pass 1 cuts ``full`` groups of n > 2, then a ragged group of ``tail`` > 2
-    (else tail is 0); the rest are found as they are.  labels and run_of are
-    None past d = 1024, where families give no batch hook, so that no cached
-    array grows with d.
+    (else tail is 0); the rest are found as they are.  ends and rows are its
+    :class:`DependentPartition` geometry.  labels and rows are None past d =
+    1024, where families give no batch hook, so that no cached array grows with d.
     """
     full, rest = divmod(d, n)
     tail = rest if rest > 2 else 0
     sizes = (n,) * full + (tail,) * (tail > 0)
     blocks = tuple(-(-size // divisor) for size in sizes)
+    shape = DependentPartition(None, sizes, blocks, None, None)  # Read for its geometry only.
     if d > 1024:
-        return full, tail, sizes, blocks, None, None
-    run_of = np.arange(len(sizes)).repeat(sizes)
-    run_of.setflags(write=False)
-    return full, tail, sizes, blocks, run_labels(sizes, blocks), run_of
+        return full, tail, sizes, blocks, tuple(shape.ends), None, None
+    shape.rows.setflags(write=False)
+    return full, tail, sizes, blocks, tuple(shape.ends), run_labels(sizes, blocks), shape.rows
 
 
 def locate_in_group(
@@ -325,13 +333,14 @@ def locate_in_group(
     steps, starts, last = _key_spans(n, schedule, live.size - (groups - 1) * n)
     if np.ndim(keys) != 2 or keys.shape[0] != groups or keys.shape[1] < starts[-1]:
         raise ValueError(f"need keys of shape ({groups}, >= {starts[-1]}), got {np.shape(keys)}")
-    full, tail, sizes, blocks, labels, run_of = _plan(live.size, n, steps[0])
-    # Pass 1 reads each group's signs from the head of its key row.
-    signs = key_signs(np.concatenate((keys[:full, :n], keys[full:, :tail]), axis=None))
+    full, tail, sizes, blocks, ends, labels, rows = _plan(live.size, n, steps[0])
+    # Pass 1 reads each group's signs from the head of its key row; the ragged one's row is last.
+    signs = key_signs(keys[:, :n].ravel()[: full * n + tail])
     labels = run_labels(sizes, blocks) if labels is None else labels
     part = DependentPartition(live[: signs.size], sizes, blocks, labels, signs)
-    if run_of is not None:
-        part.run_of = run_of
+    part.ends = ends
+    if rows is not None:
+        part.rows = rows
     found, group, iteration = live[signs.size :].tolist(), range(len(sizes)), 0
     while group:
         kept = shrink_step(f, x, f_x, epsilon, part).kept
@@ -342,7 +351,7 @@ def locate_in_group(
                 runs.append(block)
                 alive.append(g)
                 sizes.append(block.size)
-            else:
+            elif block is not _NONE:
                 found += block.tolist()
         group, iteration = alive, iteration + 1
         if alive:  # Key columns per group: the ragged last one, group full, owns fewer.
@@ -411,7 +420,8 @@ def finite_difference(
         raise ValueError(f"need a finite epsilon > 0, got {epsilon}")
     bounds, moved = range(len(listed) + 1), x[positions]
     if f.batch is not None:  # Row i moves candidate i alone.
-        (probed,) = _probe_rows(f, x, positions, bounds, (moved + epsilon,), np.arange(len(listed)))
+        rows = np.arange(len(listed))[None]
+        probed = _probe_rows(f, x, positions, bounds, (moved + epsilon)[None], rows)
     else:  # Python numbers: every run holds one member, written by a scalar store.
         moved = moved.tolist()
         (probed,) = _probe(f, x, listed, moved, bounds, ([m + epsilon for m in moved],))

@@ -64,7 +64,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        if not 0 < self.step_size < math.inf:
+        # A bool compares as a number, but is no length: True would act as 1.0.
+        if type(self.step_size) is bool or not 0 < self.step_size < math.inf:
             raise ValueError(f"need a finite step_size > 0, got {self.step_size}")
         if self.budget is None and self.max_steps is None:
             raise ValueError("need a stopping rule: budget, max_steps, or both")
@@ -72,7 +73,7 @@ class OptimizerConfig:
             k = getattr(self, name)  # A bool is an Integral, but no count.
             if k is not None and (type(k) is bool or not isinstance(k, numbers.Integral) or k < 1):
                 raise ValueError(f"need an integer {name} >= 1, got {k!r}")
-        if not 0 < self.mu < math.inf:
+        if type(self.mu) is bool or not 0 < self.mu < math.inf:
             raise ValueError(f"need a finite mu > 0, got {self.mu}")
 
 

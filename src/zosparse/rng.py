@@ -224,9 +224,14 @@ class DependentPartition:
     signs: np.ndarray
 
     @functools.cached_property
-    def run_of(self) -> np.ndarray:
-        """Each member's run, from 0; a caller holding it cached may set it instead."""
-        return np.arange(len(self.sizes)).repeat(self.sizes)
+    def ends(self) -> list[int]:
+        """0, then where each run ends; a caller that caches it, or rows, may set it."""
+        return list(itertools.accumulate(self.sizes, initial=0))
+
+    @functools.cached_property
+    def rows(self) -> np.ndarray:
+        """Shape (2, members): probe k of the members of run i is row k * runs + i."""
+        return np.arange(2 * len(self.sizes)).reshape(2, -1).repeat(self.sizes, axis=1)
 
 
 @functools.lru_cache(maxsize=128)  # A d <= 16384 scaling pass cuts runs of 32 lengths.

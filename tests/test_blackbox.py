@@ -269,6 +269,21 @@ class TestMagnitude:
         shuffled = x[RngStream(seed).gen.permutation(12)]
         assert inst.objective(shuffled) == pytest.approx(inst.objective(x), rel=1e-12)
 
+    @pytest.mark.parametrize("d", [64, 101, 512, 1024])
+    @pytest.mark.parametrize("k", [1, 2, 16, 64])
+    def test_batch_is_bit_identical_to_eval(self, d, k):
+        # SIMD loops for tanh and the row sums may differ between numpy builds,
+        # so the hook's bit identity is pinned here, as for distance and attack.
+        inst = make_magnitude(d, min(5, d), 0.1, 0.2, RngStream(d, k))
+        assert inst.objective.batch is not None
+        for scale in (1e-3, 0.2, 3.0):
+            rows = inst.x1 + scale * RngStream(k, d).gen.standard_normal((k, d))
+            expected = [inst.objective(row) for row in rows]
+            assert inst.objective.batch(rows).tolist() == expected
+
+    def test_no_hook_past_sixteen_rows_of_batch_floats(self):
+        assert make_magnitude(2048, 5, 0.1, 0.2, RngStream(0)).objective.batch is None
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             make_magnitude(8, 0, 0.1, 0.2, RngStream(0))

@@ -15,7 +15,10 @@ from zosparse import estimator
 from zosparse.blackbox import (
     BlackBoxFunction,
     BudgetExhaustedError,
+    Graph,
+    make_attack,
     make_distance,
+    make_magnitude,
     make_planted_linear,
     make_sparse_linear,
     with_ledger,
@@ -568,7 +571,10 @@ def check_first_pass(d, n, schedule, seed):
     for got, expected in ((part.labels, want.labels), (part.signs, want.signs)):
         assert got.dtype == expected.dtype == np.int64
         np.testing.assert_array_equal(got, expected)
-    np.testing.assert_array_equal(part.run_of, np.arange(len(sizes)).repeat(sizes))
+    # The pass geometry that the plan caches is the one a partition derives.
+    assert tuple(part.ends) == tuple(want.ends) == (0, *itertools.accumulate(sizes))
+    np.testing.assert_array_equal(part.rows, want.rows)
+    np.testing.assert_array_equal(part.rows[0], np.arange(len(sizes)).repeat(sizes))
     # The members of a ragged group of at most two are found as they are.
     assert found[: d - sum(sizes)] == dims[sum(sizes) :].tolist()
 
@@ -623,11 +629,12 @@ class TestFirstPassPlan:
         assert estimates(False) == estimates(True)
 
     def test_cached_arrays_are_read_only_and_bounded(self):
-        *_, labels, run_of = estimator._plan(512, 35, 20)
-        for array in (labels, run_of):
+        *_, ends, labels, rows = estimator._plan(512, 35, 20)
+        for array in (labels, rows):
             with pytest.raises(ValueError):
                 array[0] = 7
-        assert estimator._plan(2048, 35, 20)[4:] == (None, None)
+        assert type(ends) is tuple
+        assert estimator._plan(2048, 35, 20)[5:] == (None, None)
 
 
 class TestGraceEstimate:
@@ -803,6 +810,16 @@ class TestGraceEstimate:
             grace_estimate(counted, np.zeros(16), cfg, RngStream(0))
         assert ledger.count == 0
 
+    def test_validate_rejects_a_bool_epsilon_before_any_query(self):
+        # True compares as 1 and would probe with steps of 1.0.
+        counted, ledger = with_ledger(linear(16, {3: 1.0}))
+        for value in (True, False):
+            with pytest.raises(ValueError, match="epsilon"):
+                GraceConfig(epsilon=value, n=4).validate(8)
+            with pytest.raises(ValueError, match="epsilon"):
+                grace_estimate(counted, np.zeros(16), GraceConfig(value, 4), RngStream(0))
+        assert ledger.count == 0
+
     def test_validate_takes_numpy_integers(self):
         cfg = GraceConfig(epsilon=1e-3, n=np.int64(4), m=np.int64(2))
         plain = GraceConfig(epsilon=1e-3, n=4, m=2)
@@ -901,6 +918,75 @@ class TestBatchedProbes:
             assert list(est.entries.items()) == list(plain.entries.items())
             assert est.queries_used == plain.queries_used
             assert est.base_value == plain.base_value
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        family=st.sampled_from(["distance", "attack", "magnitude"]),
+        data=st.data(),
+        m=st.integers(2, 3),
+        schedule=st.one_of(
+            st.integers(2, 6).map(practical_schedule),
+            st.sampled_from([[2], [3, 2]]).map(explicit_schedule),
+        ),
+        per_call=st.sampled_from([None, 1, 3, 7]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_family_hooks_change_no_result(self, family, data, m, schedule, per_call, seed):
+        # The hooks as the families ship them.  Small divisors shrink groups over
+        # several passes; a small BATCH_FLOATS sends every pass and the forward
+        # differences in several calls, some cut between the two probes of a run.
+        if family == "attack":
+            vertices = data.draw(st.integers(4, 9), label="vertices")
+            ring = np.roll(np.eye(vertices, dtype=np.int64), 1, axis=1)
+            inst = make_attack(Graph(vertices, ring + ring.T), 1, 2, 3, 0.1)
+        else:
+            d = data.draw(st.integers(8, 300), label="d")
+            make = make_distance if family == "distance" else make_magnitude
+            args = (0.1, 0.2) if family == "magnitude" else ()
+            inst = make(d, min(5, d), *args, RngStream(seed))
+        d = inst.objective.dim
+        x = inst.x1 + 0.01 * RngStream(seed, 1).gen.standard_normal(d)
+        cfg = GraceConfig(1e-3, data.draw(st.integers(3, d), label="n"), m, schedule)
+        plain = grace_estimate(unhooked(inst.objective), x, cfg, RngStream(seed, 2))
+        bound = estimator.BATCH_FLOATS if per_call is None else per_call * d
+        with mock.patch.object(estimator, "BATCH_FLOATS", bound):
+            est = grace_estimate(inst.objective, x, cfg, RngStream(seed, 2))
+        assert inst.objective.batch is not None
+        assert list(est.entries.items()) == list(plain.entries.items())
+        assert est.queries_used == plain.queries_used
+        assert est.base_value == plain.base_value
+
+    @pytest.mark.parametrize("hook", [False, True])
+    @pytest.mark.parametrize("schedule", [practical_schedule(20), explicit_schedule([3, 2])])
+    def test_phase_queries_sum_to_queries_used(self, hook, schedule):
+        # Wrapped by name, as a tracer finds the phases: one base value, two
+        # queries per run a shrink pass probes, one per candidate differenced.
+        inst = make_distance(512, 10, RngStream(8))
+        x = inst.x1 + 0.05
+        counted, ledger = with_ledger(inst.objective if hook else unhooked(inst.objective))
+        spent, expected = {"shrink": 0, "fd": 0}, {"shrink": 0, "fd": 0}
+
+        def tallied(name, function, width):
+            def wrapped(*args):
+                before = ledger.count
+                expected[name] += width(args)
+                try:
+                    return function(*args)
+                finally:
+                    spent[name] += ledger.count - before
+
+            return wrapped
+
+        shrink = tallied("shrink", shrink_step, lambda args: 2 * len(args[4].sizes))
+        differences = tallied("fd", finite_difference, lambda args: len(args[3]))
+        cfg = GraceConfig(1e-6, 35, 2, schedule)
+        with mock.patch.object(estimator, "shrink_step", shrink):
+            with mock.patch.object(estimator, "finite_difference", differences):
+                est = grace_estimate(counted, x, cfg, RngStream(3))
+        assert spent == expected and spent["fd"] > 0
+        assert 1 + spent["shrink"] + spent["fd"] == est.queries_used == ledger.count
+        plain = grace_estimate(unhooked(inst.objective), x, cfg, RngStream(3))
+        assert est.entries == plain.entries and est.queries_used == plain.queries_used
 
     @settings(max_examples=100, deadline=None)
     @given(

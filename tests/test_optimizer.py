@@ -76,6 +76,17 @@ class TestOptimizerConfig:
             with pytest.raises(ValueError, match="mu"):
                 OptimizerConfig(method="rs", step_size=0.1, budget=10, mu=mu)
 
+    def test_bool_step_size_is_rejected(self):
+        # True compares as 1 and would step by 1.0.
+        for value in (True, False):
+            with pytest.raises(ValueError, match="step_size"):
+                OptimizerConfig(method="rs", step_size=value, budget=10)
+
+    def test_bool_mu_is_rejected(self):
+        for value in (True, False):
+            with pytest.raises(ValueError, match="mu"):
+                OptimizerConfig(method="rs", step_size=0.1, budget=10, mu=value)
+
     @pytest.mark.parametrize("key", ["budget", "max_steps", "directions", "scales"])
     @pytest.mark.parametrize("value", [2.5, 3.0, True, "4", np.float64(2.0)])
     def test_counts_must_be_integers(self, key, value):
