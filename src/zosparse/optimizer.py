@@ -200,11 +200,12 @@ def run_optimizer(
     """Descend with the configured method until the budget or step limit.
 
     grace moves x <- x - eta * g on the estimated support only.  Step t
-    draws from the stream rng.derive(t), so a run is reproducible from
-    (x1, configs, rng key) alone; the streams come from one
-    :class:`~zosparse.rng.StepStreams`, whose generator is re-keyed every
-    step.  On budget exhaustion mid step the partial step is discarded;
-    only its already-measured f(x_t) still enters the trace.
+    draws from rng's Philox key at counter (0, 0, t, 0), so a run is
+    reproducible from (x1, configs, rng key) alone; the streams come from
+    one :class:`~zosparse.rng.StepStreams`, whose generator is re-keyed
+    every step.  No step begins once the budget is spent.  On budget
+    exhaustion mid step the partial step is discarded; only its
+    already-measured f(x_t) still enters the trace.
     """
     if opt.method == "grace" and grace is None:
         raise ValueError("method 'grace' needs a GraceConfig")
@@ -214,7 +215,7 @@ def run_optimizer(
     carried = None  # gld re-uses the accepted candidate's value as the next f_x
     streams = StepStreams(rng)
     step = 0
-    while opt.max_steps is None or step < opt.max_steps:
+    while ledger.count != opt.budget and (opt.max_steps is None or step < opt.max_steps):
         step += 1
         step_rng = streams.derive(step)
         f_x = carried

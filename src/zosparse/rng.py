@@ -5,8 +5,8 @@ counter-based generator keyed by ``(seed, stream, path)`` on its first draw.
 The same key always replays the same draws, so an experiment is
 reproducible from the seeds in its config alone, and derived child streams
 are independent of the parent and of each other.  :class:`StepStreams`
-gives a run's per-step streams ``rng.derive(step)`` on one reused
-generator, re-keyed per step, so no caller may keep one past its step.
+keys step t of a run at counter (0, 0, t, 0) of the run's Philox key, on
+one reused generator, so no caller may keep a step's stream past its step.
 
 Every draw is one numpy call in C: one permutation per repeat, which
 groups the dimensions and orders each group, and one row of sign keys
@@ -71,82 +71,31 @@ class RngStream:
         return f"RngStream(seed={self.seed}, stream={self.stream}, path={self.path})"
 
 
-# numpy's SeedSequence constants: its hashes and mixes are uint32 arithmetic.
-_MASK = 0xFFFFFFFF
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-
-# Steps keyed at once; it divides 2**32, so the steps of a block have equally many words.
-_BLOCK = 256
-
-
-def _words(n: int) -> list[int]:
-    """n as SeedSequence reads it: 32-bit words, least significant first; [0] for 0."""
-    return [n >> shift & _MASK for shift in range(0, max(n.bit_length(), 1), 32)]
-
-
-def _hashes(start: int, mult: int, count: int) -> np.ndarray:
-    """SeedSequence's running hash constant: start, start * mult, ... (count terms), as uint32."""
-    return np.array([start * pow(mult, i, 2**32) & _MASK for i in range(count)], np.uint32)
-
-
 class StepStreams:
-    """``rng.derive(step)`` for each step of one run, on one reused generator.
+    """The per-step streams of one run, on one reused generator.
 
-    SeedSequence hashes its entropy words into a pool of four one after
-    another, and the spawn key follows the seed's four words, so the pool
-    after ``(seed, stream, *path)`` is kept and only a step's words are mixed
-    in.  That is done for a block of _BLOCK consecutive steps at once, one
-    lane each, in numpy uint32 arrays, which wrap as SeedSequence's C code
-    does.  The resulting Philox key is written into one generator with counter
-    0 and an empty buffer, which then draws exactly as a fresh
-    ``rng.derive(step).gen``.  The stream returned for a step is re-keyed by
-    the next call, so no caller may keep it past its step.
+    Step t draws from the run's own Philox key at counter (0, 0, t, 0).
+    Draws count up in counter words 0 and 1, which take 2**128 blocks to
+    carry into word 2, so a step stays apart from every other step and from
+    ``rng.gen`` (step 0).  A step's stream has path ``(*path, step)`` and is
+    re-keyed by the next call, so no caller may keep it past its step.
     """
 
     def __init__(self, rng: RngStream):
         seq = np.random.SeedSequence(entropy=rng.seed, spawn_key=(rng.stream, *rng.path))
-        self._pool = seq.pool.astype(np.uint32)
-        # Every entropy word took four hashes; the seed is padded to four words.
-        words = max(4, len(_words(rng.seed))) + sum(len(_words(k)) for k in seq.spawn_key)
-        self._hash = _INIT_A * pow(_MULT_A, 4 * words, 2**32) & _MASK
-        self._block, self._keys = -1, []
+        self._key = seq.generate_state(2, np.uint64).tolist()
         self._step = RngStream(rng.seed, rng.stream, rng.path)
         self._step.gen = np.random.Generator(np.random.Philox(seq))  # Re-keyed by every derive.
         self._path = rng.path
 
-    def key(self, step: int) -> list[int]:
-        """SeedSequence(seed, spawn_key=(stream, *path, step)).generate_state(2, uint64).
-
-        The list is shared with the block's cache: read it, never change it.
-        """
-        if step < 0:
-            raise ValueError(f"need a step >= 0, got {step}")
-        block, row = divmod(step, _BLOCK)
-        if block != self._block:
-            self._block, self._keys = block, self._block_keys(block * _BLOCK)
-        return self._keys[row]
-
-    def _block_keys(self, first: int) -> list[list[int]]:
-        """The keys of steps first .. first + _BLOCK - 1; first is a multiple of _BLOCK."""
-        words = np.array(_words(first), np.uint32) + np.zeros((_BLOCK, 1), np.uint32)
-        words[:, 0] += np.arange(_BLOCK, dtype=np.uint32)  # Only word 0 differs in a block.
-        pool = np.tile(self._pool, (_BLOCK, 1))
-        hashed = _hashes(self._hash, _MULT_A, 4 * words.shape[1] + 1)
-        for k in range(words.shape[1]):  # Word k's four hashes take constants 4k .. 4k + 4.
-            value = (words[:, k, None] ^ hashed[4 * k : 4 * k + 4]) * hashed[4 * k + 1 : 4 * k + 5]
-            mixed = _MIX_L * pool - _MIX_R * (value ^ value >> 16)
-            pool = mixed ^ mixed >> 16
-        hashed = _hashes(_INIT_B, _MULT_B, 5)
-        pool = (pool ^ hashed[:-1]) * hashed[1:]
-        return (pool ^ pool >> 16).astype("<u4", copy=False).view("<u8").tolist()
-
     def derive(self, step: int) -> RngStream:
-        """The stream of rng.derive(step), valid until the next call."""
+        """The stream of step, 1 <= step < 2**64, valid until the next call."""
+        if not 1 <= step < 2**64:  # Step 0 would replay the run's own rng.gen.
+            raise ValueError(f"need a step in 1 .. 2**64 - 1, got {step}")
         self._step.path = (*self._path, step)
         self._step.gen.bit_generator.state = {
             "bit_generator": "Philox",
-            "state": {"counter": [0, 0, 0, 0], "key": self.key(step)},
+            "state": {"counter": [0, 0, step, 0], "key": self._key},
             "buffer": [0, 0, 0, 0],
             "buffer_pos": 4,
             "has_uint32": 0,

@@ -239,8 +239,6 @@ class TestTraceSemantics:
     @pytest.mark.parametrize(
         "method, budget, rows",
         [
-            ("grace", 14, [(1, 14)]),
-            ("grace", 15, [(1, 14), (2, 15)]),
             ("gld", 5, [(1, 5)]),
             ("gld", 6, [(1, 5), (2, 6)]),
             ("rs", 3, [(1, 2), (2, 3)]),
@@ -251,9 +249,26 @@ class TestTraceSemantics:
         # The step the budget cuts short still records its measured f(x_t).
         trace = self.budgeted(method, budget)
         assert [(r.step, r.queries) for r in trace.records] == rows
-        if len(rows) == 2 and method in ("grace", "gld"):
+        if len(rows) == 2 and method == "gld":
             # f(x_2) of the cut step is the value an uncut run records.
             assert trace.records[1].value == self.budgeted(method, 200).records[1].value
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_grace_budget_death_mid_step(self, extra):
+        # A budget of the uncut run's first step, plus one query into step 2.
+        uncut = self.budgeted("grace", 200).records
+        first = uncut[0].queries
+        trace = self.budgeted("grace", first + extra)
+        rows = [(1, first), (2, first + 1)][: 1 + extra]
+        assert [(r.step, r.queries) for r in trace.records] == rows
+        assert [r.value for r in trace.records] == [r.value for r in uncut[: 1 + extra]]
+
+    def test_no_step_begins_once_the_budget_is_spent(self):
+        first = self.budgeted("grace", 200).records[0].queries
+        with mock.patch.object(optimizer, "grace_estimate", wraps=optimizer.grace_estimate) as step:
+            trace = self.budgeted("grace", first)
+        assert [(r.step, r.queries) for r in trace.records] == [(1, first)]
+        assert step.call_count == 1
 
     def test_normalized_is_ratio_to_first(self):
         for method in METHODS:
@@ -339,14 +354,17 @@ class TestBatchedSteps:
         np.testing.assert_array_equal(best_x, plain_x)
         assert best_value == plain_value
 
-    def test_step_t_draws_from_rng_derive_t(self):
+    def test_step_t_draws_from_the_run_key_at_counter_t(self):
         # rs moves by one estimate a step, so its run can be replayed by hand.
         inst = make_distance(16, 3, RngStream(1))
         f, rng = inst.objective, RngStream(7, 2).derive(3)
         opt = OptimizerConfig(method="rs", step_size=0.1, max_steps=5)
         trace = run_optimizer(f, inst.x1, opt, rng)
+        key = np.random.SeedSequence(7, spawn_key=(2, 3)).generate_state(2, np.uint64)
         x, values = inst.x1, []
         for step in range(1, 6):
             values.append(f(x))
-            x = x - 0.1 * estimate_rs(f, x, values[-1], 1e-3, rng.derive(step))
+            step_rng = RngStream(7, 2, (3, step))
+            step_rng.gen = np.random.Generator(np.random.Philox(key=key, counter=[0, 0, step, 0]))
+            x = x - 0.1 * estimate_rs(f, x, values[-1], 1e-3, step_rng)
         assert [record.value for record in trace.records] == values

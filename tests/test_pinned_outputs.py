@@ -146,14 +146,14 @@ def run_outputs(trace):
 # d = 512 goes through the objective's batch hook, d = 2048 has none.
 # (d, instance): (records, final queries, digest of the record queries)
 DESCENT = {
-    (512, 0): (34, 1500, "fea7c37d1ec5cdea"),
-    (512, 1): (35, 1500, "18929d2e53576907"),
-    (512, 2): (34, 1500, "b8cc1b3bcf459bb3"),
-    (512, 3): (35, 1500, "6359f1b0c29da7e6"),
-    (2048, 0): (32, 1500, "e17d8f5ed5a52441"),
-    (2048, 1): (33, 1500, "b3cb61f8344771fb"),
-    (2048, 2): (33, 1500, "e4682d907259f7d2"),
-    (2048, 3): (33, 1500, "86effdba89bcf11c"),
+    (512, 0): (35, 1500, "23e43c6a873baad2"),
+    (512, 1): (35, 1500, "6e294a9c5e49dde5"),
+    (512, 2): (35, 1500, "1754243ac767b2a7"),
+    (512, 3): (35, 1500, "767a73efbca9a626"),
+    (2048, 0): (32, 1500, "03dbdf567fc4f5d2"),
+    (2048, 1): (34, 1500, "84c090e1dd6d13b7"),
+    (2048, 2): (32, 1500, "ade2c502a7ad7a97"),
+    (2048, 3): (33, 1500, "27fccb12140364b5"),
 }
 
 

@@ -71,10 +71,14 @@ def _draws(gen):
 
 
 key_words = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**80), st.just(0))
-# Steps at the edges of StepStreams' 256-step blocks and of 32-bit words.
-block_edges = st.sampled_from(
-    [0, 1, 255, 256, 257, 511, 512, 2**32 - 257, 2**32 - 1, 2**32, 2**32 + 256, 2**40, 2**64]
-)
+
+
+def _counter_gen(seed, stream, path, step):
+    """A fresh generator on RngStream(seed, stream, path)'s key at counter (0, 0, step, 0)."""
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=(stream, *path))
+    key = seq.generate_state(2, np.uint64)
+    counter = np.array([0, 0, step, 0], np.uint64)  # A list of ints >= 2**63 warns in numpy.
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
 class TestRngStream:
@@ -145,70 +149,60 @@ class TestRngStream:
 
 
 class TestStepStreams:
-    """StepStreams(rng).derive(step) keys and draws exactly as rng.derive(step)."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        seed=key_words,
-        stream=key_words,
-        path=st.lists(key_words, max_size=3),
-        steps=st.lists(key_words, min_size=1, max_size=4),
-    )
-    def test_keys_are_seed_sequences(self, seed, stream, path, steps):
-        source = StepStreams(RngStream(seed, stream, tuple(path)))
-        for step in steps:
-            key = np.random.SeedSequence(entropy=seed, spawn_key=(stream, *path, step))
-            assert source.key(step) == key.generate_state(2, np.uint64).tolist()
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        seed=key_words | st.integers(2**80, 2**200),
-        stream=key_words,
-        path=st.lists(key_words, max_size=3),
-        steps=st.lists(block_edges | key_words, min_size=1, max_size=8),
-    )
-    def test_block_keys_are_seed_sequences_in_any_order(self, seed, stream, path, steps):
-        # Keys come 256 steps at a time; steps jump between blocks and back.
-        source = StepStreams(RngStream(seed, stream, tuple(path)))
-        for step in steps:
-            key = np.random.SeedSequence(entropy=seed, spawn_key=(stream, *path, step))
-            assert source.key(step) == key.generate_state(2, np.uint64).tolist()
-
-    def test_one_block_hash_serves_256_steps(self):
-        source = StepStreams(RngStream(7, 2, (1,)))
-        blocks = mock.Mock(wraps=source._block_keys)
-        with mock.patch.object(source, "_block_keys", blocks):
-            keys = [source.key(step) for step in range(1, 300)]
-        assert [call.args for call in blocks.call_args_list] == [(0,), (256,)]
-        seeds = [np.random.SeedSequence(7, spawn_key=(2, 1, step)) for step in range(1, 300)]
-        assert keys == [seq.generate_state(2, np.uint64).tolist() for seq in seeds]
+    """Step t of StepStreams(rng) draws from rng's Philox key at counter (0, 0, t, 0)."""
 
     @pytest.mark.parametrize(
         "seed, stream, path",
         [(0, 0, ()), (5, 1, (2, 3)), (2**32, 0, ()), (2**64 + 5, 2**40, (2**33, 0, 7))],
     )
-    def test_draws_equal_derive_step_by_step(self, seed, stream, path):
-        rng = RngStream(seed, stream, path)
-        source = StepStreams(rng)
-        for step in [1, 2, 0, 3, 2**32, 2**32 + 1, 10**6]:
+    def test_draws_equal_the_run_key_at_counter_step(self, seed, stream, path):
+        source = StepStreams(RngStream(seed, stream, path))
+        for step in [2, 2**64 - 1, 1, 2**32, 2, 1]:
             stream_of_step = source.derive(step)
-            assert stream_of_step.path == rng.derive(step).path
-            assert _draws(stream_of_step.gen) == _draws(rng.derive(step).gen)
+            assert stream_of_step.path == (*path, step)
+            assert _draws(stream_of_step.gen) == _draws(_counter_gen(seed, stream, path, step))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=key_words | st.integers(2**80, 2**200),
+        stream=key_words,
+        path=st.lists(key_words, max_size=3),
+        steps=st.lists(st.integers(1, 2**64 - 1), min_size=1, max_size=6),
+    )
+    def test_any_steps_draw_at_their_counter(self, seed, stream, path, steps):
+        source = StepStreams(RngStream(seed, stream, tuple(path)))
+        for step in steps:
+            want = _counter_gen(seed, stream, path, step).random(3).tolist()
+            assert source.derive(step).gen.random(3).tolist() == want
+
+    def test_steps_draw_apart_from_each_other_and_the_run(self):
+        rng = RngStream(3, 1, (4,))
+        source = StepStreams(rng)
+        firsts = [tuple(source.derive(step).gen.random(4)) for step in (1, 2, 2**32, 2**64 - 1)]
+        own = tuple(rng.gen.random(4))
+        assert own == tuple(RngStream(3, 1, (4,)).gen.random(4))  # The steps left it alone.
+        assert len({*firsts, own}) == 5
 
     def test_rejects_a_negative_step(self):
         with pytest.raises(ValueError, match="step"):
             StepStreams(RngStream(1)).derive(-1)
 
+    @pytest.mark.parametrize("step", [0, 2**64])
+    def test_rejects_step_zero_and_2_to_the_64(self, step):
+        # Step 0 is the run's own stream; 2**64 does not fit counter word 2.
+        with pytest.raises(ValueError, match="step"):
+            StepStreams(RngStream(1)).derive(step)
+
     def test_one_seed_sequence_per_run(self):
         # The generator is keyed once, from the SeedSequence the constructor
-        # builds for the run's pool; each step only writes a new key into it.
+        # builds for the run's key; each step only writes a new counter into it.
         rng = RngStream(3, 1, (4,))
         seeds = mock.Mock(wraps=np.random.SeedSequence)
         with mock.patch("zosparse.rng.np.random.SeedSequence", seeds):
             source = StepStreams(rng)
             draws = [_draws(source.derive(step).gen) for step in range(1, 5)]
         assert seeds.call_count == 1
-        assert draws == [_draws(rng.derive(step).gen) for step in range(1, 5)]
+        assert draws == [_draws(_counter_gen(3, 1, (4,), step)) for step in range(1, 5)]
 
     def test_never_calls_derive(self):
         # run_optimizer's steps must not pay for a SeedSequence each.
