@@ -32,7 +32,6 @@ __all__ = [
     "Graph",
     "GraphParseError",
     "load_graph",
-    "DegenerateDegreeError",
     "BenchmarkInstance",
     "make_distance",
     "make_magnitude",
@@ -67,9 +66,9 @@ class BlackBoxFunction:
     passes one buffer, moving a few coordinates between queries.  batch,
     when set, maps a (k, d) array of points to k values, each bit-identical
     to eval on that row.  It only saves time: the estimator's probes and
-    the zo-signsgd and gld steps' points go through it, at most
-    BATCH_FLOATS floats a call, and an objective without it gets one point
-    a call.
+    the zo-signsgd and gld steps' points go through it by batch_values, at
+    most BATCH_FLOATS floats a call, and an objective without it gets one
+    point a call.
     """
 
     dim: int
@@ -78,6 +77,13 @@ class BlackBoxFunction:
 
     def __call__(self, x) -> float:
         return self.eval(x)
+
+    def batch_values(self, rows: np.ndarray) -> np.ndarray:
+        """batch(rows) as floats; raises ValueError unless it holds one value per row."""
+        values = np.asarray(self.batch(rows), dtype=float)
+        if values.shape != (len(rows),):
+            raise ValueError(f"batch returned shape {values.shape} for {len(rows)} points")
+        return values
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -212,10 +218,6 @@ def load_graph(text: str) -> Graph:
     return Graph(n, adjacency)
 
 
-class DegenerateDegreeError(RuntimeError):
-    """A perturbed adjacency row lost all weight; degree normalization is undefined."""
-
-
 @dataclass
 class BenchmarkInstance:
     """An objective, its start point, and what generated them.
@@ -322,8 +324,8 @@ def make_attack(graph: Graph, u: int, v: int, hops: int, lam: float) -> Benchmar
     perturbed adjacency max(A(1-|X|) + (1-A)|X|, 0) is degree-normalized
     symmetrically, and the objective sums the (u,v) entries of its first
     ``hops`` powers plus a Frobenius penalty lam * ||X||^2.  A zero row
-    sum makes the normalization undefined and raises
-    :class:`DegenerateDegreeError`.
+    sum leaves the normalization undefined, and the objective reads +inf
+    there, in eval and in each such batch row alike.
     """
     n = graph.n
     if not (1 <= u <= n and 1 <= v <= n):
@@ -342,11 +344,10 @@ def make_attack(graph: Graph, u: int, v: int, hops: int, lam: float) -> Benchmar
         magnitude = np.abs(x)
         perturbed = np.maximum(base * (1.0 - magnitude) + complement * magnitude, 0.0)
         degrees = perturbed.sum(axis=-1)
-        if not degrees.all():
-            dead = np.unique(np.nonzero(degrees == 0.0)[-1])
-            raise DegenerateDegreeError(
-                f"perturbed adjacency has zero-degree vertices {(dead + 1).tolist()}"
-            )
+        dead = None
+        if not degrees.all():  # +inf per matrix with a zero degree, taken as 1 so no 1/sqrt(0)
+            dead = ~degrees.all(axis=-1)
+            degrees[degrees == 0.0] = 1.0
         scale = 1.0 / np.sqrt(degrees)
         normalized = perturbed * (scale[..., :, None] * scale[..., None, :])
         power = normalized
@@ -354,7 +355,7 @@ def make_attack(graph: Graph, u: int, v: int, hops: int, lam: float) -> Benchmar
         for _ in range(hops - 1):
             power = power @ normalized
             total = total + power[..., u - 1, v - 1]
-        return total
+        return total if dead is None else np.where(dead, np.inf, total)
 
     def evaluate(x):
         x = np.asarray(x, dtype=float)
@@ -423,16 +424,14 @@ class Family:
 
     keys maps each parameter a spec may set to the type that parses its
     text; required lists those without a default.  build(params, rng)
-    calls the maker with the defaults filled in.  The harness reads the
-    rest: the estimator's first divisor d1, and whether degenerate
-    degrees read as +inf.
+    calls the maker with the defaults filled in.  The harness reads
+    grace_d1, the estimator's first divisor d1.
     """
 
     keys: dict
     build: Callable[[dict, RngStream], BenchmarkInstance]
     required: tuple = ("d", "s")
     grace_d1: int = 20
-    degenerate_inf: bool = False
 
 
 # The builders look make_* up in this module when called, so that a maker
@@ -451,7 +450,6 @@ FAMILIES = {
         ),
         required=("graph",),
         grace_d1=10,
-        degenerate_inf=True,
     ),
     "planted-linear": Family(
         {"d": int, "s": int}, lambda p, rng: make_planted_linear(p["d"], p["s"], rng)

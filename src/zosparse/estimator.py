@@ -191,10 +191,7 @@ def _probe_rows(f: BlackBoxFunction, x, positions, bounds, values, rows) -> list
         for k in range(start // runs, -(-stop // runs)) if stop - start < count else ():
             lo, hi = bounds[max(start - k * runs, 0)], bounds[min(stop - k * runs, runs)]
             probes[rows[k, lo:hi] - start, positions[lo:hi]] = values[k][lo:hi]
-        got = np.asarray(f.batch(probes), dtype=float)
-        if got.shape != (stop - start,):
-            raise ValueError(f"batch returned shape {got.shape} for {stop - start} points")
-        out += got.tolist()
+        out += f.batch_values(probes).tolist()
     return out
 
 

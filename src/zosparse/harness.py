@@ -27,7 +27,7 @@ import numpy as np
 # Instances are built through FAMILIES; make_attack and make_distance stay
 # bound because the benchmark's tracer (perfbench/tracing.py) replaces the
 # makers, load_graph and run_optimizer on this module by name.
-from .blackbox import FAMILIES, BlackBoxFunction, DegenerateDegreeError, load_graph
+from .blackbox import FAMILIES, load_graph
 from .blackbox import make_attack, make_distance, make_planted_linear  # noqa: F401
 from .estimator import GraceConfig, grace_estimate
 from .optimizer import OptimizerConfig, run_optimizer
@@ -231,28 +231,6 @@ class ExperimentResult:
     num_failures: int
 
 
-def _infinite_on_degenerate(f: BlackBoxFunction) -> BlackBoxFunction:
-    """Degenerate degrees read as +inf, preserving minimization semantics.
-
-    A batch that holds a degenerate row is evaluated again row by row, so
-    only those rows read +inf.
-    """
-
-    def evaluate(x):
-        try:
-            return f.eval(x)
-        except DegenerateDegreeError:
-            return math.inf
-
-    def evaluate_rows(rows):
-        try:
-            return f.batch(rows)
-        except DegenerateDegreeError:
-            return np.array([evaluate(row) for row in rows])
-
-    return BlackBoxFunction(f.dim, evaluate, evaluate_rows if f.batch is not None else None)
-
-
 def _optimizer_config(method: MethodSpec, eta: float, spec: ExperimentSpec) -> OptimizerConfig:
     knobs = {} if method.method == "grace" else method.params
     return OptimizerConfig(
@@ -274,15 +252,12 @@ def _grace_config(method: MethodSpec, spec: ExperimentSpec, d: int) -> GraceConf
 def _execute_unit(payload):
     """One (instance seed, run seed, method, eta) cell; runs in a worker."""
     spec, family_params, instance_seed, run_seed, method_index, eta_index = payload
-    row = FAMILIES[spec.family]
     method = spec.methods[method_index]
     eta = spec.eta_grid[eta_index]
     key = (method_index, instance_seed, run_seed, eta_index)
     try:
-        instance = row.build(family_params, RngStream(instance_seed))
+        instance = FAMILIES[spec.family].build(family_params, RngStream(instance_seed))
         f = instance.objective
-        if row.degenerate_inf:
-            f = _infinite_on_degenerate(f)
         opt = _optimizer_config(method, eta, spec)
         grace = _grace_config(method, spec, f.dim) if method.method == "grace" else None
         rng = RngStream(run_seed).derive(instance_seed, method_index, eta_index)
@@ -317,10 +292,10 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run the full sweep and write trace.csv, runs.csv, and summary.csv.
 
-    Reruns with an identical spec produce byte-identical files.  A
-    failing run becomes a failed row in runs.csv while the rest of the
-    sweep proceeds; startup problems (unreadable graph, bad spec) raise
-    instead.
+    Reruns with an identical spec produce byte-identical files.  A failing
+    run, such as grace reaching a point where attack reads +inf, becomes a
+    failed row in runs.csv while the rest of the sweep proceeds; startup
+    problems (unreadable graph, bad spec) raise instead.
     """
     spec = _checked(spec)
     family_params = dict(spec.family_params)

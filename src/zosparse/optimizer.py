@@ -89,8 +89,8 @@ class TraceRecord:
 class RunTrace:
     """Per-step records plus the best visited point.
 
-    Queries are strictly increasing across records; best_value is the
-    exact minimum of the recorded values, earliest minimizer kept.
+    Queries are strictly increasing across records; best_value is the exact
+    minimum of the values paid for, in a row or not, earliest minimizer kept.
     """
 
     records: list[TraceRecord]
@@ -112,6 +112,9 @@ class _TraceBuilder:
             self.initial_value = value
         normalized = value / self.initial_value if self.initial_value != 0.0 else math.nan
         self.records.append(TraceRecord(step, queries, value, normalized))
+        self.weigh(value, point)
+
+    def weigh(self, value: float, point: np.ndarray) -> None:
         if value < self.best_value:
             self.best_value = value
             self.best_point = point.copy()
@@ -139,7 +142,7 @@ def _values(f: BlackBoxFunction, points: np.ndarray) -> np.ndarray:
         return np.array([f.eval(point) for point in points])
     per_call = max(1, BATCH_FLOATS // f.dim)
     calls = range(0, len(points), per_call)
-    return np.concatenate([np.asarray(f.batch(points[i : i + per_call]), float) for i in calls])
+    return np.concatenate([f.batch_values(points[i : i + per_call]) for i in calls])
 
 
 def step_zo_signsgd(
@@ -247,4 +250,6 @@ def run_optimizer(
             break
         trace.record(step, ledger.count, f_x, x)
         x = next_x
+    if carried is not None:  # gld paid for f at the final x, which no row may hold
+        trace.weigh(carried, x)
     return trace.finish()

@@ -11,7 +11,6 @@ from hypothesis.extra import numpy as hnp
 from zosparse.blackbox import (
     BlackBoxFunction,
     BudgetExhaustedError,
-    DegenerateDegreeError,
     Graph,
     GraphParseError,
     load_graph,
@@ -22,7 +21,6 @@ from zosparse.blackbox import (
     make_sparse_linear,
     with_ledger,
 )
-from zosparse.harness import _infinite_on_degenerate
 from zosparse.rng import RngStream
 
 PATH_3 = "3 2\n1 2\n2 3\n"
@@ -370,23 +368,20 @@ class TestAttack:
             expected = [inst.objective(row) for row in rows]
             assert inst.objective.batch(rows).tolist() == expected
 
-    def test_degenerate_row_raises_in_a_batch_and_reads_inf_through_the_harness(self):
+    def test_degenerate_row_reads_inf_in_a_batch_and_in_eval(self):
         inst = make_attack(load_graph(PATH_3), 1, 2, 2, 0.5)
         rows = 0.05 * RngStream(3).gen.standard_normal((4, 9))
         rows[2, :3] = 0.0, 1.0, 0.0  # vertex 1 loses its only edge and gains none
-        with pytest.raises(DegenerateDegreeError, match=r"\[1\]"):
-            inst.objective.batch(rows)
-        guarded = _infinite_on_degenerate(inst.objective)
         expected = [inst.objective(row) for row in rows[[0, 1, 3]]]
-        values = guarded.batch(rows).tolist()
-        assert values[2] == math.inf and guarded(rows[2]) == math.inf
+        values = inst.objective.batch(rows).tolist()
+        assert values[2] == math.inf and inst.objective(rows[2]) == math.inf
         assert values[:2] + values[3:] == expected
 
-    def test_degenerate_degree_raises_with_vertices(self):
+    def test_degenerate_degree_reads_inf(self):
         inst = make_attack(load_graph("2 1\n1 2\n"), 1, 2, 1, 0.0)
         x = np.array([0.0, 1.0, 1.0, 0.0])  # kills the only edge
-        with pytest.raises(DegenerateDegreeError, match=r"\[1, 2\]"):
-            inst.objective(x)
+        assert inst.objective(x) == math.inf
+        assert inst.objective.batch(np.stack([x, x])).tolist() == [math.inf, math.inf]
 
     def test_rejects_bad_vertices(self):
         graph = load_graph(PATH_3)

@@ -460,6 +460,31 @@ class TestRunExperiment:
         assert result.num_failures == 0
         assert read_csv(result.runs_path)[0]["status"] == "ok"
 
+    def test_attack_reads_inf_at_a_zero_degree_through_the_sweep(self, tmp_path):
+        # On the path graph a grace step can leave a vertex with no weight.
+        # The objective reads +inf there, so the run fails on its next
+        # estimate's base value; every other cell runs.
+        (tmp_path / "g.txt").write_text(PATH_3, encoding="utf-8")
+        spec = small_spec(
+            family="attack",
+            family_params={"graph": str(tmp_path / "g.txt"), "hops": 2},
+            methods=[MethodSpec(m, m, {}) for m in ("grace", "rs", "gld")],
+            instance_seeds=[1, 2],
+            run_seeds=[1, 2],
+            eta_grid=[0.5, 1.0, 2.0, 4.0],
+            budget=60,
+        )
+        result = run_experiment(spec, output_dir=tmp_path / "out")
+        assert (result.num_runs, result.num_failures) == (48, 5)
+        failed = [
+            (row["method"], row["eta"], row["instance-seed"], row["run-seed"], row["detail"])
+            for row in read_csv(result.runs_path)
+            if row["status"] == "failed"
+        ]
+        detail = "ValueError: need a finite f(x) at the estimate's point, got inf"
+        cells = ["1 1 2", "2 1 2", "0.5 2 1", "4 2 1", "4 2 2"]  # eta, instance seed, run seed
+        assert sorted(failed) == sorted(("grace", *cell.split(), detail) for cell in cells)
+
 
 # Per spec family: its keys in a spec, and the same instance made by the
 # maker with the defaults spelled out, at instance seed 4.

@@ -15,7 +15,7 @@ from zosparse.blackbox import (
     make_sparse_linear,
     with_ledger,
 )
-from zosparse.estimator import GraceConfig
+from zosparse.estimator import GraceConfig, grace_estimate
 from zosparse.optimizer import (
     METHODS,
     OptimizerConfig,
@@ -24,7 +24,7 @@ from zosparse.optimizer import (
     step_gld,
     step_zo_signsgd,
 )
-from zosparse.rng import RngStream
+from zosparse.rng import RngStream, StepStreams
 
 
 # An 8-vertex ring with three chords: d = 64, every degree at least 2.
@@ -300,6 +300,18 @@ class TestTraceSemantics:
         assert trace.best_value == 5.0
         np.testing.assert_array_equal(trace.best_point, [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("budget, stop", [(5, {}), (10_000, {"max_steps": 1})])
+    def test_gld_weighs_the_value_its_last_step_paid_for(self, budget, stop):
+        # Step 1 pays for f(x_1) and 4 candidates; the run stops before a
+        # second row could record the accepted one, which is still its best.
+        trace = self.budgeted("gld", budget, **stop)
+        inst = make_distance(16, 3, RngStream(40))
+        f, x1 = inst.objective, inst.x1
+        x2, value = step_gld(f, x1, f(x1), 0.1, 4, StepStreams(RngStream(41)).derive(1))
+        assert [(r.step, r.queries, r.value) for r in trace.records] == [(1, 5, f(x1))]
+        assert value < f(x1) and trace.best_value == value
+        np.testing.assert_array_equal(trace.best_point, x2)
+
     def test_max_steps_limits_rows(self):
         trace = self.budgeted("rs", 10_000, max_steps=7)
         assert len(trace.records) == 7
@@ -353,6 +365,17 @@ class TestBatchedSteps:
         plain_x, plain_value = step_gld(plain, x, f(x), 0.5, 4, RngStream(3))
         np.testing.assert_array_equal(best_x, plain_x)
         assert best_value == plain_value
+
+    def test_a_mis_shaped_batch_result_raises_in_every_caller(self):
+        inst = make_distance(16, 3, RngStream(1))
+        f, x = inst.objective, np.full(16, 0.1)
+        short = BlackBoxFunction(16, f.eval, lambda rows: f.batch(rows)[:1])
+        with pytest.raises(ValueError, match=r"batch returned shape \(1,\) for 10 points"):
+            step_zo_signsgd(short, x, f(x), 1e-3, 10, 0.1, RngStream(2))
+        with pytest.raises(ValueError, match=r"batch returned shape \(1,\) for 4 points"):
+            step_gld(short, x, f(x), 0.5, 4, RngStream(3))
+        with pytest.raises(ValueError, match=r"batch returned shape \(1,\) for \d+ points"):
+            grace_estimate(short, x, GraceConfig.defaults(16, 3), RngStream(4))
 
     def test_step_t_draws_from_the_run_key_at_counter_t(self):
         # rs moves by one estimate a step, so its run can be replayed by hand.
