@@ -122,6 +122,8 @@ def with_ledger(f: BlackBoxFunction, cap: int | None = None) -> tuple[BlackBoxFu
     evaluates only the rows that fit, counts them, then raises, so the
     count ends where k single calls would have left it.
     """
+    if cap is not None and (type(cap) is bool or not isinstance(cap, (int, np.integer)) or cap < 0):
+        raise ValueError(f"need a cap of None or an integer >= 0, got {cap!r}")
     ledger = QueryLedger(0, cap)
 
     def counted(x):

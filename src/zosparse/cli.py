@@ -23,9 +23,9 @@ from .harness import (
     query_scaling_probe,
     run_experiment,
     scaling_correlation,
-    verify_theory,
     write_scaling_csv,
 )
+from .theory import verify_theory
 
 __all__ = ["main"]
 

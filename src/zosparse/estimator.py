@@ -264,12 +264,12 @@ def _key_spans(
     of a group of ``ragged`` <= size members, which ends no later.  Answered
     from a cache keyed on the schedule's values, walked on a copy of it.
     """
-    return _spans(size, ragged, schedule.kind, tuple(schedule.terms), schedule.params)
+    return _spans(size, ragged, schedule.kind, tuple(schedule.terms))
 
 
 @functools.lru_cache(maxsize=64)  # Keyed on values: a DivisionSchedule grows as it is read.
-def _spans(size: int, ragged: int, kind: str, terms: tuple, params) -> tuple:
-    schedule = DivisionSchedule(kind, list(terms), params)
+def _spans(size: int, ragged: int, kind: str, terms: tuple) -> tuple:
+    schedule = DivisionSchedule(kind, list(terms))
     steps, starts, last, bound = [], [0], [0], size
     while bound > 2:
         steps.append(max(schedule.value(len(steps) + 1), 2))

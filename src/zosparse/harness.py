@@ -1,4 +1,4 @@
-"""Experiment orchestration: config files, sweeps, CSV traces, verification.
+"""Experiment orchestration: config files, sweeps, CSV traces, the scaling probe.
 
 An experiment is a cartesian sweep over instance seeds, run seeds,
 methods, and step sizes, every run capped at the same query budget.
@@ -32,21 +32,6 @@ from .blackbox import make_attack, make_distance, make_planted_linear  # noqa: F
 from .estimator import GraceConfig, grace_estimate
 from .optimizer import OptimizerConfig, run_optimizer
 from .rng import RngStream
-from .theory import (
-    BASELINE_CONSTANT,
-    TheoryParams,
-    check_egamma_grid,
-    closed_form_maximizer,
-    compute_C1,
-    compute_C2,
-    partition_probability_suite,
-    practical_schedule,
-    ratio_test_margin,
-    step_mass,
-    theoretical_lower_bound,
-    theoretical_schedule,
-    verify_schedule_conditions,
-)
 
 __all__ = [
     "ExperimentSpecError",
@@ -55,9 +40,6 @@ __all__ = [
     "parse_spec",
     "ExperimentResult",
     "run_experiment",
-    "CheckResult",
-    "TheoryReport",
-    "verify_theory",
     "query_scaling_probe",
     "scaling_correlation",
     "write_scaling_csv",
@@ -425,107 +407,6 @@ def run_experiment(
         num_runs=len(outcomes),
         num_failures=num_failures,
     )
-
-
-# --- verification report ---
-
-
-@dataclass
-class CheckResult:
-    name: str
-    value: str
-    passed: bool
-
-
-@dataclass
-class TheoryReport:
-    checks: list
-
-    @property
-    def all_passed(self) -> bool:
-        return all(check.passed for check in self.checks)
-
-    def render(self) -> str:
-        lines = []
-        for check in self.checks:
-            verdict = "PASS" if check.passed else "FAIL"
-            lines.append(f"{verdict}  {check.name}: {check.value}")
-        overall = "PASS" if self.all_passed else "FAIL"
-        lines.append(f"{overall}  overall")
-        return "\n".join(lines)
-
-
-def verify_theory() -> TheoryReport:
-    """Recompute every constant and identity of the analysis; report per item."""
-    checks = []
-    p = TheoryParams()
-
-    c1 = compute_C1()
-    checks.append(
-        CheckResult("ratio-test constant C1", f"{c1:.6f}", 2.2886 <= c1 <= 2.2905 and c1 < 2.29)
-    )
-    argmax = closed_form_maximizer()
-    gap = abs(ratio_test_margin(argmax) - c1)
-    checks.append(
-        CheckResult(
-            "C1 closed-form argmax ln(1/t)",
-            f"{argmax:.6f} (margin gap {gap:.2e})",
-            abs(argmax - 0.648887) < 1e-3 and gap < 1e-6,
-        )
-    )
-    c2 = compute_C2(p)
-    checks.append(CheckResult("dominance constant C2", f"{c2:.4f}", 134.78 <= c2 <= 134.98))
-    factor = BASELINE_CONSTANT / c2
-    checks.append(CheckResult("reduction over prior constant", f"{factor:.1f}", factor >= 4000.0))
-
-    feasibility = verify_schedule_conditions(p)
-    checks.append(
-        CheckResult(
-            "schedule feasibility at defaults",
-            f"x1={feasibility.first_step_mass:.5f}, A={feasibility.amplification:.5f}",
-            feasibility.all_ok,
-        )
-    )
-
-    schedule = theoretical_schedule(p)
-    terms = [schedule.value(r) for r in range(1, 11)]
-    nondecreasing = all(a <= b for a, b in zip(terms, terms[1:]))
-    above_bound = all(terms[r - 1] >= theoretical_lower_bound(p, r) for r in range(1, 11))
-    masses = [step_mass(p, terms[r - 1], r) for r in range(1, 11)]
-    mass_monotone = all(a <= b for a, b in zip(masses, masses[1:]))
-    checks.append(
-        CheckResult(
-            "theoretical schedule (10 terms)",
-            f"starts {terms[:4]}, nondecreasing={nondecreasing}, "
-            f"above lower bound={above_bound}, step mass monotone={mass_monotone}",
-            nondecreasing and above_bound and mass_monotone,
-        )
-    )
-
-    practical = practical_schedule(20)
-    first_three = [practical.value(r) for r in (1, 2, 3)]
-    checks.append(
-        CheckResult("practical schedule from 20", str(first_three), first_three == [20, 89, 839])
-    )
-
-    egamma_checked, egamma_failures = check_egamma_grid()
-    checks.append(
-        CheckResult(
-            "isolation inequality grid",
-            f"{egamma_checked} combinations, {len(egamma_failures)} failures",
-            not egamma_failures,
-        )
-    )
-
-    suite_checked, suite_failures = partition_probability_suite()
-    checks.append(
-        CheckResult(
-            "partition probabilities (d <= 6, exact)",
-            f"{suite_checked} tuples, {len(suite_failures)} failures",
-            not suite_failures,
-        )
-    )
-    return TheoryReport(checks)
 
 
 # --- query scaling probe ---

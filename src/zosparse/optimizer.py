@@ -64,17 +64,23 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        # A bool compares as a number, but is no length: True would act as 1.0.
-        if type(self.step_size) is bool or not 0 < self.step_size < math.inf:
-            raise ValueError(f"need a finite step_size > 0, got {self.step_size}")
+        _check_positive("step_size", self.step_size)
         if self.budget is None and self.max_steps is None:
             raise ValueError("need a stopping rule: budget, max_steps, or both")
         for name in ("budget", "max_steps", "directions", "scales"):
-            k = getattr(self, name)  # A bool is an Integral, but no count.
-            if k is not None and (type(k) is bool or not isinstance(k, numbers.Integral) or k < 1):
-                raise ValueError(f"need an integer {name} >= 1, got {k!r}")
-        if type(self.mu) is bool or not 0 < self.mu < math.inf:
-            raise ValueError(f"need a finite mu > 0, got {self.mu}")
+            if getattr(self, name) is not None:
+                _check_count(name, getattr(self, name))
+        _check_positive("mu", self.mu)
+
+
+def _check_positive(name: str, value) -> None:
+    if type(value) is bool or not 0 < value < math.inf:  # True would act as 1.0.
+        raise ValueError(f"need a finite {name} > 0, got {value}")
+
+
+def _check_count(name: str, k) -> None:
+    if type(k) is bool or not isinstance(k, numbers.Integral) or k < 1:  # True is no count.
+        raise ValueError(f"need an integer {name} >= 1, got {k!r}")
 
 
 @dataclass
@@ -130,8 +136,7 @@ def estimate_rs(
 
     One query with the cached f_x; u is standard normal.
     """
-    if not mu > 0:
-        raise ValueError(f"need mu > 0, got {mu}")
+    _check_positive("mu", mu)
     direction = rng.gen.standard_normal(f.dim)
     return ((f(x + mu * direction) - f_x) / mu) * direction
 
@@ -160,10 +165,9 @@ def step_zo_signsgd(
     queried in one call.  sign(0) = 0, so coordinates with a perfectly
     balanced estimate stay put.  Queries: directions per call.
     """
-    if directions < 1:
-        raise ValueError(f"need directions >= 1, got {directions}")
-    if not mu > 0:
-        raise ValueError(f"need mu > 0, got {mu}")
+    _check_count("directions", directions)
+    _check_positive("mu", mu)
+    _check_positive("eta", eta)
     normals = rng.gen.standard_normal((directions, f.dim))
     scaled = ((_values(f, x + mu * normals) - f_x) / mu)[:, None] * normals
     total = np.zeros(f.dim)
@@ -182,8 +186,8 @@ def step_gld(
     larger radius).  Returns the chosen point with its objective value so
     the caller need not re-query it.  Queries: scales per call.
     """
-    if not eta > 0:
-        raise ValueError(f"need eta > 0, got {eta}")
+    _check_positive("eta", eta)
+    _check_count("scales", scales)
     radii = np.array([eta / 2**k for k in range(scales)])
     candidates = x + radii[:, None] * rng.gen.standard_normal((scales, f.dim))
     best_x, best_value = x, f_x

@@ -1,25 +1,29 @@
 """Division schedules, sharp constants, and executable checks of the analysis.
 
-Everything here is pure computation.  Quantities claimed as exact
-identities (schedule recurrences, falling factorials, partition
-probabilities) use exact integer or rational arithmetic so the checks
-are binary; the remaining constants come from 1-D maximization and
-log/sqrt formulas in double precision.
+The analysis is stated at one reference set, the constants DELTA, PHI, THETA
+and D, and :func:`verify_theory` (``zosparse verify``) checks it there.
+Everything here is pure computation.  Quantities claimed as exact identities
+(schedule recurrences, falling factorials, partition probabilities) use exact
+integer or rational arithmetic so the checks are binary; the remaining
+constants come from 1-D maximization and log/sqrt formulas in double precision.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 __all__ = [
-    "TheoryParams",
+    "DELTA",
+    "PHI",
+    "THETA",
+    "D",
     "DivisionSchedule",
     "ScheduleFeasibility",
-    "InfeasibleParametersError",
     "practical_schedule",
     "theoretical_schedule",
     "explicit_schedule",
@@ -38,11 +42,18 @@ __all__ = [
     "check_egamma_grid",
     "check_partition_probability",
     "partition_probability_suite",
+    "CheckResult",
+    "TheoryReport",
+    "verify_theory",
 ]
 
 # Constant of the strongest comparable prior recovery guarantee; the
 # dependent partition brings it down by more than three orders of magnitude.
 BASELINE_CONSTANT = 579263.0
+
+# The reference set: DELTA is the total failure probability, PHI the geometric decay of the
+# per-iteration budgets and THETA their share for the block label; D is the first divisor.
+DELTA, PHI, THETA, D = 0.5, 0.64, 0.08, 18
 
 
 def falling_factorial(n: int, m: int) -> int:
@@ -55,41 +66,17 @@ def falling_factorial(n: int, m: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class TheoryParams:
-    """Knobs of the high-probability recovery analysis.
-
-    delta is the total failure probability; phi sets the geometric decay
-    of the per-iteration failure budgets and theta the share of each
-    budget spent on label identification (the remainder covers noise
-    shrinkage); D is the first divisor.  These four are all the schedule
-    and the constants read.  The field defaults are the reference
-    parameter set used throughout.
-    """
-
-    delta: float = 0.5
-    phi: float = 0.64
-    theta: float = 0.08
-    D: int = 18
-
-    def __post_init__(self):
-        if not (0 < self.delta < 1 and 0 < self.phi < 1 and 0 < self.theta < 1):
-            raise ValueError("need delta, phi, theta in (0, 1)")
-        if self.D < 2:
-            raise ValueError(f"need D >= 2, got D={self.D}")
-
-
-def delta_label(p: TheoryParams, r: int) -> float:
+def delta_label(r: int) -> float:
     """Failure budget of iteration r spent on identifying the block label."""
-    return p.theta * (1.0 - p.phi) * p.phi ** (r - 1) * p.delta
+    return THETA * (1.0 - PHI) * PHI ** (r - 1) * DELTA
 
 
-def delta_noise(p: TheoryParams, r: int) -> float:
+def delta_noise(r: int) -> float:
     """Failure budget of iteration r spent on shrinking the off-target noise."""
-    return (1.0 - p.theta) * (1.0 - p.phi) * p.phi ** (r - 1) * p.delta
+    return (1.0 - THETA) * (1.0 - PHI) * PHI ** (r - 1) * DELTA
 
 
-def step_mass(p: TheoryParams, d_r: float, r: int) -> float:
+def step_mass(d_r: float, r: int) -> float:
     """The quantity D_r * delta_noise(r) * ln(3/delta_label(r)) / ln(3/delta_label(r+1)).
 
     The feasibility conditions and the schedule recurrence are all
@@ -98,9 +85,9 @@ def step_mass(p: TheoryParams, d_r: float, r: int) -> float:
     """
     return (
         d_r
-        * delta_noise(p, r)
-        * math.log(3.0 / delta_label(p, r))
-        / math.log(3.0 / delta_label(p, r + 1))
+        * delta_noise(r)
+        * math.log(3.0 / delta_label(r))
+        / math.log(3.0 / delta_label(r + 1))
     )
 
 
@@ -111,7 +98,7 @@ class ScheduleFeasibility:
     growth_ok:        phi * x1^{3/2} - x1 >= phi * delta_noise(1)
     base_ok:          x1 >= 3/2
     amplification_ok: A > 1
-    where x1 = step_mass(p, D, 1) and A is the growth amplification.
+    where x1 = step_mass(D, 1) and A is the growth amplification.
     """
 
     growth_ok: bool
@@ -125,42 +112,29 @@ class ScheduleFeasibility:
         return self.growth_ok and self.base_ok and self.amplification_ok
 
 
-def verify_schedule_conditions(p: TheoryParams) -> ScheduleFeasibility:
+def verify_schedule_conditions() -> ScheduleFeasibility:
     """Evaluate the feasibility inequalities behind the theoretical schedule."""
-    x1 = step_mass(p, p.D, 1)
-    growth_ok = p.phi * x1**1.5 - x1 >= p.phi * delta_noise(p, 1)
+    x1 = step_mass(D, 1)  # About 2.75, so sqrt(x1) > 1 as A's formula needs.
+    growth_ok = PHI * x1**1.5 - x1 >= PHI * delta_noise(1)
     base_ok = x1 >= 1.5
-    if math.sqrt(x1) > 1.0:
-        log_ratio = math.log(3.0 / delta_label(p, 1)) / math.log(3.0 / delta_label(p, 2))
-        amplification = (
-            (p.D - 1.0 / (math.sqrt(x1) - 1.0))
-            * (1.0 - p.theta)
-            * (1.0 - p.phi)
-            * p.phi**2
-            * p.delta
-            * log_ratio
-        )
-    else:
-        # A's formula needs sqrt(x1) > 1; report unamplified growth instead.
-        amplification = -math.inf
+    log_ratio = math.log(3.0 / delta_label(1)) / math.log(3.0 / delta_label(2))
+    amplification = (
+        (D - 1.0 / (math.sqrt(x1) - 1.0))
+        * (1.0 - THETA)
+        * (1.0 - PHI)
+        * PHI**2
+        * DELTA
+        * log_ratio
+    )
     return ScheduleFeasibility(growth_ok, base_ok, amplification > 1.0, amplification, x1)
 
 
-def theoretical_lower_bound(p: TheoryParams, r: int) -> float:
+def theoretical_lower_bound(r: int) -> float:
     """Doubly-exponential floor A^{(3/2)^{r-1}} / ((1-theta)(1-phi) phi^2 delta)."""
     if r < 1:
         raise ValueError(f"need r >= 1, got r={r}")
-    feas = verify_schedule_conditions(p)
-    growth = feas.amplification ** (1.5 ** (r - 1))
-    return growth / ((1.0 - p.theta) * (1.0 - p.phi) * p.phi**2 * p.delta)
-
-
-class InfeasibleParametersError(ValueError):
-    """Parameters violate a feasibility condition of the theoretical schedule."""
-
-    def __init__(self, message: str, report: ScheduleFeasibility):
-        super().__init__(message)
-        self.report = report
+    growth = verify_schedule_conditions().amplification ** (1.5 ** (r - 1))
+    return growth / ((1.0 - THETA) * (1.0 - PHI) * PHI**2 * DELTA)
 
 
 @dataclass
@@ -175,7 +149,13 @@ class DivisionSchedule:
 
     kind: str
     terms: list[int]
-    params: TheoryParams | None = None
+
+    def __post_init__(self):
+        # int() would read a bool, or truncate a float, as a divisor it does not name.
+        integral = [type(v) is not bool and isinstance(v, numbers.Integral) for v in self.terms]
+        if not self.terms or not all(integral) or min(self.terms) < 2:
+            raise ValueError(f"need a nonempty list of integer divisors >= 2, got {self.terms!r}")
+        self.terms = [int(v) for v in self.terms]
 
     def value(self, r: int) -> int:
         """D_r, 1-based."""
@@ -192,38 +172,23 @@ class DivisionSchedule:
         if self.kind == "practical":
             # floor(D^{3/2}) = isqrt(D^3), exact in integers.
             return math.isqrt(last**3)
-        ratio = step_mass(self.params, 1.0, len(self.terms))
+        ratio = step_mass(1.0, len(self.terms))
         return math.floor(last**1.5 * math.sqrt(ratio))
 
 
 def practical_schedule(d1: int) -> DivisionSchedule:
     """Schedule following D_{r+1} = floor(D_r^{3/2}) from the given start."""
-    if d1 < 2:
-        raise ValueError(f"need D1 >= 2, got {d1}")
-    return DivisionSchedule("practical", [int(d1)])
+    return DivisionSchedule("practical", [d1])
 
 
-def theoretical_schedule(p: TheoryParams) -> DivisionSchedule:
-    """Schedule of the high-probability analysis, with its feasibility enforced."""
-    feas = verify_schedule_conditions(p)
-    if not feas.all_ok:
-        failed = []
-        if not feas.growth_ok:
-            failed.append("growth condition phi*x1^(3/2) - x1 >= phi*delta_noise(1)")
-        if not feas.base_ok:
-            failed.append(f"base condition x1 >= 3/2 (x1 = {feas.first_step_mass:.6g})")
-        if not feas.amplification_ok:
-            failed.append(f"amplification A > 1 (A = {feas.amplification:.6g})")
-        raise InfeasibleParametersError("; ".join(failed), feas)
-    return DivisionSchedule("theoretical", [p.D], p)
+def theoretical_schedule() -> DivisionSchedule:
+    """Schedule of the high-probability analysis from D; see :func:`verify_schedule_conditions`."""
+    return DivisionSchedule("theoretical", [D])
 
 
 def explicit_schedule(values) -> DivisionSchedule:
     """Fixed divisor list; the final value repeats past the end."""
-    terms = [int(v) for v in values]
-    if not terms or any(v < 2 for v in terms):
-        raise ValueError("need a nonempty list of divisors >= 2")
-    return DivisionSchedule("explicit", terms)
+    return DivisionSchedule("explicit", list(values))
 
 
 def ratio_test_margin(log_inv_t: float) -> float:
@@ -284,12 +249,10 @@ def compute_C1() -> float:
     return best
 
 
-def compute_C2(p: TheoryParams | None = None) -> float:
+def compute_C2() -> float:
     """Group-level dominance constant (C1*D + 1/D) * sqrt(2 ln(3/(theta(1-phi)delta)))."""
-    if p is None:
-        p = TheoryParams()
-    scale = math.sqrt(2.0 * math.log(3.0 / (p.theta * (1.0 - p.phi) * p.delta)))
-    return (compute_C1() * p.D + 1.0 / p.D) * scale
+    scale = math.sqrt(2.0 * math.log(3.0 / (THETA * (1.0 - PHI) * DELTA)))
+    return (compute_C1() * D + 1.0 / D) * scale
 
 
 def check_egamma(d: int, s: int, gamma) -> bool:
@@ -425,3 +388,103 @@ def partition_probability_suite(max_d: int = 6, max_h: int = 3):
                         if not equal:
                             failures.append((d, n, k, h, j, empirical, formula))
     return checked, failures
+
+
+# --- verification report ---
+
+
+@dataclass
+class CheckResult:
+    name: str
+    value: str
+    passed: bool
+
+
+@dataclass
+class TheoryReport:
+    checks: list
+
+    @property
+    def all_passed(self) -> bool:
+        return all(check.passed for check in self.checks)
+
+    def render(self) -> str:
+        lines = []
+        for check in self.checks:
+            verdict = "PASS" if check.passed else "FAIL"
+            lines.append(f"{verdict}  {check.name}: {check.value}")
+        overall = "PASS" if self.all_passed else "FAIL"
+        lines.append(f"{overall}  overall")
+        return "\n".join(lines)
+
+
+def verify_theory() -> TheoryReport:
+    """Recompute every constant and identity of the analysis; report per item."""
+    checks = []
+
+    c1 = compute_C1()
+    checks.append(
+        CheckResult("ratio-test constant C1", f"{c1:.6f}", 2.2886 <= c1 <= 2.2905 and c1 < 2.29)
+    )
+    argmax = closed_form_maximizer()
+    gap = abs(ratio_test_margin(argmax) - c1)
+    checks.append(
+        CheckResult(
+            "C1 closed-form argmax ln(1/t)",
+            f"{argmax:.6f} (margin gap {gap:.2e})",
+            abs(argmax - 0.648887) < 1e-3 and gap < 1e-6,
+        )
+    )
+    c2 = compute_C2()
+    checks.append(CheckResult("dominance constant C2", f"{c2:.4f}", 134.78 <= c2 <= 134.98))
+    factor = BASELINE_CONSTANT / c2
+    checks.append(CheckResult("reduction over prior constant", f"{factor:.1f}", factor >= 4000.0))
+
+    feasibility = verify_schedule_conditions()
+    checks.append(
+        CheckResult(
+            "schedule feasibility at defaults",
+            f"x1={feasibility.first_step_mass:.5f}, A={feasibility.amplification:.5f}",
+            feasibility.all_ok,
+        )
+    )
+
+    schedule = theoretical_schedule()
+    terms = [schedule.value(r) for r in range(1, 11)]
+    nondecreasing = all(a <= b for a, b in zip(terms, terms[1:]))
+    above_bound = all(terms[r - 1] >= theoretical_lower_bound(r) for r in range(1, 11))
+    masses = [step_mass(terms[r - 1], r) for r in range(1, 11)]
+    mass_monotone = all(a <= b for a, b in zip(masses, masses[1:]))
+    checks.append(
+        CheckResult(
+            "theoretical schedule (10 terms)",
+            f"starts {terms[:4]}, nondecreasing={nondecreasing}, "
+            f"above lower bound={above_bound}, step mass monotone={mass_monotone}",
+            nondecreasing and above_bound and mass_monotone,
+        )
+    )
+
+    practical = practical_schedule(20)
+    first_three = [practical.value(r) for r in (1, 2, 3)]
+    checks.append(
+        CheckResult("practical schedule from 20", str(first_three), first_three == [20, 89, 839])
+    )
+
+    egamma_checked, egamma_failures = check_egamma_grid()
+    checks.append(
+        CheckResult(
+            "isolation inequality grid",
+            f"{egamma_checked} combinations, {len(egamma_failures)} failures",
+            not egamma_failures,
+        )
+    )
+
+    suite_checked, suite_failures = partition_probability_suite()
+    checks.append(
+        CheckResult(
+            "partition probabilities (d <= 6, exact)",
+            f"{suite_checked} tuples, {len(suite_failures)} failures",
+            not suite_failures,
+        )
+    )
+    return TheoryReport(checks)

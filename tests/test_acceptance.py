@@ -32,7 +32,10 @@ from zosparse.optimizer import ETA_GRID, OptimizerConfig, run_optimizer
 from zosparse.rng import RngStream
 from zosparse.theory import (
     BASELINE_CONSTANT,
-    TheoryParams,
+    DELTA,
+    PHI,
+    THETA,
+    D,
     check_egamma,
     check_egamma_grid,
     compute_C1,
@@ -85,12 +88,14 @@ def test_criterion_01_ratio_test_constant():
 
 def test_criterion_02_dominance_constant():
     started = time.perf_counter()
-    c2 = compute_C2(TheoryParams(D=18, delta=0.5, phi=0.64, theta=0.08))
+    c2 = compute_C2()
     factor = BASELINE_CONSTANT / c2
-    ok = 134.78 <= c2 <= 134.98 and factor >= 4000.0
+    reference = (D, DELTA, PHI, THETA)
+    ok = reference == (18, 0.5, 0.64, 0.08) and 134.78 <= c2 <= 134.98 and factor >= 4000.0
     conclude(
         2,
         ok,
+        f"(D, delta, phi, theta) = {reference}, required (18, 0.5, 0.64, 0.08); "
         f"C2 = {c2:.6f}, required in [134.78, 134.98]; improvement {factor:.1f} >= 4000",
         started,
         1.0,
@@ -99,12 +104,11 @@ def test_criterion_02_dominance_constant():
 
 def test_criterion_03_schedule_feasibility():
     started = time.perf_counter()
-    p = TheoryParams()
-    report = verify_schedule_conditions(p)
-    schedule = theoretical_schedule(p)
+    report = verify_schedule_conditions()
+    schedule = theoretical_schedule()
     terms = [schedule.value(r) for r in range(1, 11)]
     nondecreasing = all(a <= b for a, b in zip(terms, terms[1:]))
-    floored = all(terms[r - 1] >= theoretical_lower_bound(p, r) for r in range(1, 11))
+    floored = all(terms[r - 1] >= theoretical_lower_bound(r) for r in range(1, 11))
     ok = report.all_ok and report.amplification > 1.0 and nondecreasing and floored
     conclude(
         3,

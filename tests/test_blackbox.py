@@ -62,6 +62,20 @@ class TestQueryLedger:
         assert ledger.count == 2
         assert excinfo.value.count == 2 and excinfo.value.cap == 2
 
+    @pytest.mark.parametrize("cap", [-1, 2.5, True, np.float64(3.0), "3"])
+    def test_rejects_a_cap_that_is_no_count(self, cap):
+        f = BlackBoxFunction(1, lambda x: 0.0, lambda rows: np.zeros(len(rows)))
+        with pytest.raises(ValueError, match="cap"):
+            with_ledger(f, cap)
+
+    @pytest.mark.parametrize("cap", [0, np.int64(2)])
+    def test_accepts_integer_caps(self, cap):
+        f = BlackBoxFunction(1, lambda x: 0.0, lambda rows: np.zeros(len(rows)))
+        counted, ledger = with_ledger(f, cap)
+        with pytest.raises(BudgetExhaustedError):
+            counted.batch(np.zeros((3, 1)))
+        assert ledger.count == cap
+
     def test_uncapped_by_default(self):
         f = BlackBoxFunction(1, lambda x: 0.0)
         counted, ledger = with_ledger(f)

@@ -384,7 +384,7 @@ class TestKeySpans:
         before = estimator._key_spans(50, schedule, 7)
         schedule.terms[:] = [3]
         after = estimator._key_spans(50, schedule, 7)
-        assert after == estimator._spans.__wrapped__(50, 7, "explicit", (3,), None) != before
+        assert after == estimator._spans.__wrapped__(50, 7, "explicit", (3,)) != before
         assert after == estimator._key_spans(50, explicit_schedule([3]), 7)
 
     def test_a_grown_schedule_gives_the_same_spans(self):
@@ -392,7 +392,7 @@ class TestKeySpans:
         grown.value(4)
         assert estimator._key_spans(5000, fresh, 33) == estimator._key_spans(5000, grown, 33)
         assert estimator._key_spans(5000, grown) == estimator._spans.__wrapped__(
-            5000, 0, "practical", (20,), None
+            5000, 0, "practical", (20,)
         )
 
     def test_steady_state_walks_no_schedule(self):

@@ -33,14 +33,29 @@ from zosparse.harness import (
     resolve_output_dir,
     run_experiment,
     scaling_correlation,
-    verify_theory,
     write_scaling_csv,
 )
 from zosparse.rng import RngStream
+from zosparse.theory import verify_theory
 
 PATH_3 = "3 2\n1 2\n2 3\n"
 # An 8-vertex ring with three chords: d = 64, every degree at least 2.
 RING_8 = "8 11\n1 2\n2 3\n3 4\n4 5\n5 6\n6 7\n7 8\n1 8\n1 5\n2 6\n3 7\n"
+
+# What `zosparse verify` prints at the reference set, byte for byte.
+VERIFY_OUTPUT = """\
+PASS  ratio-test constant C1: 2.289547
+PASS  C1 closed-form argmax ln(1/t): 0.648887 (margin gap 0.00e+00)
+PASS  dominance constant C2: 134.8521
+PASS  reduction over prior constant: 4295.5
+PASS  schedule feasibility at defaults: x1=2.75086, A=1.03170
+PASS  theoretical schedule (10 terms): starts [18, 29, 48, 83], nondecreasing=True, \
+above lower bound=True, step mass monotone=True
+PASS  practical schedule from 20: [20, 89, 839]
+PASS  isolation inequality grid: 33885 combinations, 0 failures
+PASS  partition probabilities (d <= 6, exact): 2588 tuples, 0 failures
+PASS  overall
+"""
 
 # Spec keys that break no range check but that no family or method reads,
 # each with the section it goes into.
@@ -687,8 +702,7 @@ class TestCli:
 
     def test_verify_subcommand(self, capsys):
         assert main(["verify"]) == 0
-        out = capsys.readouterr().out
-        assert "PASS  overall" in out
+        assert capsys.readouterr().out == VERIFY_OUTPUT
 
     def test_scaling_subcommand(self, tmp_path, capsys):
         out_csv = tmp_path / "scaling.csv"

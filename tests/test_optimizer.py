@@ -101,6 +101,51 @@ class TestOptimizerConfig:
         assert getattr(opt, key) == 3
 
 
+class TestStepArguments:
+    """The step functions check their arguments as OptimizerConfig does, with or without a hook."""
+
+    @pytest.mark.parametrize("hooked", [True, False])
+    @pytest.mark.parametrize(
+        "method, args",
+        [
+            ("rs", {"mu": math.inf}),
+            ("rs", {"mu": 0.0}),
+            ("rs", {"mu": True}),
+            ("zo-signsgd", {"mu": math.inf}),
+            ("zo-signsgd", {"mu": math.nan}),
+            ("zo-signsgd", {"eta": math.inf}),
+            ("zo-signsgd", {"eta": -0.1}),
+            ("zo-signsgd", {"directions": 0}),
+            ("zo-signsgd", {"directions": 2.0}),
+            ("zo-signsgd", {"directions": True}),
+            ("gld", {"eta": math.inf}),
+            ("gld", {"eta": 0.0}),
+            ("gld", {"scales": 0}),
+            ("gld", {"scales": 2.5}),
+            ("gld", {"scales": True}),
+        ],
+    )
+    def test_rejects_what_the_config_rejects(self, method, args, hooked):
+        f = make_distance(16, 3, RngStream(1)).objective
+        f = f if hooked else stripped(f)
+        k = {"mu": 1e-3, "eta": 0.1, "directions": 3, "scales": 2, **args}
+        steps = {
+            "rs": lambda x: estimate_rs(f, x, f(x), k["mu"], RngStream(2)),
+            "zo-signsgd": lambda x: step_zo_signsgd(
+                f, x, f(x), k["mu"], k["directions"], k["eta"], RngStream(2)
+            ),
+            "gld": lambda x: step_gld(f, x, f(x), k["eta"], k["scales"], RngStream(2)),
+        }
+        with pytest.raises(ValueError, match=next(iter(args))):
+            steps[method](np.zeros(16))
+
+    def test_accepts_numpy_counts(self):
+        f = make_distance(16, 3, RngStream(1)).objective
+        x = np.zeros(16)
+        step_zo_signsgd(f, x, f(x), 1e-3, np.int64(2), 0.1, RngStream(2))
+        step_gld(f, x, f(x), np.float64(0.1), np.int32(2), RngStream(2))
+
+
 class TestEstimateRs:
     def test_unbiased_on_linear_function(self):
         # E[(c'u) u] = c for standard normal u; 100k draws, 3 sigma band.

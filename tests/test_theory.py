@@ -7,12 +7,15 @@ formulas (direct evaluation, no shared code) and frozen here.
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from zosparse.theory import (
     BASELINE_CONSTANT,
-    InfeasibleParametersError,
-    TheoryParams,
+    DELTA,
+    PHI,
+    THETA,
+    D,
     check_egamma,
     check_egamma_grid,
     check_partition_probability,
@@ -32,8 +35,6 @@ from zosparse.theory import (
     verify_schedule_conditions,
 )
 
-DEFAULTS = TheoryParams()
-
 
 class TestFallingFactorial:
     def test_known_values(self):
@@ -49,67 +50,49 @@ class TestFallingFactorial:
         assert falling_factorial(3, 4) == 0
 
 
-class TestTheoryParams:
-    def test_defaults_are_valid(self):
-        p = TheoryParams()
-        assert p.D == 18 and p.delta == 0.5 and p.phi == 0.64 and p.theta == 0.08
-
-    def test_rejects_out_of_range_probabilities(self):
-        with pytest.raises(ValueError):
-            TheoryParams(delta=1.0)
-        with pytest.raises(ValueError):
-            TheoryParams(phi=0.0)
-
-    def test_rejects_small_divisor(self):
-        with pytest.raises(ValueError):
-            TheoryParams(D=1)
+class TestReferenceSet:
+    def test_constants_are_the_reference_set(self):
+        assert (DELTA, PHI, THETA, D) == (0.5, 0.64, 0.08, 18)
+        assert type(D) is int
 
     def test_budget_split_sums_to_geometric_slice(self):
-        p = DEFAULTS
         for r in (1, 2, 5):
-            total = delta_label(p, r) + delta_noise(p, r)
-            assert total == pytest.approx((1 - p.phi) * p.phi ** (r - 1) * p.delta)
+            total = delta_label(r) + delta_noise(r)
+            assert total == pytest.approx((1 - PHI) * PHI ** (r - 1) * DELTA)
 
 
 class TestFeasibility:
     def test_first_step_mass_frozen_value(self):
         # Independent recomputation: 18 * 0.2208 * ln(3/0.0368) / ln(3/0.023552)
-        x1 = step_mass(DEFAULTS, DEFAULTS.D, 1)
+        x1 = step_mass(D, 1)
         assert x1 == pytest.approx(2.7508614459690537, abs=1e-12)
 
     def test_defaults_pass_all_conditions(self):
-        report = verify_schedule_conditions(DEFAULTS)
+        report = verify_schedule_conditions()
         assert report.growth_ok and report.base_ok and report.amplification_ok
         assert report.all_ok
 
     def test_amplification_frozen_value(self):
-        report = verify_schedule_conditions(DEFAULTS)
+        report = verify_schedule_conditions()
         assert report.amplification == pytest.approx(1.0317026943761873, abs=1e-12)
         assert report.amplification > 1.0
 
-    def test_small_divisor_heavy_noise_fails(self):
-        p = TheoryParams(D=2, delta=0.9, phi=0.01, theta=0.5)
-        report = verify_schedule_conditions(p)
-        assert not report.base_ok
-        assert not report.all_ok
-
     def test_lower_bound_first_term(self):
-        p = DEFAULTS
-        report = verify_schedule_conditions(p)
-        denominator = (1 - p.theta) * (1 - p.phi) * p.phi**2 * p.delta
+        report = verify_schedule_conditions()
+        denominator = (1 - THETA) * (1 - PHI) * PHI**2 * DELTA
         expected = report.amplification / denominator
-        assert theoretical_lower_bound(p, 1) == pytest.approx(expected)
-        assert theoretical_lower_bound(p, 1) <= p.D
+        assert theoretical_lower_bound(1) == pytest.approx(expected)
+        assert theoretical_lower_bound(1) <= D
 
     def test_lower_bound_is_doubly_exponential(self):
-        b1 = theoretical_lower_bound(DEFAULTS, 1)
-        b2 = theoretical_lower_bound(DEFAULTS, 2)
-        b3 = theoretical_lower_bound(DEFAULTS, 3)
+        b1 = theoretical_lower_bound(1)
+        b2 = theoretical_lower_bound(2)
+        b3 = theoretical_lower_bound(3)
         assert b2 / b1 < b3 / b2  # ratios themselves grow
 
     def test_lower_bound_rejects_bad_round(self):
         with pytest.raises(ValueError):
-            theoretical_lower_bound(DEFAULTS, 0)
+            theoretical_lower_bound(0)
 
 
 class TestSchedules:
@@ -137,30 +120,23 @@ class TestSchedules:
         assert len(sched.terms) == 6
 
     def test_theoretical_first_three_terms(self):
-        sched = theoretical_schedule(DEFAULTS)
+        sched = theoretical_schedule()
         assert [sched.value(r) for r in (1, 2, 3)] == [18, 29, 48]
 
     def test_theoretical_terms_nondecreasing(self):
-        sched = theoretical_schedule(DEFAULTS)
+        sched = theoretical_schedule()
         terms = [sched.value(r) for r in range(1, 11)]
         assert all(a <= b for a, b in zip(terms, terms[1:]))
 
     def test_theoretical_respects_lower_bound(self):
-        sched = theoretical_schedule(DEFAULTS)
+        sched = theoretical_schedule()
         for r in range(1, 11):
-            assert sched.value(r) >= theoretical_lower_bound(DEFAULTS, r)
+            assert sched.value(r) >= theoretical_lower_bound(r)
 
     def test_theoretical_step_mass_monotone(self):
-        sched = theoretical_schedule(DEFAULTS)
-        masses = [step_mass(DEFAULTS, sched.value(r), r) for r in range(1, 11)]
+        sched = theoretical_schedule()
+        masses = [step_mass(sched.value(r), r) for r in range(1, 11)]
         assert all(a <= b for a, b in zip(masses, masses[1:]))
-
-    def test_theoretical_rejects_infeasible(self):
-        p = TheoryParams(D=2, delta=0.9, phi=0.01, theta=0.5)
-        with pytest.raises(InfeasibleParametersError) as excinfo:
-            theoretical_schedule(p)
-        assert "x1" in str(excinfo.value)
-        assert excinfo.value.report.all_ok is False
 
     def test_explicit_replays_and_holds_last(self):
         sched = explicit_schedule([4, 9, 30])
@@ -171,6 +147,20 @@ class TestSchedules:
             explicit_schedule([])
         with pytest.raises(ValueError):
             explicit_schedule([4, 1])
+
+    @pytest.mark.parametrize("bad", [2.5, 20.7, 20.0, True, np.float64(20.0), "20"])
+    def test_builders_reject_a_divisor_that_is_no_integer(self, bad):
+        # int() would truncate 2.5 to 2 and read True as 1.
+        with pytest.raises(ValueError, match="integer divisors"):
+            practical_schedule(bad)
+        with pytest.raises(ValueError, match="integer divisors"):
+            explicit_schedule([4, bad])
+
+    def test_builders_accept_numpy_integers(self):
+        assert practical_schedule(np.int64(20)).value(3) == 839
+        sched = explicit_schedule(np.array([4, 9], dtype=np.int32))
+        assert [sched.value(r) for r in (1, 2, 3)] == [4, 9, 9]
+        assert all(type(v) is int for v in sched.terms)
 
 
 class TestConstants:
@@ -198,9 +188,8 @@ class TestConstants:
         assert BASELINE_CONSTANT / compute_C2() >= 4000.0
 
     def test_c2_formula_decomposition(self):
-        p = DEFAULTS
-        scale = math.sqrt(2 * math.log(3 / (p.theta * (1 - p.phi) * p.delta)))
-        assert compute_C2(p) == pytest.approx((compute_C1() * p.D + 1 / p.D) * scale)
+        scale = math.sqrt(2 * math.log(3 / (THETA * (1 - PHI) * DELTA)))
+        assert compute_C2() == pytest.approx((compute_C1() * D + 1 / D) * scale)
 
 
 class TestIsolationInequality:
