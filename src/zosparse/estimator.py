@@ -31,7 +31,7 @@ import bisect
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,8 +75,9 @@ class GraceConfig:
     """Hyperparameters of one sparse estimate.
 
     n is the group size, m the number of independent repeats, and the
-    schedule supplies the divisor for each shrink iteration.  Each group
-    shrinks to at most two candidates.  The sparsity s enters only
+    schedule, a :class:`~zosparse.theory.DivisionSchedule` (by default
+    practical_schedule(20)), supplies the divisor for each shrink iteration.
+    Each group shrinks to at most two candidates.  The sparsity s enters only
     through :meth:`defaults`, which sizes the groups from it.
 
     Per repeat, a support coordinate is alone in its group with
@@ -91,7 +92,7 @@ class GraceConfig:
     epsilon: float
     n: int
     m: int = 1
-    schedule: DivisionSchedule = field(default_factory=lambda: practical_schedule(20))
+    schedule: DivisionSchedule = practical_schedule(20)
 
     @classmethod
     def defaults(cls, d: int, s: int, epsilon: float = 1e-6, d1: int = 20) -> "GraceConfig":
@@ -111,6 +112,8 @@ class GraceConfig:
             raise ValueError(f"need 1 <= n <= d, got n={self.n}, d={d}")
         if self.m < 1:
             raise ValueError(f"need m >= 1, got m={self.m}")
+        if not isinstance(self.schedule, DivisionSchedule):
+            raise ValueError(f"need a DivisionSchedule, got schedule={self.schedule!r}")
 
 
 @dataclass
@@ -253,23 +256,15 @@ def shrink_step(
     return ShrinkOutcome(kept, labels, degenerate)
 
 
-def _key_spans(
-    size: int, schedule: DivisionSchedule, ragged: int = 0
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+@functools.lru_cache(maxsize=64)
+def _spans(size: int, schedule: DivisionSchedule, ragged: int = 0) -> tuple:
     """Each shrink iteration's divisor max(D_t, 2), and where its key columns start.
 
     Iteration t owns b_t columns: b_1 = size and, while b_t > 2,
     b_{t+1} = ceil(b_t / min(max(D_t, 2), b_t)), so at most b_t members
     reach iteration t.  The starts end with the total; so do ``last``, those
-    of a group of ``ragged`` <= size members, which ends no later.  Answered
-    from a cache keyed on the schedule's values, walked on a copy of it.
+    of a group of ``ragged`` <= size members, which ends no later.
     """
-    return _spans(size, ragged, schedule.kind, tuple(schedule.terms))
-
-
-@functools.lru_cache(maxsize=64)  # Keyed on values: a DivisionSchedule grows as it is read.
-def _spans(size: int, ragged: int, kind: str, terms: tuple) -> tuple:
-    schedule = DivisionSchedule(kind, list(terms))
     steps, starts, last, bound = [], [0], [0], size
     while bound > 2:
         steps.append(max(schedule.value(len(steps) + 1), 2))
@@ -281,7 +276,7 @@ def _spans(size: int, ragged: int, kind: str, terms: tuple) -> tuple:
     return tuple(steps), tuple(starts), tuple(last)
 
 
-@functools.lru_cache(maxsize=64)  # Keyed on values: a DivisionSchedule grows as it is read.
+@functools.lru_cache(maxsize=64)
 def _plan(d: int, n: int, divisor: int) -> tuple:
     """(full, tail, sizes, blocks, ends, labels, rows) of the first shrink pass over d members.
 
@@ -327,7 +322,7 @@ def locate_in_group(
     if n <= 2:
         return live.tolist()
     groups = -(-live.size // n)
-    steps, starts, last = _key_spans(n, schedule, live.size - (groups - 1) * n)
+    steps, starts, last = _spans(n, schedule, live.size - (groups - 1) * n)
     if np.ndim(keys) != 2 or keys.shape[0] != groups or keys.shape[1] < starts[-1]:
         raise ValueError(f"need keys of shape ({groups}, >= {starts[-1]}), got {np.shape(keys)}")
     full, tail, sizes, blocks, ends, labels, rows = _plan(live.size, n, steps[0])
@@ -385,7 +380,7 @@ def grace_estimate(
         base_value = counting(point)
         if not math.isfinite(base_value):
             raise ValueError(f"need a finite f(x) at the estimate's point, got {base_value}")
-        width = _key_spans(cfg.n, cfg.schedule)[1][-1]
+        width = _spans(cfg.n, cfg.schedule)[1][-1]
         candidates: set[int] = set()
         for _repeat in range(cfg.m):
             dims = partition_groups(d, cfg.n, random_permutation(d, rng))

@@ -26,7 +26,6 @@ __all__ = [
     "ScheduleFeasibility",
     "practical_schedule",
     "theoretical_schedule",
-    "explicit_schedule",
     "verify_schedule_conditions",
     "theoretical_lower_bound",
     "delta_label",
@@ -130,65 +129,58 @@ def verify_schedule_conditions() -> ScheduleFeasibility:
 
 
 def theoretical_lower_bound(r: int) -> float:
-    """Doubly-exponential floor A^{(3/2)^{r-1}} / ((1-theta)(1-phi) phi^2 delta)."""
-    if r < 1:
-        raise ValueError(f"need r >= 1, got r={r}")
+    """Doubly-exponential floor A^{(3/2)^{r-1}} / ((1-theta)(1-phi) phi^2 delta), r <= 25."""
+    if not 1 <= r <= 25:  # From r = 26 on, A^{(3/2)^{r-1}} overflows a float.
+        raise ValueError(f"need 1 <= r <= 25, the last r whose bound is a finite float, got r={r}")
     growth = verify_schedule_conditions().amplification ** (1.5 ** (r - 1))
     return growth / ((1.0 - THETA) * (1.0 - PHI) * PHI**2 * DELTA)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DivisionSchedule:
-    """Divisor sequence D_1, D_2, ... consumed by the shrink loop.
+    """Divisors D_1, D_2, ... of the shrink loop: a finite tuple whose last divisor repeats.
 
-    Terms extend lazily on demand: growth is doubly exponential, so an
-    eager tail would hold astronomically large integers within a few
-    dozen terms.  The explicit kind replays a fixed list and holds its
-    last value past the end.
+    The builders compute every term up front, in exact integers, and stop at
+    the first that reaches 2^63 or stops growing.  No group has that many
+    members, so no shrink loop reads past the stored terms.
     """
 
-    kind: str
-    terms: list[int]
+    terms: tuple[int, ...]
 
     def __post_init__(self):
+        terms = tuple(self.terms)
         # int() would read a bool, or truncate a float, as a divisor it does not name.
-        integral = [type(v) is not bool and isinstance(v, numbers.Integral) for v in self.terms]
-        if not self.terms or not all(integral) or min(self.terms) < 2:
+        integral = [type(v) is not bool and isinstance(v, numbers.Integral) for v in terms]
+        if not terms or not all(integral) or min(terms) < 2:
             raise ValueError(f"need a nonempty list of integer divisors >= 2, got {self.terms!r}")
-        self.terms = [int(v) for v in self.terms]
+        object.__setattr__(self, "terms", tuple(int(v) for v in terms))
 
     def value(self, r: int) -> int:
-        """D_r, 1-based."""
+        """D_r, 1-based; past the stored terms, the last one."""
         if r < 1:
             raise ValueError(f"need r >= 1, got r={r}")
-        if self.kind == "explicit":
-            return self.terms[min(r, len(self.terms)) - 1]
-        while len(self.terms) < r:
-            self.terms.append(self._next_term())
-        return self.terms[r - 1]
+        return self.terms[min(r, len(self.terms)) - 1]
 
-    def _next_term(self) -> int:
-        last = self.terms[-1]
-        if self.kind == "practical":
-            # floor(D^{3/2}) = isqrt(D^3), exact in integers.
-            return math.isqrt(last**3)
-        ratio = step_mass(1.0, len(self.terms))
-        return math.floor(last**1.5 * math.sqrt(ratio))
+
+def _grown(first: int, step) -> DivisionSchedule:
+    """D_1 = first, D_{r+1} = step(D_r, r), to the first term >= 2^63 or not above the last."""
+    terms = DivisionSchedule([first]).terms
+    while terms[-1] < 2**63 and (len(terms) < 2 or terms[-2] < terms[-1]):
+        terms += (step(terms[-1], len(terms)),)
+    return DivisionSchedule(terms)
 
 
 def practical_schedule(d1: int) -> DivisionSchedule:
-    """Schedule following D_{r+1} = floor(D_r^{3/2}) from the given start."""
-    return DivisionSchedule("practical", [d1])
+    """Schedule following D_{r+1} = floor(D_r^{3/2}) = isqrt(D_r^3) from the given start."""
+    return _grown(d1, lambda last, r: math.isqrt(last**3))
 
 
 def theoretical_schedule() -> DivisionSchedule:
-    """Schedule of the high-probability analysis from D; see :func:`verify_schedule_conditions`."""
-    return DivisionSchedule("theoretical", [D])
+    """Schedule of the high-probability analysis from D; see :func:`verify_schedule_conditions`.
 
-
-def explicit_schedule(values) -> DivisionSchedule:
-    """Fixed divisor list; the final value repeats past the end."""
-    return DivisionSchedule("explicit", list(values))
+    D_{r+1} = floor(D_r^{3/2} sqrt(step_mass(1, r))), taken exactly at the float step mass.
+    """
+    return _grown(D, lambda last, r: math.isqrt(math.floor(last**3 * Fraction(step_mass(1.0, r)))))
 
 
 def ratio_test_margin(log_inv_t: float) -> float:

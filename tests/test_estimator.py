@@ -1,5 +1,6 @@
 """Shrink procedure and sparse gradient estimation."""
 
+import dataclasses
 import itertools
 import math
 from dataclasses import replace
@@ -33,7 +34,7 @@ from zosparse.estimator import (
 )
 from zosparse.optimizer import OptimizerConfig, run_optimizer
 from zosparse.rng import RngStream, dependent_partition, partition_groups, random_permutation
-from zosparse.theory import DivisionSchedule, explicit_schedule, practical_schedule
+from zosparse.theory import DivisionSchedule, practical_schedule
 
 
 def linear(d, coeffs):
@@ -378,22 +379,31 @@ class TestInlineLabel:
         assert outcome.labels == [None] and outcome.degenerate == 1
 
 
-class TestKeySpans:
-    def test_cache_follows_the_schedules_values(self):
-        schedule = explicit_schedule([4, 3])
-        before = estimator._key_spans(50, schedule, 7)
-        schedule.terms[:] = [3]
-        after = estimator._key_spans(50, schedule, 7)
-        assert after == estimator._spans.__wrapped__(50, 7, "explicit", (3,)) != before
-        assert after == estimator._key_spans(50, explicit_schedule([3]), 7)
+class TestSpans:
+    @pytest.mark.parametrize("d1, stored", [(20, 8), (10, 9)])
+    def test_practical_schedule_shrinks_any_group_within_its_terms(self, d1, stored):
+        # 10 is the attack family's grace_d1; 2^63 - 1 is above any group size.
+        schedule = practical_schedule(d1)
+        steps, starts, _ = estimator._spans(2**63 - 1, schedule)
+        assert len(schedule.terms) == stored and len(steps) == 6
+        assert steps == schedule.terms[:6]
+        bound = 2**63 - 1
+        for divisor, start, end in zip(steps, starts, starts[1:]):
+            assert end - start == bound > 2
+            bound = -(-bound // divisor)
+        assert bound <= 2
 
-    def test_a_grown_schedule_gives_the_same_spans(self):
-        fresh, grown = practical_schedule(20), practical_schedule(20)
-        grown.value(4)
-        assert estimator._key_spans(5000, fresh, 33) == estimator._key_spans(5000, grown, 33)
-        assert estimator._key_spans(5000, grown) == estimator._spans.__wrapped__(
-            5000, 0, "practical", (20,)
-        )
+    def test_schedule_terms_are_frozen(self):
+        schedule = practical_schedule(20)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            schedule.terms = (2,)
+
+    def test_equal_schedules_share_one_cache_entry(self):
+        first, second = practical_schedule(20), DivisionSchedule(practical_schedule(20).terms)
+        assert first is not second and first == second
+        estimator._spans.cache_clear()
+        assert estimator._spans(5000, first, 33) == estimator._spans(5000, second, 33)
+        assert estimator._spans.cache_info()[:2] == (1, 1)  # One hit, one miss.
 
     def test_steady_state_walks_no_schedule(self):
         f = make_distance(128, 4, RngStream(3)).objective
@@ -404,7 +414,7 @@ class TestKeySpans:
             for seed in range(2, 6):
                 grace_estimate(f, np.zeros(128), cfg, RngStream(seed))
             assert walk.call_count == 0
-            estimator._key_spans(128, explicit_schedule([5, 4]))  # A new schedule is walked.
+            estimator._spans(128, DivisionSchedule([5, 4]))  # A new schedule is walked.
             assert walk.call_count > 0
 
 
@@ -459,7 +469,7 @@ class TestLocateInGroup:
             0.0,
             1e-3,
             np.arange(1, n + 1),
-            explicit_schedule([2]),
+            DivisionSchedule([2]),
             keys=key_row(0, 2 * n),
         )
         assert n - 3 in survivors.tolist()
@@ -494,7 +504,7 @@ class TestLocateInGroup:
         f = linear(8, {1: 1.0})
         with pytest.raises(ValueError, match="keys of shape"):
             locate_in_group(
-                f, np.zeros(8), 0.0, 1e-3, np.arange(1, 9), 4, explicit_schedule([2]),
+                f, np.zeros(8), 0.0, 1e-3, np.arange(1, 9), 4, DivisionSchedule([2]),
                 keys=RngStream(0).gen.random((2, 3)),
             )
 
@@ -503,7 +513,7 @@ class TestLocateInGroup:
         n=st.integers(1, 300),
         schedule=st.one_of(
             st.integers(2, 20).map(practical_schedule),
-            st.sampled_from([[2], [3, 2]]).map(explicit_schedule),
+            st.sampled_from([[2], [3, 2]]).map(DivisionSchedule),
         ),
         signals=st.lists(st.integers(1, 300), min_size=1, max_size=3),
         seed=st.integers(0, 2**32 - 1),
@@ -556,7 +566,7 @@ def first_pass(dims, n, schedule, keys):
 def check_first_pass(d, n, schedule, seed):
     """Pass 1 equals dependent_partition over the groups of more than two members."""
     dims = shuffled(d, seed)
-    width = estimator._key_spans(n, schedule)[1][-1]
+    width = estimator._spans(n, schedule)[1][-1]
     keys = RngStream(seed, 2).gen.random((-(-d // n), width))
     part, found = first_pass(dims, n, schedule, keys)
     sizes = [n] * (d // n) + [d % n] * (d % n > 2) if n > 2 else []
@@ -588,7 +598,7 @@ class TestFirstPassPlan:
         data=st.data(),
         schedule=st.one_of(
             st.integers(2, 30).map(practical_schedule),
-            st.builds(explicit_schedule, st.just([2])),
+            st.builds(DivisionSchedule, st.just([2])),
         ),
         seed=st.integers(0, 2**32 - 1),
     )
@@ -602,7 +612,7 @@ class TestFirstPassPlan:
     @pytest.mark.parametrize("d1", [2, 20, None])
     def test_edge_shapes_equal_dependent_partition(self, d, n, d1):
         # n <= 2; ragged groups of 2, 1 and n; d = n; past d = 1024, uncached labels.
-        schedule = explicit_schedule([2]) if d1 is None else practical_schedule(d1)
+        schedule = DivisionSchedule([2]) if d1 is None else practical_schedule(d1)
         check_first_pass(d, n, schedule, d + n)
 
     def test_cache_is_keyed_on_what_the_plan_reads(self):
@@ -613,7 +623,7 @@ class TestFirstPassPlan:
             base,
             GraceConfig.defaults(512, 10, d1=10),
             replace(base, n=50),
-            replace(base, schedule=explicit_schedule([2])),
+            replace(base, schedule=DivisionSchedule([2])),
             base,
         ]
 
@@ -642,7 +652,7 @@ class TestGraceEstimate:
         # d=4, one group, unit blocks: 1 base query + 2 shrink + 1
         # forward difference = 4 queries, any seed.
         inst = make_sparse_linear(4, {2: 3.0})
-        cfg = GraceConfig(epsilon=1e-3, n=4, schedule=explicit_schedule([4]))
+        cfg = GraceConfig(epsilon=1e-3, n=4, schedule=DivisionSchedule([4]))
         for seed in range(10):
             est = grace_estimate(inst.objective, inst.x1, cfg, RngStream(seed))
             assert est.entries == {2: pytest.approx(3.0)}
@@ -653,7 +663,7 @@ class TestGraceEstimate:
         # Blocks of two: the signal's block survives whole, and its twin with
         # zero gradient measures exactly 0.0, which costs a query but no entry.
         inst = make_sparse_linear(4, {2: 3.0})
-        cfg = GraceConfig(epsilon=1e-3, n=4, schedule=explicit_schedule([2]))
+        cfg = GraceConfig(epsilon=1e-3, n=4, schedule=DivisionSchedule([2]))
         for seed in range(10):
             est = grace_estimate(inst.objective, inst.x1, cfg, RngStream(seed))
             assert est.entries == {2: pytest.approx(3.0)}
@@ -810,6 +820,14 @@ class TestGraceEstimate:
             grace_estimate(counted, np.zeros(16), cfg, RngStream(0))
         assert ledger.count == 0
 
+    @pytest.mark.parametrize("schedule", [(2,), [2], None, 20])
+    def test_validate_rejects_a_schedule_that_is_no_division_schedule(self, schedule):
+        counted, ledger = with_ledger(linear(16, {3: 1.0}))
+        cfg = GraceConfig(epsilon=1e-6, n=4, schedule=schedule)
+        with pytest.raises(ValueError, match="DivisionSchedule"):
+            grace_estimate(counted, np.zeros(16), cfg, RngStream(0))
+        assert ledger.count == 0
+
     def test_validate_rejects_a_bool_epsilon_before_any_query(self):
         # True compares as 1 and would probe with steps of 1.0.
         counted, ledger = with_ledger(linear(16, {3: 1.0}))
@@ -883,7 +901,7 @@ class TestGraceEstimate:
     def test_non_finite_difference_is_left_out(self):
         # Probes move all four coordinates; only the forward difference moves one.
         f = BlackBoxFunction(4, lambda x: math.inf if np.count_nonzero(x) == 1 else 3.0 * x[1])
-        cfg = GraceConfig(epsilon=1e-3, n=4, schedule=explicit_schedule([4]))
+        cfg = GraceConfig(epsilon=1e-3, n=4, schedule=DivisionSchedule([4]))
         est = grace_estimate(f, np.zeros(4), cfg, RngStream(0))
         assert est.entries == {}
         assert est.queries_used == 4  # the dropped difference is still counted
@@ -899,7 +917,7 @@ class TestBatchedProbes:
         m=st.integers(1, 2),
         schedule=st.one_of(
             st.integers(2, 20).map(practical_schedule),
-            st.sampled_from([[2], [3, 2]]).map(explicit_schedule),
+            st.sampled_from([[2], [3, 2]]).map(DivisionSchedule),
         ),
         family=st.sampled_from([make_distance, make_planted_linear]),
         seed=st.integers(0, 2**32 - 1),
@@ -926,7 +944,7 @@ class TestBatchedProbes:
         m=st.integers(2, 3),
         schedule=st.one_of(
             st.integers(2, 6).map(practical_schedule),
-            st.sampled_from([[2], [3, 2]]).map(explicit_schedule),
+            st.sampled_from([[2], [3, 2]]).map(DivisionSchedule),
         ),
         per_call=st.sampled_from([None, 1, 3, 7]),
         seed=st.integers(0, 2**32 - 1),
@@ -957,7 +975,7 @@ class TestBatchedProbes:
         assert est.base_value == plain.base_value
 
     @pytest.mark.parametrize("hook", [False, True])
-    @pytest.mark.parametrize("schedule", [practical_schedule(20), explicit_schedule([3, 2])])
+    @pytest.mark.parametrize("schedule", [practical_schedule(20), DivisionSchedule([3, 2])])
     def test_phase_queries_sum_to_queries_used(self, hook, schedule):
         # Wrapped by name, as a tracer finds the phases: one base value, two
         # queries per run a shrink pass probes, one per candidate differenced.
@@ -1023,7 +1041,7 @@ class TestBatchedProbes:
         # below land in every iteration and in the forward differences.
         inst = make_distance(64, 4, RngStream(2))
         x = inst.x1 + 0.01
-        cfg = replace(GraceConfig.defaults(64, 4), schedule=explicit_schedule([2]))
+        cfg = replace(GraceConfig.defaults(64, 4), schedule=DivisionSchedule([2]))
         total = grace_estimate(inst.objective, x, cfg, RngStream(5)).queries_used
         assert total > 20
         for cap in range(total + 2):
@@ -1053,7 +1071,7 @@ class TestBatchedProbes:
     def test_batch_calls_respect_the_float_bound(self, bound):
         # d = 16: a bound of 100 floats allows 6 rows a call, one of 10 allows 1.
         inst = make_distance(16, 3, RngStream(1))
-        cfg = GraceConfig(epsilon=1e-3, n=4, m=2, schedule=explicit_schedule([2]))
+        cfg = GraceConfig(epsilon=1e-3, n=4, m=2, schedule=DivisionSchedule([2]))
         calls = []
         with mock.patch.object(estimator, "BATCH_FLOATS", bound):
             est = grace_estimate(hooked(inst.objective, calls), inst.x1, cfg, RngStream(3))
@@ -1131,7 +1149,7 @@ class TestProbePoint:
         inst = make_planted_linear(96, 4, RngStream(5))
         x = np.linspace(0.5, 1.5, 96)
         cfg = replace(
-            GraceConfig.defaults(96, 4, epsilon=1e-3), m=2, schedule=explicit_schedule([3])
+            GraceConfig.defaults(96, 4, epsilon=1e-3), m=2, schedule=DivisionSchedule([3])
         )
         moved, repeats, measured = [], [], []
 

@@ -21,10 +21,10 @@ from zosparse.blackbox import (
 )
 from zosparse.estimator import DENOMINATOR_TOLERANCE, GraceConfig, grace_estimate
 from zosparse.rng import RngStream, random_permutation
-from zosparse.theory import explicit_schedule, practical_schedule
+from zosparse.theory import DivisionSchedule, practical_schedule
 
 
-def _key_spans(size, schedule):
+def _spans(size, schedule):
     start, bound, iteration = 0, size, 0
     while bound > 2:
         iteration += 1
@@ -48,7 +48,7 @@ def _label(f_x, f_v, f_u, blocks):
 
 
 def _locate(f, x, f_x, epsilon, members, schedule, row):
-    spans = _key_spans(members.size, schedule)
+    spans = _spans(members.size, schedule)
     while members.size > 2:
         step, columns = next(spans)
         block = -(-members.size // min(step, members.size))
@@ -68,7 +68,7 @@ def reference_estimate(f, x, cfg, rng):
     x, d = np.asarray(x, dtype=float), f.dim
     try:
         f_x = counted(x)
-        width = max((cols.stop for _, cols in _key_spans(cfg.n, cfg.schedule)), default=0)
+        width = max((cols.stop for _, cols in _spans(cfg.n, cfg.schedule)), default=0)
         candidates = set()
         for _ in range(cfg.m):
             dims = np.argsort(random_permutation(d, rng)) + 1
@@ -99,7 +99,7 @@ def _hooked(f):
     m=st.integers(1, 3),
     divisors=st.one_of(
         st.integers(2, 20).map(practical_schedule),
-        st.lists(st.integers(2, 9), min_size=1, max_size=3).map(explicit_schedule),
+        st.lists(st.integers(2, 9), min_size=1, max_size=3).map(DivisionSchedule),
     ),
     epsilon=st.sampled_from([1e-6, 1e-3, 0.1]),
     family=st.sampled_from(["planted-linear", "distance", "constant"]),

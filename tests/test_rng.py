@@ -20,7 +20,7 @@ from zosparse.rng import (
     partition_groups,
     random_permutation,
 )
-from zosparse.theory import explicit_schedule
+from zosparse.theory import DivisionSchedule
 
 
 # The grouping loop that partition_groups replaced, kept as a reference.
@@ -565,7 +565,7 @@ class TestEstimateDraws:
     def test_first_cut_patterns_and_signs_are_uniform(self):
         # Two groups of 4 per estimate, each cut once into two blocks of two:
         # 6 label patterns and 16 sign patterns over the group's members.
-        cfg = GraceConfig(epsilon=1e-3, n=4, schedule=explicit_schedule([2]))
+        cfg = GraceConfig(epsilon=1e-3, n=4, schedule=DivisionSchedule([2]))
         runs = self._partitions(BlackBoxFunction(8, lambda x: 0.0), cfg, 32, 2000)
         parts = [part for run in runs for part in run]
         assert len(parts) == 4000
@@ -582,7 +582,7 @@ class TestEstimateDraws:
         # second is uniform: the sum of 70 Pearson statistics on 5 degrees of
         # freedom each follows the chi-square law on 350.
         f = make_sparse_linear(8, {1: 1.0}).objective
-        cfg = GraceConfig(epsilon=1e-3, n=8, schedule=explicit_schedule([2, 2]))
+        cfg = GraceConfig(epsilon=1e-3, n=8, schedule=DivisionSchedule([2, 2]))
         given = defaultdict(Counter)
         for first, second in self._partitions(f, cfg, 33, 4200):
             assert 1 in second.indices and first.block_size == [4] and second.block_size == [2]

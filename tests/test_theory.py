@@ -16,6 +16,7 @@ from zosparse.theory import (
     PHI,
     THETA,
     D,
+    DivisionSchedule,
     check_egamma,
     check_egamma_grid,
     check_partition_probability,
@@ -24,7 +25,6 @@ from zosparse.theory import (
     compute_C2,
     delta_label,
     delta_noise,
-    explicit_schedule,
     falling_factorial,
     partition_probability_suite,
     practical_schedule,
@@ -94,6 +94,11 @@ class TestFeasibility:
         with pytest.raises(ValueError):
             theoretical_lower_bound(0)
 
+    def test_lower_bound_is_a_finite_float_through_round_25(self):
+        assert math.isfinite(theoretical_lower_bound(25))
+        with pytest.raises(ValueError, match="r <= 25"):
+            theoretical_lower_bound(26)
+
 
 class TestSchedules:
     def test_practical_first_three_terms(self):
@@ -109,15 +114,35 @@ class TestSchedules:
     def test_practical_stalls_at_two(self):
         sched = practical_schedule(2)
         assert [sched.value(r) for r in (1, 2, 3, 4)] == [2, 2, 2, 2]
+        assert sched.terms == (2, 2)
 
     def test_practical_rejects_degenerate_start(self):
         with pytest.raises(ValueError):
             practical_schedule(1)
 
-    def test_lazy_extension_is_cheap(self):
-        sched = practical_schedule(20)
-        assert sched.value(6) > sched.value(5) > sched.value(4)
-        assert len(sched.terms) == 6
+    @pytest.mark.parametrize(
+        "sched", [practical_schedule(20), practical_schedule(10), theoretical_schedule()]
+    )
+    def test_builders_stop_at_the_first_term_reaching_2_63(self, sched):
+        assert sched.terms[-1] >= 2**63 > sched.terms[-2]
+        assert all(a < b for a, b in zip(sched.terms, sched.terms[1:]))
+
+    def test_theoretical_first_ten_terms(self):
+        terms = [18, 29, 48, 83, 152, 303, 683, 1853, 6634, 35999]
+        assert list(theoretical_schedule().terms[:10]) == terms
+
+    def test_theoretical_value_past_the_float_range(self):
+        # Past the stored terms the last one repeats, as an int; a float form
+        # of the recurrence would leave the float range before r = 23.
+        sched = theoretical_schedule()
+        assert type(sched.value(23)) is int and sched.value(23) == sched.terms[-1]
+
+    def test_theoretical_terms_follow_the_exact_recurrence(self):
+        # D_{r+1} = floor(sqrt(D_r^3 * m_r)): D_{r+1}^2 <= D_r^3 m_r < (D_{r+1} + 1)^2.
+        terms = theoretical_schedule().terms
+        for r, (last, nxt) in enumerate(zip(terms, terms[1:]), start=1):
+            target = last**3 * Fraction(step_mass(1.0, r))
+            assert nxt**2 <= target < (nxt + 1) ** 2
 
     def test_theoretical_first_three_terms(self):
         sched = theoretical_schedule()
@@ -139,14 +164,14 @@ class TestSchedules:
         assert all(a <= b for a, b in zip(masses, masses[1:]))
 
     def test_explicit_replays_and_holds_last(self):
-        sched = explicit_schedule([4, 9, 30])
+        sched = DivisionSchedule([4, 9, 30])
         assert [sched.value(r) for r in (1, 2, 3, 4, 10)] == [4, 9, 30, 30, 30]
 
     def test_explicit_rejects_bad_values(self):
         with pytest.raises(ValueError):
-            explicit_schedule([])
+            DivisionSchedule([])
         with pytest.raises(ValueError):
-            explicit_schedule([4, 1])
+            DivisionSchedule([4, 1])
 
     @pytest.mark.parametrize("bad", [2.5, 20.7, 20.0, True, np.float64(20.0), "20"])
     def test_builders_reject_a_divisor_that_is_no_integer(self, bad):
@@ -154,11 +179,11 @@ class TestSchedules:
         with pytest.raises(ValueError, match="integer divisors"):
             practical_schedule(bad)
         with pytest.raises(ValueError, match="integer divisors"):
-            explicit_schedule([4, bad])
+            DivisionSchedule([4, bad])
 
     def test_builders_accept_numpy_integers(self):
         assert practical_schedule(np.int64(20)).value(3) == 839
-        sched = explicit_schedule(np.array([4, 9], dtype=np.int32))
+        sched = DivisionSchedule(np.array([4, 9], dtype=np.int32))
         assert [sched.value(r) for r in (1, 2, 3)] == [4, 9, 9]
         assert all(type(v) is int for v in sched.terms)
 
