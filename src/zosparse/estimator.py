@@ -13,16 +13,16 @@ difference each.
 Query cost per estimate: 1 for the shared base value, plus 2 per shrink
 iteration, plus 1 per surviving candidate.
 
-A cut keeps one block of a group's live members whole and in permutation
-order (:mod:`zosparse.rng` says why each cut is a fresh dependent
-partition), so the live members stay one contiguous run, and the kept run
-starts (label - 1) blocks into it.  All groups of a repeat shrink
-together, their runs end to end in one array: an iteration costs O(live
-members) whatever d is.  Its partition brings the run ends and each probe's
-matrix row, pass 1's from a plan cached per shape (d, n, D_1) with the run
-sizes, blocks and labels.  Each probe is written into one copy of x and
-taken out again, or, with a ``batch`` hook, sent in one matrix per
-iteration; the results are the same.
+A repeat's groups are slices of one drawn permutation.  A cut keeps one
+block of a group's live members whole and in permutation order
+(:mod:`zosparse.rng` says why each cut is a fresh dependent partition), so
+the live members stay one contiguous run, and the kept run starts
+(label - 1) blocks into it.  All groups of a repeat shrink together, their
+runs end to end in one array, each member with a fresh sign: an iteration
+costs O(live members) whatever d is.  Its partition brings the run ends and
+each probe's matrix row, pass 1's from a plan cached per shape (d, n, D_1).
+Each probe is written into one copy of x and taken out again, or, with a
+``batch`` hook, sent in one matrix per iteration; the results are the same.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .rng import (
     as_indices,
     dependent_partition,
     key_signs,
-    partition_groups,
+    partition_groups,  # noqa: F401  Unused; perfbench's tracer patches it here by name.
     random_permutation,
     run_labels,
 )
@@ -257,43 +257,22 @@ def shrink_step(
 
 
 @functools.lru_cache(maxsize=64)
-def _spans(size: int, schedule: DivisionSchedule, ragged: int = 0) -> tuple:
-    """Each shrink iteration's divisor max(D_t, 2), and where its key columns start.
-
-    Iteration t owns b_t columns: b_1 = size and, while b_t > 2,
-    b_{t+1} = ceil(b_t / min(max(D_t, 2), b_t)), so at most b_t members
-    reach iteration t.  The starts end with the total; so do ``last``, those
-    of a group of ``ragged`` <= size members, which ends no later.
-    """
-    steps, starts, last, bound = [], [0], [0], size
-    while bound > 2:
-        steps.append(max(schedule.value(len(steps) + 1), 2))
-        starts.append(starts[-1] + bound)
-        bound = -(-bound // min(steps[-1], bound))
-        if ragged > 2:
-            last.append(last[-1] + ragged)
-            ragged = -(-ragged // min(steps[-1], ragged))
-    return tuple(steps), tuple(starts), tuple(last)
-
-
-@functools.lru_cache(maxsize=64)
 def _plan(d: int, n: int, divisor: int) -> tuple:
-    """(full, tail, sizes, blocks, ends, labels, rows) of the first shrink pass over d members.
+    """(sizes, blocks, ends, labels, rows) of the first shrink pass over d members.
 
-    Pass 1 cuts ``full`` groups of n > 2, then a ragged group of ``tail`` > 2
-    (else tail is 0); the rest are found as they are.  ends and rows are its
+    Pass 1 cuts d // n groups of n > 2, then a ragged group of d % n if that
+    is > 2; the rest are found as they are.  ends and rows are its
     :class:`DependentPartition` geometry.  labels and rows are None past d =
     1024, where families give no batch hook, so that no cached array grows with d.
     """
     full, rest = divmod(d, n)
-    tail = rest if rest > 2 else 0
-    sizes = (n,) * full + (tail,) * (tail > 0)
+    sizes = (n,) * full + (rest,) * (rest > 2)
     blocks = tuple(-(-size // divisor) for size in sizes)
     shape = DependentPartition(None, sizes, blocks, None, None)  # Read for its geometry only.
     if d > 1024:
-        return full, tail, sizes, blocks, tuple(shape.ends), None, None
+        return sizes, blocks, tuple(shape.ends), None, None
     shape.rows.setflags(write=False)
-    return full, tail, sizes, blocks, tuple(shape.ends), run_labels(sizes, blocks), shape.rows
+    return sizes, blocks, tuple(shape.ends), run_labels(sizes, blocks), shape.rows
 
 
 def locate_in_group(
@@ -305,51 +284,46 @@ def locate_in_group(
     n: int,
     schedule: DivisionSchedule,
     *,
-    keys,
+    rng: RngStream,
 ) -> list[int]:
     """Shrink every group of one repeat, together, until at most two candidates remain in each.
 
-    Group g is ``dims[g*n : (g+1)*n]``, in random order; its iteration t
-    reads row g of ``keys`` from column b_1 + ... + b_{t-1}.  Returns every
-    group's survivors after at most ceil(log2 n) - 1 iterations, each
-    keeping at most half of a group, the first cut from a cached plan.
-    (perfbench's tracer finds the phases, this one, shrink_step and
-    finite_difference, by these names.)
+    Group g is ``dims[g*n : (g+1)*n]``, in random order; iteration t cuts by
+    D_t and reads one ``rng.gen.random`` per live member, in order, as signs.
+    Returns every group's survivors after at most ceil(log2 n) - 1
+    iterations, each keeping at most half of a group, the first cut from a
+    cached plan.  (perfbench's tracer finds the phases, this one,
+    shrink_step and finite_difference, by these names.)
     """
     live = as_indices(dims, "group members must be integers").ravel()
     if live.size == 0 or live.min() < 1:
         raise ValueError("need a non-empty group of members >= 1")
     if n <= 2:
         return live.tolist()
-    groups = -(-live.size // n)
-    steps, starts, last = _spans(n, schedule, live.size - (groups - 1) * n)
-    if np.ndim(keys) != 2 or keys.shape[0] != groups or keys.shape[1] < starts[-1]:
-        raise ValueError(f"need keys of shape ({groups}, >= {starts[-1]}), got {np.shape(keys)}")
-    full, tail, sizes, blocks, ends, labels, rows = _plan(live.size, n, steps[0])
-    # Pass 1 reads each group's signs from the head of its key row; the ragged one's row is last.
-    signs = key_signs(keys[:, :n].ravel()[: full * n + tail])
+    sizes, blocks, ends, labels, rows = _plan(live.size, int(n), schedule.value(1))
+    # Pass 1 cuts the groups of more than two members, ends[-1] members in all, ragged one last.
+    signs = key_signs(rng.gen.random(ends[-1]))
     labels = run_labels(sizes, blocks) if labels is None else labels
     part = DependentPartition(live[: signs.size], sizes, blocks, labels, signs)
     part.ends = ends
     if rows is not None:
         part.rows = rows
-    found, group, iteration = live[signs.size :].tolist(), range(len(sizes)), 0
-    while group:
+    found, iteration = live[signs.size :].tolist(), 1
+    while sizes:
         kept = shrink_step(f, x, f_x, epsilon, part).kept
         # Runs of at most two members are done; the others stay live.
-        runs, alive, sizes = [], [], []
-        for g, block in zip(group, kept):
+        runs, sizes = [], []
+        for block in kept:
             if block.size > 2:
                 runs.append(block)
-                alive.append(g)
                 sizes.append(block.size)
             elif block is not _NONE:
                 found += block.tolist()
-        group, iteration = alive, iteration + 1
-        if alive:  # Key columns per group: the ragged last one, group full, owns fewer.
-            offsets = [g * keys.shape[1] + (starts, last)[g == full][iteration] for g in alive]
+        if runs:
+            iteration += 1
             live = runs[0] if len(runs) == 1 else np.concatenate(runs)
-            part = dependent_partition(live, steps[iteration], keys.ravel(), sizes, offsets)
+            keys = rng.gen.random(live.size)
+            part = dependent_partition(live, schedule.value(iteration), keys, sizes)
     return found
 
 
@@ -361,12 +335,12 @@ def grace_estimate(
     Queries f(x) once and shares it across every ratio and finite
     difference; a non-finite f(x) raises ``ValueError`` before any
     further query, since no ratio or difference can be read against it.
-    Each of the m repeats draws a permutation of the dimensions, which
-    groups them and orders each group's blocks, then a sign row per group,
-    and shrinks each group on its own row; every survivor gets one
-    forward difference, and is left out of the entries if that is not
-    finite or exactly 0.0.  The probes move a private copy of x.  On
-    budget exhaustion the error is re-raised with ``partial`` holding the
+    Each of the m repeats draws a permutation of the dimensions, whose
+    slices of n are the groups in random order, and shrinks the groups,
+    with fresh signs for the live members at each iteration; every
+    survivor gets one forward difference, and is left out of the entries
+    if that is not finite or exactly 0.0.  The probes move a private copy
+    of x.  On budget exhaustion the error is re-raised with ``partial`` holding the
     bookkeeping so far; its entries are incomplete and must be discarded
     by the caller.
     """
@@ -380,13 +354,11 @@ def grace_estimate(
         base_value = counting(point)
         if not math.isfinite(base_value):
             raise ValueError(f"need a finite f(x) at the estimate's point, got {base_value}")
-        width = _spans(cfg.n, cfg.schedule)[1][-1]
         candidates: set[int] = set()
         for _repeat in range(cfg.m):
-            dims = partition_groups(d, cfg.n, random_permutation(d, rng))
-            keys = rng.gen.random((-(-d // cfg.n), width))
+            dims = random_permutation(d, rng)
             survivors = locate_in_group(
-                counting, point, base_value, cfg.epsilon, dims, cfg.n, cfg.schedule, keys=keys
+                counting, point, base_value, cfg.epsilon, dims, cfg.n, cfg.schedule, rng=rng
             )
             candidates.update(survivors)
         ordered = sorted(candidates)
@@ -408,7 +380,7 @@ def finite_difference(
     listed = positions.tolist()
     if listed and not (min(listed) >= 0 and max(listed) < f.dim):
         raise ValueError(f"dimension indices {indices} out of range 1..{f.dim}")
-    if not 0 < epsilon < math.inf:
+    if type(epsilon) is bool or not 0 < epsilon < math.inf:  # True is no step.
         raise ValueError(f"need a finite epsilon > 0, got {epsilon}")
     bounds, moved = range(len(listed) + 1), x[positions]
     if f.batch is not None:  # Row i moves candidate i alone.

@@ -8,9 +8,9 @@ are independent of the parent and of each other.  :class:`StepStreams`
 keys step t of a run at counter (0, 0, t, 0) of the run's Philox key, on
 one reused generator, so no caller may keep a step's stream past its step.
 
-Every draw is one numpy call in C: one permutation per repeat, which
-groups the dimensions and orders each group, and one row of sign keys
-per group.  Every shrink iteration cuts the live members into blocks in
+Every draw is one numpy call in C: one permutation per repeat, whose
+slices of n are the groups in random order, and one sign key per live
+member per shrink iteration, which cuts the live members into blocks in
 that order.  The probes depend only on which members share a block, never
 on the order within one, so given all that was observed, the kept block
 is still in uniformly random order: each cut is a fresh dependent partition.
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,15 @@ __all__ = [
 ]
 
 
+def _integer(value, name: str) -> int:
+    """value as an int; a bool or non-integer, which would replay another key's draws, raises."""
+    if type(value) is int:  # First: the ABC check is slow, and a permutation runs per repeat.
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"need an integer {name}, got {value!r}")
+    return int(value)
+
+
 class RngStream:
     """Deterministic stream of randomness keyed by ``(seed, stream, path)``.
 
@@ -51,11 +61,12 @@ class RngStream:
     """
 
     def __init__(self, seed: int, stream: int = 0, path: tuple[int, ...] = ()):
-        path = tuple(int(k) for k in path)
+        path = tuple(_integer(k, "path key") for k in path)
+        seed, stream = _integer(seed, "seed"), _integer(stream, "stream")
         if seed < 0 or stream < 0 or any(k < 0 for k in path):
             raise ValueError("seed, stream, and path keys must be nonnegative")
-        self.seed = int(seed)
-        self.stream = int(stream)
+        self.seed = seed
+        self.stream = stream
         self.path = path
 
     @functools.cached_property
@@ -89,7 +100,8 @@ class StepStreams:
         self._path = rng.path
 
     def derive(self, step: int) -> RngStream:
-        """The stream of step, 1 <= step < 2**64, valid until the next call."""
+        """The stream of step, an integer 1 <= step < 2**64, valid until the next call."""
+        step = _integer(step, "step")
         if not 1 <= step < 2**64:  # Step 0 would replay the run's own rng.gen.
             raise ValueError(f"need a step in 1 .. 2**64 - 1, got {step}")
         self._step.path = (*self._path, step)
@@ -122,12 +134,10 @@ def random_permutation(n: int, rng: RngStream) -> np.ndarray:
     ``images[p]`` is the image of ``p + 1``.  One ``Generator.permutation``
     draw, so the generator state consumed depends only on ``n``.
     """
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")
     return rng.gen.permutation(n) + 1
-
-
-_COUNT = [np.arange(1, 1)]
 
 
 def partition_groups(d: int, n: int, omega: np.ndarray) -> np.ndarray:
@@ -144,11 +154,8 @@ def partition_groups(d: int, n: int, omega: np.ndarray) -> np.ndarray:
     omega = as_indices(omega, message)
     if omega.shape != (d,) or omega.min() < 1 or omega.max() > d:
         raise ValueError(message)
-    if _COUNT[0].size < d:  # 1..d for the largest d so far, read-only; smaller ones slice it.
-        _COUNT[0] = np.arange(1, d + 1)
-        _COUNT[0].setflags(write=False)
     dims = np.zeros(d + 1, dtype=np.int64)
-    dims[omega] = _COUNT[0][:d]
+    dims[omega] = np.arange(1, d + 1)
     # d images in 1..d leave a slot of 1..d at 0 exactly when one repeats.
     if not dims[1:].all():
         raise ValueError(message)
@@ -199,18 +206,15 @@ def key_signs(drawn: np.ndarray) -> np.ndarray:
     return np.subtract(np.multiply(signs, 2, out=signs), 1, out=signs)
 
 
-def dependent_partition(
-    members, divisor: int, keys, sizes=None, offsets=None
-) -> DependentPartition:
+def dependent_partition(members, divisor: int, keys, sizes=None) -> DependentPartition:
     """Cut each run of members into blocks of size ceil(|run|/divisor), with fresh signs.
 
     ``members`` is runs of lengths ``sizes`` (default: one run) end to end.
     A run's member t (from 0) gets label t // ceil(|run|/divisor) + 1, from a
     cached read-only pattern per run length, so blocks are random only when
-    each run comes in random order.  Member t of run i reads its sign from
-    ``keys[offsets[i] + t]`` (default: keys align with the members; runs'
-    key slices are joined), a key < 1/2 giving +1, exactly fair.  Repeats
-    are not looked for: the estimator's runs slice one checked permutation.
+    each run comes in random order.  Member i reads its sign from ``keys[i]``,
+    one key per member, a key < 1/2 giving +1, exactly fair.  Repeats are not
+    looked for: the estimator's runs slice one drawn permutation.
     """
     if divisor < 2:
         raise ValueError(f"need divisor >= 2, got {divisor}")
@@ -219,18 +223,9 @@ def dependent_partition(
         raise ValueError("need a non-empty index set of indices >= 1")
     size = indices.size
     sizes = [size] if sizes is None else list(sizes)
-    starts = list(itertools.accumulate(sizes, initial=0))
-    offsets = starts[:-1] if offsets is None else list(offsets)
-    if starts[-1] != size or min(sizes) < 1 or len(offsets) != len(sizes) or min(offsets) < 0:
-        raise ValueError(f"need positive run sizes summing to {size}, one key offset >= 0 each")
-    reach = max(offset + length for offset, length in zip(offsets, sizes))
-    if np.ndim(keys) != 1 or reach > len(keys):
-        raise ValueError(f"need 1-d keys with {reach} entries, got shape {np.shape(keys)}")
+    if sum(sizes) != size or min(sizes) < 1:
+        raise ValueError(f"need positive run sizes summing to {size}")
+    if np.ndim(keys) != 1 or len(keys) != size:
+        raise ValueError(f"need 1-d keys, one per member, got shape {np.shape(keys)}")
     blocks = [-(-length // divisor) for length in sizes]
-    if len(sizes) == 1:
-        drawn = keys[offsets[0] : reach]
-    else:
-        view = memoryview(np.ascontiguousarray(keys))
-        runs = b"".join([view[offset : offset + n] for offset, n in zip(offsets, sizes)])
-        drawn = np.frombuffer(runs, keys.dtype)
-    return DependentPartition(indices, sizes, blocks, run_labels(sizes, blocks), key_signs(drawn))
+    return DependentPartition(indices, sizes, blocks, run_labels(sizes, blocks), key_signs(keys))

@@ -321,9 +321,11 @@ def _validate_enumeration_args(d: int, n: int, k: int, h_set) -> frozenset:
 def check_partition_probability(d: int, n: int, k: int, h_set, j: int):
     """Exhaustively verify Pr[S cap H = {j}] for the group construction.
 
-    S is group k of a uniformly random permutation.  Counts the event
-    over all d! permutations and compares, as exact rationals, against
-    (|S|/d) * (d-|S|)_{|H|-1} / (d-1)_{|H|-1}.  Also verifies the
+    S is group k of a uniformly random permutation, as ``rng.partition_groups``
+    forms it.  The estimator slices its drawn permutation instead, which is
+    that permutation's inverse, uniform too, so its groups have this law.
+    Counts the event over all d! permutations and compares, as exact
+    rationals, against (|S|/d) * (d-|S|)_{|H|-1} / (d-1)_{|H|-1}.  Also verifies the
     conditional membership probability Pr[i in S | S cap H = {j}] =
     (|S|-1)/(d-|H|) for every i outside H (skipped when the event has
     probability zero).  Returns (empirical, formula, equal) where equal

@@ -1,6 +1,5 @@
 """Shrink procedure and sparse gradient estimation."""
 
-import dataclasses
 import itertools
 import math
 from dataclasses import replace
@@ -33,7 +32,7 @@ from zosparse.estimator import (
     shrink_step,
 )
 from zosparse.optimizer import OptimizerConfig, run_optimizer
-from zosparse.rng import RngStream, dependent_partition, partition_groups, random_permutation
+from zosparse.rng import RngStream, dependent_partition, key_signs, random_permutation
 from zosparse.theory import DivisionSchedule, practical_schedule
 
 
@@ -47,7 +46,7 @@ def key_row(seed, width):
 
 
 def shuffled(n, seed):
-    """1..n in a random order, as partition_groups hands a group to the estimator."""
+    """1..n in a random order, as a slice of its permutation hands a group to the estimator."""
     return random_permutation(n, RngStream(seed, 1))
 
 
@@ -66,18 +65,18 @@ def unhooked(f):
     return BlackBoxFunction(f.dim, f.eval)
 
 
-def shrunk(f, x, f_x, epsilon, members, divisor, keys, sizes=None, offsets=None):
+def shrunk(f, x, f_x, epsilon, members, divisor, keys, sizes=None):
     """shrink_step over dependent_partition's cut of members."""
-    part = dependent_partition(members, divisor, keys, sizes, offsets)
+    part = dependent_partition(members, divisor, keys, sizes)
     return shrink_step(f, x, f_x, epsilon, part)
 
 
-def located(f, x, f_x, epsilon, members, schedule, *, keys):
+def located(f, x, f_x, epsilon, members, schedule, *, rng):
     """locate_in_group's survivors for one group, and the queries a ledger counted for it."""
     counted, ledger = with_ledger(f)
     members = np.asarray(members)
     found = locate_in_group(
-        counted, x, f_x, epsilon, members, max(members.size, 1), schedule, keys=keys[None, :]
+        counted, x, f_x, epsilon, members, max(members.size, 1), schedule, rng=rng
     )
     return np.array(found, dtype=np.int64), ledger.count
 
@@ -188,23 +187,20 @@ class TestShrinkStep:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_runs_shrink_as_they_would_alone(self, sizes, divisor, signals, seed):
-        # One call over several runs reads each run's keys at its own offset and
+        # One call over several runs reads each run's keys where its members sit and
         # gives every run the label, kept block and query count it gets alone.
         d = sum(sizes)
         f = linear(d, {(j - 1) % d + 1: 1.5**k for k, j in enumerate(signals)})
         members = shuffled(d, seed)
-        keys = key_row(seed, 3 * d)
-        offsets = [3 * start for start in itertools.accumulate(sizes[:-1], initial=0)]
+        keys = key_row(seed, d)
         counted, ledger = with_ledger(f)
-        outcome = shrunk(
-            counted, np.zeros(d), 0.0, 1e-3, members, divisor, keys, sizes, offsets
-        )
+        outcome = shrunk(counted, np.zeros(d), 0.0, 1e-3, members, divisor, keys, sizes)
         assert ledger.count == 2 * len(sizes)
         start = 0
-        for run, (size, offset) in enumerate(zip(sizes, offsets)):
+        for run, size in enumerate(sizes):
+            run_slice = slice(start, start + size)
             alone = shrunk(
-                f, np.zeros(d), 0.0, 1e-3, members[start : start + size], divisor,
-                keys[offset : offset + size],
+                f, np.zeros(d), 0.0, 1e-3, members[run_slice], divisor, keys[run_slice]
             )
             assert outcome.labels[run] == alone.labels[0]
             np.testing.assert_array_equal(outcome.kept[run], alone.kept[0])
@@ -219,9 +215,8 @@ class TestShrinkStep:
         sizes = [7, 9, 5, 12, 3, 8]
         d = sum(sizes)
         f = linear(d, {4: 1.0, 11: -2.0, 30: 0.5, 41: 3.0, 42: -1.5, 20: 2.5})
-        members, keys = shuffled(d, 3), key_row(3, 2 * d)
-        offsets = [2 * start for start in itertools.accumulate(sizes[:-1], initial=0)]
-        part, probe = dependent_partition(members, 3, keys, sizes, offsets), estimator._probe
+        members, keys = shuffled(d, 3), key_row(3, d)
+        part, probe = dependent_partition(members, 3, keys, sizes), estimator._probe
 
         def shrunk_in(chunk, objective=f):
             passes = []
@@ -379,50 +374,11 @@ class TestInlineLabel:
         assert outcome.labels == [None] and outcome.degenerate == 1
 
 
-class TestSpans:
-    @pytest.mark.parametrize("d1, stored", [(20, 8), (10, 9)])
-    def test_practical_schedule_shrinks_any_group_within_its_terms(self, d1, stored):
-        # 10 is the attack family's grace_d1; 2^63 - 1 is above any group size.
-        schedule = practical_schedule(d1)
-        steps, starts, _ = estimator._spans(2**63 - 1, schedule)
-        assert len(schedule.terms) == stored and len(steps) == 6
-        assert steps == schedule.terms[:6]
-        bound = 2**63 - 1
-        for divisor, start, end in zip(steps, starts, starts[1:]):
-            assert end - start == bound > 2
-            bound = -(-bound // divisor)
-        assert bound <= 2
-
-    def test_schedule_terms_are_frozen(self):
-        schedule = practical_schedule(20)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            schedule.terms = (2,)
-
-    def test_equal_schedules_share_one_cache_entry(self):
-        first, second = practical_schedule(20), DivisionSchedule(practical_schedule(20).terms)
-        assert first is not second and first == second
-        estimator._spans.cache_clear()
-        assert estimator._spans(5000, first, 33) == estimator._spans(5000, second, 33)
-        assert estimator._spans.cache_info()[:2] == (1, 1)  # One hit, one miss.
-
-    def test_steady_state_walks_no_schedule(self):
-        f = make_distance(128, 4, RngStream(3)).objective
-        cfg = GraceConfig.defaults(128, 4, d1=7)
-        grace_estimate(f, np.zeros(128), cfg, RngStream(1))
-        value = DivisionSchedule.value
-        with mock.patch.object(DivisionSchedule, "value", autospec=True, side_effect=value) as walk:
-            for seed in range(2, 6):
-                grace_estimate(f, np.zeros(128), cfg, RngStream(seed))
-            assert walk.call_count == 0
-            estimator._spans(128, DivisionSchedule([5, 4]))  # A new schedule is walked.
-            assert walk.call_count > 0
-
-
 class TestLocateInGroup:
     def test_tiny_group_needs_no_queries(self):
         f = linear(4, {2: 1.0})
         survivors, queries = located(
-            f, np.zeros(4), 0.0, 1e-3, np.array([2, 4]), practical_schedule(20), keys=key_row(0, 2)
+            f, np.zeros(4), 0.0, 1e-3, np.array([2, 4]), practical_schedule(20), rng=RngStream(0)
         )
         assert survivors.tolist() == [2, 4]
         assert queries == 0
@@ -430,7 +386,7 @@ class TestLocateInGroup:
     def test_single_member_group(self):
         f = linear(4, {2: 1.0})
         survivors, queries = located(
-            f, np.zeros(4), 0.0, 1e-3, np.array([3]), practical_schedule(20), keys=key_row(0, 1)
+            f, np.zeros(4), 0.0, 1e-3, np.array([3]), practical_schedule(20), rng=RngStream(0)
         )
         assert survivors.tolist() == [3]
         assert queries == 0
@@ -438,7 +394,7 @@ class TestLocateInGroup:
     def test_degenerate_group_dies_in_one_iteration(self):
         f = BlackBoxFunction(8, lambda x: 0.0)
         survivors, queries = located(
-            f, np.zeros(8), 0.0, 1e-3, np.arange(1, 9), practical_schedule(20), keys=key_row(0, 8)
+            f, np.zeros(8), 0.0, 1e-3, np.arange(1, 9), practical_schedule(20), rng=RngStream(0)
         )
         assert survivors.size == 0
         assert queries == 2
@@ -453,7 +409,7 @@ class TestLocateInGroup:
                 1e-3,
                 np.arange(1, 17),
                 practical_schedule(20),
-                keys=key_row(seed, 32),
+                rng=RngStream(seed),
             )
             assert 11 in survivors.tolist()
             assert survivors.size <= 2
@@ -470,15 +426,15 @@ class TestLocateInGroup:
             1e-3,
             np.arange(1, n + 1),
             DivisionSchedule([2]),
-            keys=key_row(0, 2 * n),
+            rng=RngStream(0),
         )
         assert n - 3 in survivors.tolist()
         assert queries == 2 * (k - 1)
 
     def test_rng_is_required(self):
-        # The groups' randomness comes in as their key rows.
+        # The groups' signs are drawn from the stream handed in.
         f = linear(4, {1: 1.0})
-        with pytest.raises(TypeError, match="keys"):
+        with pytest.raises(TypeError, match="rng"):
             locate_in_group(f, np.zeros(4), 0.0, 1e-3, np.arange(1, 5), 4, practical_schedule(20))
 
     def test_rejects_empty_group(self):
@@ -486,7 +442,7 @@ class TestLocateInGroup:
         with pytest.raises(ValueError, match="empty group"):
             locate_in_group(
                 f, np.zeros(4), 0.0, 1e-3, np.array([]), 1, practical_schedule(20),
-                keys=key_row(0, 1)[None, :],
+                rng=RngStream(0),
             )
 
     def test_rejects_float_members(self):
@@ -495,17 +451,7 @@ class TestLocateInGroup:
         with pytest.raises(ValueError, match="integers"):
             locate_in_group(
                 f, np.zeros(5), 0.0, 1e-3, [1.0, 2.5, 3.9, 4.0, 5.0], 5, practical_schedule(20),
-                keys=key_row(0, 5)[None, :],
-            )
-
-    def test_rejects_keys_too_narrow_for_the_schedule(self):
-        # Groups of 4 need 4 key columns; with 3, group 1's first cut would
-        # read the first key of group 2's row.
-        f = linear(8, {1: 1.0})
-        with pytest.raises(ValueError, match="keys of shape"):
-            locate_in_group(
-                f, np.zeros(8), 0.0, 1e-3, np.arange(1, 9), 4, DivisionSchedule([2]),
-                keys=RngStream(0).gen.random((2, 3)),
+                rng=RngStream(0),
             )
 
     @settings(max_examples=100, deadline=None)
@@ -519,13 +465,13 @@ class TestLocateInGroup:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_members_never_exceed_the_key_bound(self, n, schedule, signals, seed):
-        # b_1 = n and b_{t+1} = ceil(b_t / min(max(D_t, 2), b_t)) while b_t > 2;
-        # iteration t reads the key columns after the first b_1 + ... + b_{t-1},
-        # one per live member, and at most b_t members are live.
+        # b_1 = n and b_{t+1} = ceil(b_t / min(D_t, b_t)) while b_t > 2: at most
+        # b_t members are live at iteration t, and each reads the next uniform
+        # of the stream for its sign.
         bounds = [n]
         while bounds[-1] > 2:
             bound = bounds[-1]
-            bounds.append(-(-bound // min(max(schedule.value(len(bounds)), 2), bound)))
+            bounds.append(-(-bound // min(schedule.value(len(bounds)), bound)))
         seen = []
 
         def recording(f, x, f_x, epsilon, part):
@@ -533,21 +479,20 @@ class TestLocateInGroup:
             return shrink_step(f, x, f_x, epsilon, part)
 
         coeffs = {(j - 1) % n + 1: 2.0**k for k, j in enumerate(signals)}
-        row = key_row(seed, sum(bounds[:-1]))
         with mock.patch.object(estimator, "shrink_step", recording):
             survivors = locate_in_group(
                 linear(n, coeffs), np.zeros(n), 0.0, 1e-3, np.arange(1, n + 1), n, schedule,
-                keys=row[None, :],
+                rng=RngStream(seed),
             )
         assert len(seen) <= len(bounds) - 1
+        replay = RngStream(seed).gen
         for t, (sizes, signs) in enumerate(seen):
             assert len(sizes) == 1 and sizes[0] <= bounds[t]
-            columns = row[sum(bounds[:t]) :][: sizes[0]]
-            np.testing.assert_array_equal(signs, np.where(columns < 0.5, 1, -1))
+            np.testing.assert_array_equal(signs, np.where(replay.random(sizes[0]) < 0.5, 1, -1))
         assert len(survivors) <= bounds[len(seen)]
 
 
-def first_pass(dims, n, schedule, keys):
+def first_pass(dims, n, schedule, rng):
     """The partition locate_in_group cuts for its first shrink pass, or None if it makes none."""
     parts = []
 
@@ -558,7 +503,7 @@ def first_pass(dims, n, schedule, keys):
     # A flat f leaves every run without a label, so pass 1 is the only pass.
     f = BlackBoxFunction(len(dims), lambda point: 0.0)
     with mock.patch.object(estimator, "shrink_step", recording):
-        found = locate_in_group(f, np.zeros(len(dims)), 0.0, 1e-3, dims, n, schedule, keys=keys)
+        found = locate_in_group(f, np.zeros(len(dims)), 0.0, 1e-3, dims, n, schedule, rng=rng)
     assert len(parts) <= 1
     return (parts[0] if parts else None), found
 
@@ -566,16 +511,13 @@ def first_pass(dims, n, schedule, keys):
 def check_first_pass(d, n, schedule, seed):
     """Pass 1 equals dependent_partition over the groups of more than two members."""
     dims = shuffled(d, seed)
-    width = estimator._spans(n, schedule)[1][-1]
-    keys = RngStream(seed, 2).gen.random((-(-d // n), width))
-    part, found = first_pass(dims, n, schedule, keys)
+    part, found = first_pass(dims, n, schedule, RngStream(seed, 2))
     sizes = [n] * (d // n) + [d % n] * (d % n > 2) if n > 2 else []
     if not sizes:
         assert part is None and found == dims.tolist()
         return
-    offsets = [g * width for g in range(len(sizes))]
-    divisor = max(schedule.value(1), 2)
-    want = dependent_partition(dims[: sum(sizes)], divisor, keys.ravel(), sizes, offsets)
+    keys = RngStream(seed, 2).gen.random(sum(sizes))  # One uniform per member, in order.
+    want = dependent_partition(dims[: sum(sizes)], schedule.value(1), keys, sizes)
     np.testing.assert_array_equal(part.indices, want.indices)
     assert list(part.sizes) == want.sizes and list(part.block_size) == want.block_size
     for got, expected in ((part.labels, want.labels), (part.signs, want.signs)):
@@ -644,7 +586,58 @@ class TestFirstPassPlan:
             with pytest.raises(ValueError):
                 array[0] = 7
         assert type(ends) is tuple
-        assert estimator._plan(2048, 35, 20)[5:] == (None, None)
+        assert estimator._plan(2048, 35, 20)[3:] == (None, None)
+
+
+class TestDrawContract:
+    """What grace_estimate draws from its stream, and in which order."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        d=st.integers(1, 200),
+        data=st.data(),
+        m=st.integers(1, 3),
+        schedule=st.one_of(
+            st.integers(2, 20).map(practical_schedule),
+            st.sampled_from([[2], [3, 2]]).map(DivisionSchedule),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_signs_are_the_next_uniforms_of_the_stream(self, d, data, m, schedule, seed):
+        # Per repeat one permutation, whose head holds pass 1's members in order;
+        # then per shrink iteration one uniform per live member, in live order.
+        n = data.draw(st.integers(1, d), label="n")
+        s = data.draw(st.integers(1, min(d, 6)), label="s")
+        inst, rng = make_planted_linear(d, s, RngStream(seed)), RngStream(seed, 1)
+        events = []
+
+        def permuting(d, rng):
+            images = random_permutation(d, rng)
+            events.append(("permutation", images.copy()))
+            return images
+
+        def recording(f, x, f_x, epsilon, part):
+            events.append(("shrink", part))
+            return shrink_step(f, x, f_x, epsilon, part)
+
+        cfg = GraceConfig(epsilon=1e-3, n=n, m=m, schedule=schedule)
+        with mock.patch.object(estimator, "random_permutation", permuting), mock.patch.object(
+            estimator, "shrink_step", recording
+        ):
+            grace_estimate(inst.objective, inst.x1, cfg, rng)
+        replay, images, first = RngStream(seed, 1).gen, None, False
+        assert [kind for kind, _ in events].count("permutation") == m
+        for kind, event in events:
+            if kind == "permutation":
+                images, first = event, True
+                np.testing.assert_array_equal(images, replay.permutation(d) + 1)
+                continue
+            if first:  # Pass 1 cuts the groups of more than two members, a head of the slices.
+                np.testing.assert_array_equal(event.indices, images[: event.indices.size])
+                first = False
+            uniforms = replay.random(event.indices.size)
+            np.testing.assert_array_equal(event.signs, key_signs(uniforms))
+        assert rng.gen.random() == replay.random()  # The estimate drew nothing else.
 
 
 class TestGraceEstimate:
@@ -668,57 +661,6 @@ class TestGraceEstimate:
             est = grace_estimate(inst.objective, inst.x1, cfg, RngStream(seed))
             assert est.entries == {2: pytest.approx(3.0)}
             assert est.queries_used == 5  # base, two probes, two differences
-
-    def test_groups_draw_independently(self):
-        # Each group's survivors come from its own key row alone: locate_in_group
-        # run on that group and row alone gives them back, and a group whose
-        # probes all read flat changes no other group's members, keys or survivors.
-        inst = make_planted_linear(256, 4, RngStream(11))
-        cfg = GraceConfig.defaults(256, 4, epsilon=1e-3)
-        base = inst.objective(inst.x1)
-
-        def groups_of(f):
-            calls = []
-
-            def recording(f, x, f_x, epsilon, dims, n, schedule, *, keys):
-                survivors = locate_in_group(f, x, f_x, epsilon, dims, n, schedule, keys=keys)
-                calls.append((dims, keys, set(survivors)))
-                return survivors
-
-            with mock.patch.object(estimator, "locate_in_group", recording):
-                grace_estimate(f, inst.x1, cfg, RngStream(3))
-            ((dims, keys, survivors),) = calls
-            starts = range(0, dims.size, cfg.n)
-            groups = [dims[start : start + cfg.n].tolist() for start in starts]
-            return [(members, row, survivors & set(members)) for members, row in zip(groups, keys)]
-
-        groups = groups_of(inst.objective)
-        assert [len(members) for members, _, _ in groups] == [44] * 5 + [36]
-        for members, row, survivors in groups:
-            alone = locate_in_group(
-                inst.objective, inst.x1.copy(), base, cfg.epsilon, np.array(members), len(members),
-                cfg.schedule, keys=row[None, :],
-            )
-            assert set(alone) == survivors
-        # The first group that locates a planted coordinate goes flat; later
-        # groups would read shifted draws if the groups shared one stream.
-        support = set(inst.metadata["coeffs"])
-        flat = next(g for g, (_, _, found) in enumerate(groups) if support & found)
-        assert flat < len(groups) - 1
-        blanked = set(groups[flat][0])
-
-        def blank(x):
-            moved = np.flatnonzero(x != inst.x1) + 1
-            return base if blanked.intersection(moved.tolist()) else inst.objective(x)
-
-        again = groups_of(BlackBoxFunction(256, blank))
-        assert len(again) == len(groups)
-        for g, ((members, row, survivors), (members2, row2, survivors2)) in enumerate(
-            zip(groups, again)
-        ):
-            assert members2 == members
-            np.testing.assert_array_equal(row2, row)
-            assert survivors2 == (set() if g == flat else survivors)
 
     def test_zero_function_recovers_nothing(self):
         f = BlackBoxFunction(12, lambda x: 0.0)
@@ -839,12 +781,14 @@ class TestGraceEstimate:
         assert ledger.count == 0
 
     def test_validate_takes_numpy_integers(self):
-        cfg = GraceConfig(epsilon=1e-3, n=np.int64(4), m=np.int64(2))
-        plain = GraceConfig(epsilon=1e-3, n=4, m=2)
-        f = linear(16, {3: 1.0})
-        got = grace_estimate(f, np.zeros(16), cfg, RngStream(0))
-        want = grace_estimate(f, np.zeros(16), plain, RngStream(0))
-        assert got.entries == want.entries and got.queries_used == want.queries_used
+        # d = 18, n = 5 leaves a ragged group of 3, which pass 1 cuts too.
+        for d, n in ((16, 4), (18, 5)):
+            cfg = GraceConfig(epsilon=1e-3, n=np.int64(n), m=np.int64(2))
+            plain = GraceConfig(epsilon=1e-3, n=n, m=2)
+            f = linear(d, {3: 1.0})
+            got = grace_estimate(f, np.zeros(d), cfg, RngStream(0))
+            want = grace_estimate(f, np.zeros(d), plain, RngStream(0))
+            assert got.entries == want.entries and got.queries_used == want.queries_used
 
     def test_defaults_reject_sparsity_below_one(self):
         for s in (0, -1):
@@ -895,8 +839,8 @@ class TestGraceEstimate:
         namespace = {}
         exec(snippet, namespace)
         grad = namespace["grad"]
-        assert grad.queries_used == 23
-        assert sorted(grad.entries) == [45, 102, 117, 142]
+        assert grad.queries_used == 25
+        assert sorted(grad.entries) == [69, 87, 108, 109, 221, 245]
 
     def test_non_finite_difference_is_left_out(self):
         # Probes move all four coordinates; only the forward difference moves one.
@@ -1086,10 +1030,10 @@ class TestBatchedProbes:
         # members, which hold probe k's values (v = x + eps * sign * label,
         # u = x + eps * sign).  Past BATCH_FLOATS the same rows come in
         # order over several calls, some of them cut between the v and u rows.
-        sizes, offsets, divisor, epsilon = [4, 7, 3, 9, 5], [0, 9, 20, 30, 45], 3, 1e-3
+        sizes, divisor, epsilon = [4, 7, 3, 9, 5], 3, 1e-3
         d = sum(sizes) + 6
         x = np.linspace(-1.0, 2.0, d)
-        members, keys = shuffled(d, 7)[: sum(sizes)], key_row(7, 60)
+        members, keys = shuffled(d, 7)[: sum(sizes)], key_row(7, sum(sizes))
         matrices = []
 
         def batch(rows):
@@ -1099,8 +1043,8 @@ class TestBatchedProbes:
         f = BlackBoxFunction(d, lambda point: float(point @ np.arange(1.0, d + 1)), batch)
         bound = estimator.BATCH_FLOATS if per_call is None else per_call * d
         with mock.patch.object(estimator, "BATCH_FLOATS", bound):
-            shrunk(f, x.copy(), 0.0, epsilon, members, divisor, keys, sizes, offsets)
-        part = dependent_partition(members, divisor, keys, sizes, offsets)
+            shrunk(f, x.copy(), 0.0, epsilon, members, divisor, keys, sizes)
+        part = dependent_partition(members, divisor, keys, sizes)
         positions, step = part.indices - 1, epsilon * part.signs
         values = (x[positions] + step * part.labels, x[positions] + step)
         expected = np.tile(x, (2 * len(sizes), 1))
@@ -1158,16 +1102,17 @@ class TestProbePoint:
             moved.append(frozenset((np.flatnonzero(point != x) + 1).tolist()))
             return inst.objective(point)
 
-        def grouping(d, n, omega):
-            dims = partition_groups(d, n, omega)
-            repeats.append([set(dims[start : start + n].tolist()) for start in range(0, d, n)])
+        def grouping(d, rng):
+            dims = random_permutation(d, rng)
+            starts = range(0, d, cfg.n)
+            repeats.append([set(dims[start : start + cfg.n].tolist()) for start in starts])
             return dims
 
         def differences(f, x, f_x, indices, epsilon):
             measured.extend(indices)
             return finite_difference(f, x, f_x, indices, epsilon)
 
-        with mock.patch.object(estimator, "partition_groups", grouping), mock.patch.object(
+        with mock.patch.object(estimator, "random_permutation", grouping), mock.patch.object(
             estimator, "finite_difference", differences
         ):
             est = grace_estimate(BlackBoxFunction(96, evaluate), x, cfg, RngStream(6))
@@ -1233,6 +1178,14 @@ class TestFiniteDifference:
         for epsilon in (0.0, math.inf, math.nan):
             with pytest.raises(ValueError):
                 finite_difference(f, np.zeros(5), 0.0, [3], epsilon)
+
+    def test_rejects_a_bool_epsilon_before_any_query(self):
+        # True compares as 1 and would step by 1.0, which GraceConfig rejects too.
+        counted, ledger = with_ledger(linear(5, {3: 2.5}))
+        for epsilon in (True, False):
+            with pytest.raises(ValueError, match="epsilon"):
+                finite_difference(counted, np.zeros(5), 0.0, [3], epsilon)
+        assert ledger.count == 0
 
     @pytest.mark.parametrize("hook", [False, True])
     def test_one_query_per_dimension_in_order(self, hook):

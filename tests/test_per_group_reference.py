@@ -1,9 +1,12 @@
-"""grace_estimate against the per-group shrink it replaced, kept here as a reference.
+"""grace_estimate against a group-by-group shrink, kept here as a reference.
 
-The reference shrinks one group at a time, builds each probe as a fresh copy
-of x and measures each candidate on its own copy.  It reads the same draws
-as grace_estimate, so the two must agree exactly, in the entries and in the
-queries spent, also when a budget cuts the estimate short.
+The reference cuts each live group on its own, builds each probe as a fresh
+copy of x and measures each candidate on its own copy.  It reads the draws
+of the estimator's contract: per repeat one permutation, whose slices of n
+are the groups, then per shrink iteration one uniform per live member, each
+live group taking its slice in group order.  So the two must agree exactly,
+in the entries and in the queries spent, also when a budget cuts the
+estimate short.
 """
 
 import math
@@ -24,16 +27,6 @@ from zosparse.rng import RngStream, random_permutation
 from zosparse.theory import DivisionSchedule, practical_schedule
 
 
-def _spans(size, schedule):
-    start, bound, iteration = 0, size, 0
-    while bound > 2:
-        iteration += 1
-        step = max(schedule.value(iteration), 2)
-        yield step, slice(start, start + bound)
-        start += bound
-        bound = -(-bound // min(step, bound))
-
-
 def _label(f_x, f_v, f_u, blocks):
     if not all(map(math.isfinite, (f_x, f_v, f_u))):
         return 0
@@ -47,35 +40,49 @@ def _label(f_x, f_v, f_u, blocks):
     return label if 1 <= label <= blocks else 0
 
 
-def _locate(f, x, f_x, epsilon, members, schedule, row):
-    spans = _spans(members.size, schedule)
-    while members.size > 2:
-        step, columns = next(spans)
-        block = -(-members.size // min(step, members.size))
-        labels = np.arange(members.size) // block + 1
-        signs = np.where(row[columns][: members.size] < 0.5, 1, -1)
-        probe_v, probe_u = x.copy(), x.copy()
-        probe_v[members - 1] += epsilon * signs * labels
-        probe_u[members - 1] += epsilon * signs
-        label = _label(f_x, f(probe_v), f(probe_u), -(-members.size // block))
-        members = members[labels == label]
-    return members.tolist()
+def _cut(f, x, f_x, epsilon, members, step, row):
+    """One shrink iteration of one group: the members whose block the ratio names."""
+    block = -(-members.size // min(step, members.size))
+    labels = np.arange(members.size) // block + 1
+    signs = np.where(row < 0.5, 1, -1)
+    probe_v, probe_u = x.copy(), x.copy()
+    probe_v[members - 1] += epsilon * signs * labels
+    probe_u[members - 1] += epsilon * signs
+    label = _label(f_x, f(probe_v), f(probe_u), -(-members.size // block))
+    return members[labels == label]
+
+
+def _locate(f, x, f_x, epsilon, dims, n, schedule, rng):
+    """Every group's survivors, iteration by iteration; groups of at most two are kept whole."""
+    groups = [dims[start : start + n] for start in range(0, dims.size, n)]
+    found = [j for members in groups if members.size <= 2 for j in members.tolist()]
+    live, iteration = [members for members in groups if members.size > 2], 0
+    while live:
+        iteration += 1
+        uniforms = rng.gen.random(sum(members.size for members in live))
+        survivors, start = [], 0
+        for members in live:
+            row = uniforms[start : start + members.size]
+            start += members.size
+            step = schedule.value(iteration)
+            survivors.append(_cut(f, x, f_x, epsilon, members, step, row))
+        found += [j for kept in survivors if kept.size <= 2 for j in kept.tolist()]
+        live = [kept for kept in survivors if kept.size > 2]
+    return found
 
 
 def reference_estimate(f, x, cfg, rng):
-    """(entries, queries) of the per-group estimator, or (None, queries) on budget exhaustion."""
+    """(entries, queries) of the reference estimator, or (None, queries) on budget exhaustion."""
     counted, ledger = with_ledger(f)
     x, d = np.asarray(x, dtype=float), f.dim
     try:
         f_x = counted(x)
-        width = max((cols.stop for _, cols in _spans(cfg.n, cfg.schedule)), default=0)
         candidates = set()
         for _ in range(cfg.m):
-            dims = np.argsort(random_permutation(d, rng)) + 1
-            keys = rng.gen.random((-(-d // cfg.n), width))
-            for g, row in enumerate(keys):
-                members = dims[g * cfg.n : (g + 1) * cfg.n]
-                candidates.update(_locate(counted, x, f_x, cfg.epsilon, members, cfg.schedule, row))
+            dims = random_permutation(d, rng)
+            candidates.update(
+                _locate(counted, x, f_x, cfg.epsilon, dims, cfg.n, cfg.schedule, rng)
+            )
         entries = {}
         for j in sorted(candidates):
             probe = x.copy()

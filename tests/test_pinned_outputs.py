@@ -30,90 +30,90 @@ def outputs(estimate):
 
 # (d, s, instance): (queries_used, |support|, digest of the sorted support)
 SCALING = {
-    (256, 4, 0): (15, 1, "dd3168a635e96276"),
-    (256, 4, 1): (21, 2, "7fc399ac2f9e3917"),
+    (256, 4, 0): (19, 2, "c59e1c02431a5ace"),
+    (256, 4, 1): (18, 2, "77681cb756f0ac7c"),
     (256, 4, 2): (24, 4, "d025f09da59ac3b9"),
-    (256, 4, 3): (18, 1, "17fcbe27dfec463f"),
-    (256, 8, 0): (37, 6, "5bf562c812677b58"),
-    (256, 8, 1): (31, 2, "0668b077aa0a89ef"),
-    (256, 8, 2): (35, 5, "4252e05b4f9abb35"),
-    (256, 8, 3): (36, 6, "8ef494e12cc1d7c5"),
-    (256, 16, 0): (54, 3, "18703707a625132d"),
-    (256, 16, 1): (61, 8, "bb7658c4458f1347"),
-    (256, 16, 2): (60, 9, "0aa073f78a9cbd09"),
-    (256, 16, 3): (59, 6, "2f9a5c819ee080ca"),
-    (256, 32, 0): (128, 21, "16c680143ae4029f"),
-    (256, 32, 1): (128, 19, "f50617e625bed236"),
-    (256, 32, 2): (127, 21, "44ebe7f07d179f5a"),
-    (256, 32, 3): (130, 22, "782b7cc0e222965f"),
-    (1024, 4, 0): (19, 2, "d836feac21ed5c9e"),
-    (1024, 4, 1): (21, 2, "520b368984f9cf51"),
-    (1024, 4, 2): (19, 2, "2369c09e7f455ecd"),
-    (1024, 4, 3): (25, 4, "13ef85cf0c16b249"),
-    (1024, 8, 0): (36, 3, "31deb327b87f209a"),
-    (1024, 8, 1): (49, 8, "99095f984589f388"),
-    (1024, 8, 2): (41, 4, "10c4a1ae477b1935"),
-    (1024, 8, 3): (45, 6, "33730e0571c6b298"),
-    (1024, 16, 0): (79, 9, "7e8a54867500d497"),
-    (1024, 16, 1): (82, 9, "fe7895714f9a4a66"),
-    (1024, 16, 2): (74, 8, "a00f19a838b60522"),
-    (1024, 16, 3): (85, 11, "44046a3752243f30"),
-    (1024, 32, 0): (141, 21, "0bb3db138eda138c"),
-    (1024, 32, 1): (137, 14, "37abb43bc6d77452"),
-    (1024, 32, 2): (147, 21, "59b234935c95fa19"),
-    (1024, 32, 3): (138, 22, "d22affdcd337f939"),
-    (4096, 4, 0): (16, 1, "74432ac6a7ea28df"),
-    (4096, 4, 1): (21, 2, "1bd0b85e13901d67"),
-    (4096, 4, 2): (19, 2, "039045f77572ffe8"),
-    (4096, 4, 3): (25, 4, "68efc298cfc03f67"),
-    (4096, 8, 0): (34, 3, "7b5e7c712d73e693"),
-    (4096, 8, 1): (38, 3, "7466ab60b545c063"),
-    (4096, 8, 2): (36, 3, "cb1761c5072cfbdf"),
-    (4096, 8, 3): (43, 6, "15d52fcfe51c6c84"),
-    (4096, 16, 0): (77, 8, "0ed185ebdb49a860"),
-    (4096, 16, 1): (72, 7, "34ce8348cb2ca675"),
-    (4096, 16, 2): (77, 8, "db206035d26e60f1"),
-    (4096, 16, 3): (73, 6, "36e18fa9dfda559b"),
-    (4096, 32, 0): (174, 25, "9c7bd12a28422e75"),
-    (4096, 32, 1): (162, 18, "030a098ee81d3404"),
-    (4096, 32, 2): (155, 18, "4a2cd8c01421a0da"),
-    (4096, 32, 3): (153, 16, "e4df01128185c200"),
-    (16384, 4, 0): (21, 2, "1caa834cb2bc1a4a"),
+    (256, 4, 3): (18, 2, "4f355afeb384a704"),
+    (256, 8, 0): (31, 2, "9db31ab840eaef7c"),
+    (256, 8, 1): (34, 4, "217727243835bfee"),
+    (256, 8, 2): (39, 6, "be62beb170245932"),
+    (256, 8, 3): (33, 3, "c6a0d3aac0f2ad47"),
+    (256, 16, 0): (61, 10, "ef73fe70c0227f58"),
+    (256, 16, 1): (60, 8, "ac90f277a6ab7a9a"),
+    (256, 16, 2): (62, 12, "efefc5c39fc55672"),
+    (256, 16, 3): (61, 11, "cceddb32d767ba81"),
+    (256, 32, 0): (127, 22, "86e5e4c391c94649"),
+    (256, 32, 1): (128, 20, "f3636bcd15278239"),
+    (256, 32, 2): (124, 17, "d4111c570b589596"),
+    (256, 32, 3): (120, 14, "7dac0aec93e01080"),
+    (1024, 4, 0): (18, 1, "9715ea2957c9385a"),
+    (1024, 4, 1): (25, 4, "eb14e98213343c21"),
+    (1024, 4, 2): (21, 2, "2369c09e7f455ecd"),
+    (1024, 4, 3): (15, 0, "e3b0c44298fc1c14"),
+    (1024, 8, 0): (43, 6, "e0518bb9e5df4b28"),
+    (1024, 8, 1): (45, 6, "900cfdefaac49030"),
+    (1024, 8, 2): (45, 6, "20aa6b25cf916ca9"),
+    (1024, 8, 3): (39, 4, "fcf079ba8aa40e2c"),
+    (1024, 16, 0): (68, 5, "086fea4e37d2796e"),
+    (1024, 16, 1): (74, 8, "6ae4da9738195144"),
+    (1024, 16, 2): (90, 13, "7819223142041518"),
+    (1024, 16, 3): (84, 12, "4d4cd8630432f410"),
+    (1024, 32, 0): (140, 23, "40e79fe7c6919c3f"),
+    (1024, 32, 1): (141, 21, "86f14b14b406196b"),
+    (1024, 32, 2): (133, 15, "90fc26e43b6621f9"),
+    (1024, 32, 3): (139, 22, "6df5cb9fddac849b"),
+    (4096, 4, 0): (25, 4, "3ea1b7cfe9e9209d"),
+    (4096, 4, 1): (19, 2, "1bd0b85e13901d67"),
+    (4096, 4, 2): (21, 2, "f192dfe5a897086b"),
+    (4096, 4, 3): (21, 2, "71df06bb928132bb"),
+    (4096, 8, 0): (45, 6, "645dc211a2e001a4"),
+    (4096, 8, 1): (39, 4, "124e0cc8cf8a5ab2"),
+    (4096, 8, 2): (42, 4, "851220bdb321c0d2"),
+    (4096, 8, 3): (40, 5, "bb0cbabda6ef563c"),
+    (4096, 16, 0): (75, 8, "513d33ded7932416"),
+    (4096, 16, 1): (80, 9, "da7153fe80fbac5a"),
+    (4096, 16, 2): (72, 7, "a62e28d0644c4de2"),
+    (4096, 16, 3): (69, 6, "c1f4e18d1ad27163"),
+    (4096, 32, 0): (152, 17, "0e06851192bdee61"),
+    (4096, 32, 1): (160, 19, "d914e28c2559a9e4"),
+    (4096, 32, 2): (155, 16, "a95a03982b7a121b"),
+    (4096, 32, 3): (154, 17, "02849d54230c4d73"),
+    (16384, 4, 0): (23, 2, "08d1d0261f1e557c"),
     (16384, 4, 1): (21, 2, "96cbdee363822dfe"),
-    (16384, 4, 2): (21, 2, "f643108e97a461ee"),
-    (16384, 4, 3): (13, 0, "e3b0c44298fc1c14"),
-    (16384, 8, 0): (42, 5, "82575a6f289c9680"),
-    (16384, 8, 1): (43, 6, "473cbfcba21affcc"),
-    (16384, 8, 2): (42, 4, "9541fa42875bd906"),
-    (16384, 8, 3): (49, 8, "708e66b3059970d1"),
-    (16384, 16, 0): (77, 8, "aac88a12ba69f105"),
-    (16384, 16, 1): (79, 10, "3ed192361074e242"),
-    (16384, 16, 2): (74, 7, "51b81c29c2c22e2b"),
-    (16384, 16, 3): (82, 11, "2d3d215057a0a054"),
-    (16384, 32, 0): (130, 9, "554dd0a36d7b09ff"),
-    (16384, 32, 1): (148, 15, "5e21cdd7c848818f"),
-    (16384, 32, 2): (150, 17, "aacf98d1cc14edf5"),
-    (16384, 32, 3): (137, 12, "a93eb0a943996567"),
+    (16384, 4, 2): (21, 2, "f9a2bd9ba6f84e6b"),
+    (16384, 4, 3): (23, 2, "7f49001f089f59c8"),
+    (16384, 8, 0): (49, 8, "3dc9680de2838d12"),
+    (16384, 8, 1): (39, 4, "89b0305d26cf8c15"),
+    (16384, 8, 2): (49, 8, "cb172b839f41fe9c"),
+    (16384, 8, 3): (40, 5, "2cfc59e633805432"),
+    (16384, 16, 0): (69, 5, "909fc3ccb6e50642"),
+    (16384, 16, 1): (79, 8, "4689421623ae2b7c"),
+    (16384, 16, 2): (77, 10, "bcca5739befde5c7"),
+    (16384, 16, 3): (92, 15, "17dcf440f4003bf3"),
+    (16384, 32, 0): (155, 18, "db957a0d133affee"),
+    (16384, 32, 1): (136, 11, "923d852cac4cb4cc"),
+    (16384, 32, 2): (132, 9, "d256f68b081ac869"),
+    (16384, 32, 3): (141, 14, "c5ef1a9bb75b0305"),
 }
 
 # (D_1, instance, point 0 = start or 1 = random): as above
 DISTANCE = {
-    (20, 0, 0): (127, 36, "e7c7989be8370191"),
-    (20, 0, 1): (148, 57, "dbd360a3c8af487e"),
-    (20, 1, 0): (121, 30, "9b31e24f413ed8f0"),
-    (20, 1, 1): (148, 57, "90fa6bee753b9ab6"),
-    (20, 2, 0): (125, 34, "c738b4d4d57063a9"),
-    (20, 2, 1): (148, 57, "6fac2df36be1a1d5"),
-    (20, 3, 0): (127, 36, "0adb610cdd56a134"),
-    (20, 3, 1): (142, 51, "6da38cbcbf5695c9"),
-    (2, 0, 0): (339, 32, "e2e52dee15cb866e"),
-    (2, 0, 1): (237, 14, "a811619957dfc3ea"),
-    (2, 1, 0): (310, 27, "8faa2608e04b48b5"),
-    (2, 1, 1): (309, 34, "efe780604de4e97b"),
-    (2, 2, 0): (289, 26, "3cc228ae145eb8c1"),
-    (2, 2, 1): (246, 21, "2056c449da811b8d"),
-    (2, 3, 0): (308, 23, "b9b3687368070ba1"),
-    (2, 3, 1): (278, 21, "d0e3541fcd2d7d30"),
+    (20, 0, 0): (124, 33, "0201eb99438ee653"),
+    (20, 0, 1): (148, 57, "a41c616b9aae926b"),
+    (20, 1, 0): (121, 30, "05cf2da0f1822c37"),
+    (20, 1, 1): (151, 60, "1169ae98e9e047f3"),
+    (20, 2, 0): (122, 31, "709ea0e1d1d275f9"),
+    (20, 2, 1): (145, 54, "14b3f0724d4b7054"),
+    (20, 3, 0): (127, 36, "ae9d73ba4299d3ee"),
+    (20, 3, 1): (148, 57, "60c992395a9e658c"),
+    (2, 0, 0): (298, 33, "7bc32c483235a45e"),
+    (2, 0, 1): (249, 20, "49d679be6d6004af"),
+    (2, 1, 0): (301, 26, "532cab0347e25d9b"),
+    (2, 1, 1): (269, 28, "c66f49d723ad02f0"),
+    (2, 2, 0): (319, 32, "122c259ec7e14487"),
+    (2, 2, 1): (251, 20, "16d58505fb440611"),
+    (2, 3, 0): (330, 35, "a5e038758a1e7bb0"),
+    (2, 3, 1): (255, 16, "979da3bfe3d209b9"),
 }
 
 
@@ -146,14 +146,14 @@ def run_outputs(trace):
 # d = 512 goes through the objective's batch hook, d = 2048 has none.
 # (d, instance): (records, final queries, digest of the record queries)
 DESCENT = {
-    (512, 0): (35, 1500, "23e43c6a873baad2"),
-    (512, 1): (35, 1500, "6e294a9c5e49dde5"),
-    (512, 2): (35, 1500, "1754243ac767b2a7"),
-    (512, 3): (35, 1500, "767a73efbca9a626"),
-    (2048, 0): (32, 1500, "03dbdf567fc4f5d2"),
-    (2048, 1): (34, 1500, "84c090e1dd6d13b7"),
-    (2048, 2): (32, 1500, "ade2c502a7ad7a97"),
-    (2048, 3): (33, 1500, "27fccb12140364b5"),
+    (512, 0): (35, 1500, "2c84433055c58952"),
+    (512, 1): (34, 1500, "67f76627c05b3c2e"),
+    (512, 2): (35, 1500, "5267d8ee751ef591"),
+    (512, 3): (35, 1500, "acd862280ec63369"),
+    (2048, 0): (32, 1500, "29374807cadcf844"),
+    (2048, 1): (34, 1500, "dc1f9cbbb259c491"),
+    (2048, 2): (33, 1500, "467c16d48ae7f18a"),
+    (2048, 3): (33, 1500, "7968c013841cf9b8"),
 }
 
 

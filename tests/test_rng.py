@@ -147,6 +147,32 @@ class TestRngStream:
         with pytest.raises(ValueError, match="nonnegative"):
             RngStream(1).derive(3, -1)
 
+    @pytest.mark.parametrize("bad", [2.7, 2.0, True, False, np.float64(2.0), "2"])
+    def test_rejects_keys_that_are_no_integers(self, bad):
+        # int() would truncate 2.7 to 2 and read True as 1, replaying another key's draws.
+        rng = RngStream(1)
+        for make in (
+            lambda: RngStream(bad),
+            lambda: RngStream(1, stream=bad),
+            lambda: RngStream(1, path=(3, bad)),
+            lambda: rng.derive(bad),
+            lambda: StepStreams(rng).derive(bad),
+            lambda: random_permutation(bad, rng),
+        ):
+            with pytest.raises(ValueError, match="integer"):
+                make()
+
+    def test_accepts_numpy_integer_keys(self):
+        # Numpy integers name the same keys as Python ints.
+        rng = RngStream(1)
+        assert RngStream(np.int64(2)).gen.random() == RngStream(2).gen.random()
+        (key,) = rng.derive(np.uint8(3)).path
+        assert type(key) is int and key == 3
+        step = StepStreams(rng).derive(np.int64(2)).gen.random()
+        assert step == StepStreams(rng).derive(2).gen.random()
+        images = random_permutation(np.int64(3), RngStream(4))
+        np.testing.assert_array_equal(images, random_permutation(3, RngStream(4)))
+
 
 class TestStepStreams:
     """Step t of StepStreams(rng) draws from rng's Philox key at counter (0, 0, t, 0)."""
@@ -405,7 +431,7 @@ class TestDependentPartition:
 
     def test_rejects_nonpositive_or_float_members(self):
         # Repeats are not looked for: the estimator's runs are slices of one
-        # permutation, which partition_groups checks once per repeat.
+        # drawn permutation.
         for members in ([0, 1], [2, -1, 3], [1.2, 2.7, 3.0], [1.0, 2.0]):
             with pytest.raises(ValueError, match="indices >= 1"):
                 dependent_partition(np.array(members), 2, _keys(0, 3))
@@ -421,17 +447,18 @@ class TestDependentPartition:
         assert part.labels.tolist() == [1, 1, 1, 2, 2, 2, 3]
 
     def test_runs_are_cut_as_they_would_be_alone(self):
-        # Several runs in one call: each reads its keys from its own offset and
+        # Several runs in one call: each reads the keys beside its members and
         # gets the labels and signs it gets alone.
-        sizes, offsets = [5, 2, 9, 4], [30, 0, 11, 40]
+        sizes = [5, 2, 9, 4]
         members = random_permutation(20, RngStream(8))
-        keys = _keys(8, 44)
-        part = dependent_partition(members, 3, keys, sizes, offsets)
+        keys = _keys(8, 20)
+        part = dependent_partition(members, 3, keys, sizes)
         np.testing.assert_array_equal(part.indices, members)
         assert part.sizes == sizes and part.block_size == [2, 1, 3, 2]
         start = 0
-        for size, offset, block in zip(sizes, offsets, part.block_size):
-            alone = dependent_partition(members[start : start + size], 3, keys[offset:])
+        for size, block in zip(sizes, part.block_size):
+            run = slice(start, start + size)
+            alone = dependent_partition(members[run], 3, keys[run])
             assert alone.block_size == [block]
             np.testing.assert_array_equal(part.labels[start : start + size], alone.labels)
             np.testing.assert_array_equal(part.signs[start : start + size], alone.signs)
@@ -449,26 +476,25 @@ class TestDependentPartition:
     )
     def test_any_runs_are_cut_as_they_would_be_alone(self, lengths, long_run, divisor, seed, data):
         # Repeated lengths share a label pattern, runs of 1 and 2 members and
-        # one run past 4096 all cut as they do alone, at arbitrary key offsets,
-        # and alone a run gets labels t // block + 1 and signs from its keys.
+        # one run past 4096 all cut as they do alone, and alone a run gets
+        # labels t // block + 1 and signs from its keys.
         sizes = list(lengths)
         if long_run is not None:
             sizes.insert(data.draw(st.integers(0, len(sizes))), long_run)
-        offsets = data.draw(st.lists(st.integers(0, 300), min_size=len(sizes), max_size=len(sizes)))
-        keys = _keys(seed, max(offsets) + max(sizes))
+        keys = _keys(seed, sum(sizes))
         if data.draw(st.booleans()):
             keys = keys.repeat(2)[::2]  # the same keys, not contiguous
         members = random_permutation(sum(sizes), RngStream(seed, path=(1,)))
-        part = dependent_partition(members, divisor, keys, sizes, offsets)
+        part = dependent_partition(members, divisor, keys, sizes)
         assert part.labels.dtype == part.signs.dtype == np.int64
         assert part.sizes == sizes
         start = 0
-        for size, offset, block in zip(sizes, offsets, part.block_size):
+        for size, block in zip(sizes, part.block_size):
             run = slice(start, start + size)
-            alone = dependent_partition(members[run], divisor, keys[offset : offset + size])
+            alone = dependent_partition(members[run], divisor, keys[run])
             assert alone.block_size == [block] == [-(-size // divisor)]
             np.testing.assert_array_equal(alone.labels, np.arange(size) // block + 1)
-            plain = np.where(keys[offset : offset + size] < 0.5, 1, -1)
+            plain = np.where(keys[run] < 0.5, 1, -1)
             np.testing.assert_array_equal(alone.signs, plain)
             np.testing.assert_array_equal(part.labels[run], alone.labels)
             np.testing.assert_array_equal(part.signs[run], alone.signs)
@@ -477,15 +503,13 @@ class TestDependentPartition:
     def test_rejects_runs_that_do_not_fit(self):
         members = np.arange(1, 7)
         bad = [
-            ([3, 2], None),  # sizes sum to 5, not 6
-            ([3, 3, 0], None),  # an empty run
-            ([3, 3], [0]),  # one key offset for two runs
-            ([3, 3], [-1, 3]),  # a negative offset
-            ([3, 3], [0, 5]),  # the second run reads past the 7 keys
+            ([3, 2], 6),  # sizes sum to 5, not 6
+            ([3, 3, 0], 6),  # an empty run
+            ([3, 3], 7),  # one key too many: keys line up with the members
         ]
-        for sizes, offsets in bad:
+        for sizes, width in bad:
             with pytest.raises(ValueError):
-                dependent_partition(members, 2, _keys(0, 7), sizes, offsets)
+                dependent_partition(members, 2, _keys(0, width), sizes)
 
     def test_signs_match_the_plain_threshold(self):
         # The signs are np.where(key < 1/2, 1, -1), exactly, at 1/2 too.

@@ -4,6 +4,7 @@ Numeric reference values were recomputed independently from the defining
 formulas (direct evaluation, no shared code) and frozen here.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -186,6 +187,23 @@ class TestSchedules:
         sched = DivisionSchedule(np.array([4, 9], dtype=np.int32))
         assert [sched.value(r) for r in (1, 2, 3)] == [4, 9, 9]
         assert all(type(v) is int for v in sched.terms)
+
+    @pytest.mark.parametrize("d1, stored", [(20, 8), (10, 9)])
+    def test_practical_schedule_shrinks_any_group_within_its_terms(self, d1, stored):
+        # 10 is the attack family's grace_d1; 2^63 - 1 is above any group size.
+        # A shrink iteration t keeps at most ceil(b_t / D_t) of b_t live members.
+        schedule = practical_schedule(d1)
+        assert len(schedule.terms) == stored
+        bound, steps = 2**63 - 1, []
+        while bound > 2:
+            steps.append(schedule.value(len(steps) + 1))
+            bound = -(-bound // steps[-1])
+        assert len(steps) == 6 and tuple(steps) == schedule.terms[:6]
+
+    def test_schedule_terms_are_frozen(self):
+        schedule = practical_schedule(20)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            schedule.terms = (2,)
 
 
 class TestConstants:
