@@ -3,6 +3,7 @@
 import configparser
 import csv
 import dataclasses
+import hashlib
 import io
 import math
 from pathlib import Path
@@ -499,6 +500,67 @@ class TestRunExperiment:
         detail = "ValueError: need a finite f(x) at the estimate's point, got inf"
         cells = ["0.5 1 1"]  # eta, instance seed, run seed
         assert sorted(failed) == sorted(("grace", *cell.split(), detail) for cell in cells)
+
+
+# Two sweeps whose CSV bytes are pinned, each with its four methods: the
+# path-graph attack spec of CI, whose grace cell (eta 0.5, seeds 1 1) fails
+# on a +inf base value and whose zo-signsgd runs write inf and nan rows, and
+# a small distance spec, whose hook batches the probes and baseline steps.
+PINNED_SWEEPS = {
+    "path": (
+        "[experiment]\nbudget = 60\neta-grid = 0.5 1 2 4\n"
+        "instance-seeds = 1 2\nrun-seeds = 1 2\n"
+        "[family]\nname = attack\ngraph = g.txt\nhops = 2\n",
+        {
+            "trace.csv": "4040b82c062dc0f1e8089f788d2c6ad273c74be7867956823ff1bf3b1e11f034",
+            "runs.csv": "be4a6aec56837bdadd2a1e1926d3ead78fdfdd0a5ff7181b2c1bc050a219c9e8",
+            "summary.csv": "9fca398eed37b072d68ce62c2d5c62d2d232bf8df0f78d8f6aedc080d9853b72",
+        },
+    ),
+    "distance": (
+        "[experiment]\nbudget = 120\neta-grid = 0.5 0.1\n"
+        "instance-seeds = 1 2\nrun-seeds = 3\n"
+        "[family]\nname = distance\nd = 64\ns = 5\n",
+        {
+            "trace.csv": "ac786ca05a21872bb3c6852df5a6df79ee967a6c9768211baec9e97040a75ee0",
+            "runs.csv": "15dcf77d193a780c3d23582d1745872b3104714e467e3aede0ff9aaaf2a944fb",
+            "summary.csv": "4c0492ce91e702b27ee758d70278c1e4151ca6ffa4ee6d0dfc59f99978afc574",
+        },
+    ),
+}
+
+
+class TestPinnedCsvBytes:
+    # Like the pins in test_pinned_outputs.py, these rest on numpy's
+    # Generator streams, which may change between numpy versions.
+
+    # zo-signsgd's sum at a +inf value warns and writes a nan iterate, as the
+    # CLI does; an error filter would turn that run into a failed row.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("name", list(PINNED_SWEEPS))
+    def test_sweep_csvs_are_pinned(self, name, tmp_path, monkeypatch):
+        text, digests = PINNED_SWEEPS[name]
+        (tmp_path / "g.txt").write_text(PATH_3, encoding="utf-8")
+        methods = "".join(
+            f"\n[method:{m}]\nmethod = {m}\n" for m in ("grace", "rs", "zo-signsgd", "gld")
+        )
+        monkeypatch.chdir(tmp_path)
+        result = run_experiment(parse_spec(text + methods), output_dir=tmp_path / "out")
+        written = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in (result.trace_path, result.runs_path, result.summary_path)
+        }
+        assert written == digests
+
+    def test_scaling_csv_bytes(self, tmp_path):
+        rows = [(4, 2, 3.0, math.nan), (256, 4, 21.2, 4 * math.log2(6)), (1024, 32, 1 / 3, math.inf)]
+        write_scaling_csv(rows, tmp_path / "scaling.csv")
+        assert (tmp_path / "scaling.csv").read_bytes() == (
+            b"d,s,mean-queries,s-loglog-d-over-s\n"
+            b"4,2,3,nan\n"
+            b"256,4,21.199999999999999,10.339850002884624\n"
+            b"1024,32,0.33333333333333331,inf\n"
+        )
 
 
 # Per spec family: its keys in a spec, and the same instance made by the
