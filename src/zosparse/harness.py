@@ -8,8 +8,9 @@ step), ``runs.csv`` (one status row per run, failures included), and
 the best normalized objective, with the winning step size marked).
 
 Output is deterministic byte for byte: rows are sorted by key rather
-than completion order, floats are printed with 17 significant digits,
-and files use UTF-8 with bare newlines.
+than completion order, and :func:`_write_csv` writes every file, the
+scaling grid's too, in one format: UTF-8, bare newlines, a header row,
+and floats with 17 significant digits.
 """
 
 from __future__ import annotations
@@ -115,6 +116,9 @@ def _checked(spec: ExperimentSpec) -> ExperimentSpec:
         raise ExperimentSpecError("[experiment] budget and max-steps: need integers >= 1")
     if not spec.eta_grid or not all(0 < eta < math.inf for eta in spec.eta_grid):
         raise ExperimentSpecError("[experiment] eta-grid: need finite step sizes > 0")
+    for key, seeds in (("instance-seeds", spec.instance_seeds), ("run-seeds", spec.run_seeds)):
+        if any(seed < 0 for seed in seeds):  # Every cell's stream would refuse them.
+            raise ExperimentSpecError(f"[experiment] {key}: need seeds >= 0, got {seeds}")
     row = FAMILIES[spec.family]
     methods = []
     for method in spec.methods:
@@ -232,7 +236,11 @@ def _grace_config(method: MethodSpec, spec: ExperimentSpec, d: int) -> GraceConf
 
 
 def _execute_unit(payload):
-    """One (instance seed, run seed, method, eta) cell; runs in a worker."""
+    """One (instance seed, run seed, method, eta) cell, in a worker.
+
+    Returns the cell's key with its trace rows and best value, or with its
+    error text when the run failed.
+    """
     spec, family_params, instance_seed, run_seed, method_index, eta_index = payload
     method = spec.methods[method_index]
     eta = spec.eta_grid[eta_index]
@@ -245,22 +253,54 @@ def _execute_unit(payload):
         rng = RngStream(run_seed).derive(instance_seed, method_index, eta_index)
         trace = run_optimizer(f, instance.x1, opt, rng, grace)
     except Exception as err:  # a failed run must not sink the sweep
-        return key, "failed", f"{type(err).__name__}: {err}", [], None
-    rows = [
-        (record.step, record.queries, record.value, record.normalized)
-        for record in trace.records
-    ]
-    if trace.records:
-        initial = trace.records[0].value
-        best_normalized = trace.best_value / initial if initial != 0.0 else math.nan
-        stats = (len(trace.records), trace.records[-1].queries, trace.best_value, best_normalized)
-    else:
-        stats = (0, 0, math.nan, math.nan)
-    return key, "ok", "", rows, stats
+        return key, f"{type(err).__name__}: {err}"
+    rows = [(r.step, r.queries, r.value, r.normalized) for r in trace.records]
+    return key, (rows, trace.best_value)
 
 
 def _fmt(value: float) -> str:
     return f"{value:.17g}"
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    """header, then each row, in UTF-8 with bare newlines; floats get 17 significant digits."""
+    with open(path, "w", encoding="utf-8", newline="") as out:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(v) if isinstance(v, float) else v for v in row] for row in rows)
+
+
+def _run_row(outcome) -> tuple:
+    """A run's status, steps, queries, best value, best normalized and detail.
+
+    An ok run has at least one trace row: the budget and step limit are >= 1,
+    and every method records its first value.
+    """
+    if isinstance(outcome, str):
+        return "failed", "", "", "", "", outcome
+    rows, best_value = outcome
+    initial = rows[0][2]
+    best_normalized = best_value / initial if initial != 0.0 else math.nan
+    return "ok", len(rows), rows[-1][1], best_value, best_normalized, ""
+
+
+def _summary_rows(spec: ExperimentSpec, outcomes):
+    """Per method and eta with an ok run: mean and stderr of best normalized, best mean marked."""
+    per_cell: dict[tuple[int, int], list[float]] = {}  # (method_index, eta_index) -> values
+    for (method_index, _, _, eta_index), outcome in outcomes:
+        if not isinstance(outcome, str):
+            per_cell.setdefault((method_index, eta_index), []).append(_run_row(outcome)[4])
+    for method_index, method in enumerate(spec.methods):
+        cells = []
+        for eta_index, eta in enumerate(spec.eta_grid):
+            values = per_cell.get((method_index, eta_index))
+            if values:
+                stderr = np.std(values, ddof=1) / math.sqrt(len(values)) if len(values) > 1 else 0.0
+                cells.append((_fmt(eta), len(values), float(np.mean(values)), float(stderr)))
+        if cells:
+            best = min(range(len(cells)), key=lambda i: (cells[i][2], i))
+            for i, cell in enumerate(cells):
+                yield (spec.family, method.name, *cell, 1 if i == best else 0)
 
 
 def resolve_output_dir(explicit: str | None, spec_output: str | None) -> Path:
@@ -298,114 +338,36 @@ def run_experiment(
     else:
         outcomes = [_execute_unit(p) for p in payloads]
     outcomes.sort(key=lambda item: item[0])
+    # Per run: its shared columns (benchmark, method, seeds, eta) and outcome.
+    runs = [
+        ((spec.family, spec.methods[m].name, seed, run_seed, _fmt(spec.eta_grid[e])), outcome)
+        for (m, seed, run_seed, e), outcome in outcomes
+    ]
 
     out = resolve_output_dir(output_dir, spec.output)
     out.mkdir(parents=True, exist_ok=True)
-    trace_path = out / "trace.csv"
-    runs_path = out / "runs.csv"
-    summary_path = out / "summary.csv"
-
-    num_failures = 0
-    per_cell: dict[tuple[int, int], list[float]] = {}  # (method_index, eta_index) -> best normalized
-    with open(trace_path, "w", encoding="utf-8", newline="") as trace_file, open(
-        runs_path, "w", encoding="utf-8", newline=""
-    ) as runs_file:
-        trace_writer = csv.writer(trace_file, lineterminator="\n")
-        trace_writer.writerow(
-            [
-                "benchmark",
-                "method",
-                "instance-seed",
-                "run-seed",
-                "eta",
-                "step",
-                "cumulative-queries",
-                "f-value",
-                "normalized-objective",
-            ]
-        )
-        runs_writer = csv.writer(runs_file, lineterminator="\n")
-        runs_writer.writerow(
-            [
-                "benchmark",
-                "method",
-                "instance-seed",
-                "run-seed",
-                "eta",
-                "status",
-                "steps",
-                "queries",
-                "best-value",
-                "best-normalized",
-                "detail",
-            ]
-        )
-        for key, status, detail, rows, stats in outcomes:
-            method_index, instance_seed, run_seed, eta_index = key
-            method = spec.methods[method_index]
-            eta = spec.eta_grid[eta_index]
-            shared = [spec.family, method.name, instance_seed, run_seed, _fmt(eta)]
-            if status == "failed":
-                num_failures += 1
-                runs_writer.writerow(shared + ["failed", "", "", "", "", detail])
-                continue
-            steps, queries, best_value, best_normalized = stats
-            runs_writer.writerow(
-                shared + ["ok", steps, queries, _fmt(best_value), _fmt(best_normalized), ""]
-            )
-            per_cell.setdefault((method_index, eta_index), []).append(best_normalized)
-            for step, step_queries, value, normalized in rows:
-                trace_writer.writerow(shared + [step, step_queries, _fmt(value), _fmt(normalized)])
-
-    with open(summary_path, "w", encoding="utf-8", newline="") as summary_file:
-        summary_writer = csv.writer(summary_file, lineterminator="\n")
-        summary_writer.writerow(
-            [
-                "benchmark",
-                "method",
-                "eta",
-                "num-runs",
-                "mean-best-normalized",
-                "stderr-best-normalized",
-                "selected",
-            ]
-        )
-        for method_index, method in enumerate(spec.methods):
-            cells = []
-            for eta_index, eta in enumerate(spec.eta_grid):
-                values = per_cell.get((method_index, eta_index))
-                if not values:
-                    continue
-                mean = float(np.mean(values))
-                stderr = (
-                    float(np.std(values, ddof=1) / math.sqrt(len(values)))
-                    if len(values) > 1
-                    else 0.0
-                )
-                cells.append((eta_index, eta, len(values), mean, stderr))
-            if not cells:
-                continue
-            best_index = min(range(len(cells)), key=lambda i: (cells[i][3], i))
-            for i, (eta_index, eta, count, mean, stderr) in enumerate(cells):
-                summary_writer.writerow(
-                    [
-                        spec.family,
-                        method.name,
-                        _fmt(eta),
-                        count,
-                        _fmt(mean),
-                        _fmt(stderr),
-                        1 if i == best_index else 0,
-                    ]
-                )
+    shared = ("benchmark", "method", "instance-seed", "run-seed", "eta")
+    trace_header = (*shared, "step", "cumulative-queries", "f-value", "normalized-objective")
+    trace = (
+        (*cells, *row)
+        for cells, outcome in runs
+        if not isinstance(outcome, str)
+        for row in outcome[0]
+    )
+    _write_csv(out / "trace.csv", trace_header, trace)
+    runs_header = (*shared, "status", "steps", "queries", "best-value", "best-normalized", "detail")
+    _write_csv(out / "runs.csv", runs_header, ((*cells, *_run_row(o)) for cells, o in runs))
+    summary_header = ("benchmark", "method", "eta", "num-runs", "mean-best-normalized")
+    summary_header += ("stderr-best-normalized", "selected")
+    _write_csv(out / "summary.csv", summary_header, _summary_rows(spec, outcomes))
 
     return ExperimentResult(
         output_dir=out,
-        trace_path=trace_path,
-        runs_path=runs_path,
-        summary_path=summary_path,
+        trace_path=out / "trace.csv",
+        runs_path=out / "runs.csv",
+        summary_path=out / "summary.csv",
         num_runs=len(outcomes),
-        num_failures=num_failures,
+        num_failures=sum(isinstance(outcome, str) for _, outcome in outcomes),
     )
 
 
@@ -452,8 +414,4 @@ def scaling_correlation(rows) -> float:
 
 
 def write_scaling_csv(rows, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as out:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["d", "s", "mean-queries", "s-loglog-d-over-s"])
-        for d, s, mean_queries, predictor in rows:
-            writer.writerow([d, s, _fmt(mean_queries), _fmt(predictor)])
+    _write_csv(path, ("d", "s", "mean-queries", "s-loglog-d-over-s"), rows)

@@ -251,6 +251,16 @@ class TestSpecDocuments:
             with pytest.raises(ExperimentSpecError, match=name):
                 parse_spec(serialize_spec(small_spec()) + f"\n{section}\n")
 
+    @pytest.mark.parametrize("key", ["instance-seeds", "run-seeds"])
+    def test_negative_seeds_rejected(self, key, tmp_path):
+        seeds = {key.replace("-", "_"): [3, -1]}
+        text = serialize_spec(small_spec(**seeds))
+        with pytest.raises(ExperimentSpecError, match=rf"\[experiment\] {key}: need seeds >= 0"):
+            parse_spec(text)
+        with pytest.raises(ExperimentSpecError, match=key):
+            run_experiment(small_spec(**seeds), output_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_needs_a_method_section(self):
         spec = small_spec()
         text = "\n".join(
@@ -553,7 +563,8 @@ class TestPinnedCsvBytes:
         assert written == digests
 
     def test_scaling_csv_bytes(self, tmp_path):
-        rows = [(4, 2, 3.0, math.nan), (256, 4, 21.2, 4 * math.log2(6)), (1024, 32, 1 / 3, math.inf)]
+        rows = [(4, 2, 3.0, math.nan), (256, 4, 21.2, 4 * math.log2(6))]
+        rows.append((1024, 32, 1 / 3, math.inf))
         write_scaling_csv(rows, tmp_path / "scaling.csv")
         assert (tmp_path / "scaling.csv").read_bytes() == (
             b"d,s,mean-queries,s-loglog-d-over-s\n"
@@ -708,6 +719,14 @@ class TestCli:
         spec_path = self.write_spec(tmp_path, spec)
         code = main(["run", str(spec_path), "--jobs", "1", "--output", str(tmp_path / "out")])
         assert code == 0
+
+    @pytest.mark.parametrize("key", ["instance-seeds", "run-seeds"])
+    def test_run_negative_seed_is_usage_error(self, key, tmp_path, capsys):
+        spec_path = self.write_spec(tmp_path, small_spec(**{key.replace("-", "_"): [-1]}))
+        code = main(["run", str(spec_path), "--jobs", "1", "--output", str(tmp_path / "out")])
+        assert code == 2
+        assert f"{key}: need seeds >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()  # rejected before any cell ran
 
     def test_run_missing_file_is_usage_error(self, tmp_path, capsys):
         code = main(["run", str(tmp_path / "absent.ini")])
