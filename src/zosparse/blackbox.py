@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .rng import RngStream
+from .rng import RngStream, _integer
 
 __all__ = [
     "BATCH_FLOATS",
@@ -122,7 +122,7 @@ def with_ledger(f: BlackBoxFunction, cap: int | None = None) -> tuple[BlackBoxFu
     evaluates only the rows that fit, counts them, then raises, so the
     count ends where k single calls would have left it.
     """
-    if cap is not None and (type(cap) is bool or not isinstance(cap, (int, np.integer)) or cap < 0):
+    if cap is not None and _integer(cap, "cap") < 0:
         raise ValueError(f"need a cap of None or an integer >= 0, got {cap!r}")
     ledger = QueryLedger(0, cap)
 

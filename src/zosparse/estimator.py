@@ -30,7 +30,6 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +39,8 @@ from .blackbox import BATCH_FLOATS, BlackBoxFunction, BudgetExhaustedError, with
 from .rng import (
     DependentPartition,
     RngStream,
+    _integer,
+    _positive,
     as_indices,
     dependent_partition,
     key_signs,
@@ -103,14 +104,10 @@ class GraceConfig:
         return cls(epsilon=epsilon, n=max(1, 7 * d // (10 * s)), schedule=practical_schedule(d1))
 
     def validate(self, d: int) -> None:
-        if type(self.epsilon) is bool or not 0 < self.epsilon < math.inf:  # True is no step.
-            raise ValueError(f"need a finite epsilon > 0, got {self.epsilon}")
-        for k in (self.n, self.m):  # type(k) is int first: the ABC check is slow.
-            if type(k) is not int and (isinstance(k, bool) or not isinstance(k, numbers.Integral)):
-                raise ValueError(f"need integers n and m, got n={self.n!r}, m={self.m!r}")
-        if not 1 <= self.n <= d:
+        _positive(self.epsilon, "epsilon")
+        if not 1 <= _integer(self.n, "n") <= d:
             raise ValueError(f"need 1 <= n <= d, got n={self.n}, d={d}")
-        if self.m < 1:
+        if _integer(self.m, "m") < 1:
             raise ValueError(f"need m >= 1, got m={self.m}")
         if not isinstance(self.schedule, DivisionSchedule):
             raise ValueError(f"need a DivisionSchedule, got schedule={self.schedule!r}")
@@ -380,8 +377,7 @@ def finite_difference(
     listed = positions.tolist()
     if listed and not (min(listed) >= 0 and max(listed) < f.dim):
         raise ValueError(f"dimension indices {indices} out of range 1..{f.dim}")
-    if type(epsilon) is bool or not 0 < epsilon < math.inf:  # True is no step.
-        raise ValueError(f"need a finite epsilon > 0, got {epsilon}")
+    _positive(epsilon, "epsilon")
     bounds, moved = range(len(listed) + 1), x[positions]
     if f.batch is not None:  # Row i moves candidate i alone.
         rows = np.arange(len(listed))[None]

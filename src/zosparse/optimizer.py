@@ -17,14 +17,13 @@ objective, judged only from values already paid for.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .blackbox import BATCH_FLOATS, BlackBoxFunction, BudgetExhaustedError, with_ledger
 from .estimator import GraceConfig, grace_estimate
-from .rng import RngStream, StepStreams
+from .rng import RngStream, StepStreams, _integer, _positive
 
 __all__ = [
     "METHODS",
@@ -64,22 +63,17 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        _check_positive("step_size", self.step_size)
+        _positive(self.step_size, "step_size")
         if self.budget is None and self.max_steps is None:
             raise ValueError("need a stopping rule: budget, max_steps, or both")
         for name in ("budget", "max_steps", "directions", "scales"):
             if getattr(self, name) is not None:
                 _check_count(name, getattr(self, name))
-        _check_positive("mu", self.mu)
-
-
-def _check_positive(name: str, value) -> None:
-    if type(value) is bool or not 0 < value < math.inf:  # True would act as 1.0.
-        raise ValueError(f"need a finite {name} > 0, got {value}")
+        _positive(self.mu, "mu")
 
 
 def _check_count(name: str, k) -> None:
-    if type(k) is bool or not isinstance(k, numbers.Integral) or k < 1:  # True is no count.
+    if _integer(k, name) < 1:
         raise ValueError(f"need an integer {name} >= 1, got {k!r}")
 
 
@@ -136,7 +130,7 @@ def estimate_rs(
 
     One query with the cached f_x; u is standard normal.
     """
-    _check_positive("mu", mu)
+    _positive(mu, "mu")
     direction = rng.gen.standard_normal(f.dim)
     return ((f(x + mu * direction) - f_x) / mu) * direction
 
@@ -166,8 +160,8 @@ def step_zo_signsgd(
     balanced estimate stay put.  Queries: directions per call.
     """
     _check_count("directions", directions)
-    _check_positive("mu", mu)
-    _check_positive("eta", eta)
+    _positive(mu, "mu")
+    _positive(eta, "eta")
     normals = rng.gen.standard_normal((directions, f.dim))
     scaled = ((_values(f, x + mu * normals) - f_x) / mu)[:, None] * normals
     total = np.zeros(f.dim)
@@ -186,7 +180,7 @@ def step_gld(
     larger radius).  Returns the chosen point with its objective value so
     the caller need not re-query it.  Queries: scales per call.
     """
-    _check_positive("eta", eta)
+    _positive(eta, "eta")
     _check_count("scales", scales)
     radii = np.array([eta / 2**k for k in range(scales)])
     candidates = x + radii[:, None] * rng.gen.standard_normal((scales, f.dim))

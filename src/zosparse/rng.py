@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -49,6 +50,13 @@ def _integer(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"need an integer {name}, got {value!r}")
     return int(value)
+
+
+def _positive(value, name: str):
+    """value, a real in (0, inf); a bool, Python's or numpy's, which would act as 1.0, raises."""
+    if isinstance(value, (bool, np.bool_)) or not 0 < value < math.inf:
+        raise ValueError(f"need a finite {name} > 0, got {value}")
+    return value
 
 
 class RngStream:

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+from .rng import _integer
 
 __all__ = [
     "DELTA",
@@ -148,12 +149,11 @@ class DivisionSchedule:
     terms: tuple[int, ...]
 
     def __post_init__(self):
-        terms = tuple(self.terms)
         # int() would read a bool, or truncate a float, as a divisor it does not name.
-        integral = [type(v) is not bool and isinstance(v, numbers.Integral) for v in terms]
-        if not terms or not all(integral) or min(terms) < 2:
+        terms = tuple(_integer(v, "divisor") for v in self.terms)
+        if not terms or min(terms) < 2:
             raise ValueError(f"need a nonempty list of integer divisors >= 2, got {self.terms!r}")
-        object.__setattr__(self, "terms", tuple(int(v) for v in terms))
+        object.__setattr__(self, "terms", terms)
 
     def value(self, r: int) -> int:
         """D_r, 1-based; past the stored terms, the last one."""

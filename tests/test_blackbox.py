@@ -62,7 +62,7 @@ class TestQueryLedger:
         assert ledger.count == 2
         assert excinfo.value.count == 2 and excinfo.value.cap == 2
 
-    @pytest.mark.parametrize("cap", [-1, 2.5, True, np.float64(3.0), "3"])
+    @pytest.mark.parametrize("cap", [-1, 2.5, True, np.True_, np.float64(3.0), "3"])
     def test_rejects_a_cap_that_is_no_count(self, cap):
         f = BlackBoxFunction(1, lambda x: 0.0, lambda rows: np.zeros(len(rows)))
         with pytest.raises(ValueError, match="cap"):

@@ -753,12 +753,20 @@ class TestGraceEstimate:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("n", 10.5), ("n", 4.0), ("n", True), ("m", 2.0), ("m", True), ("m", "2")],
+        [
+            ("n", 10.5),
+            ("n", 4.0),
+            ("n", True),
+            ("n", np.True_),
+            ("m", 2.0),
+            ("m", True),
+            ("m", "2"),
+        ],
     )
     def test_validate_rejects_non_integer_n_and_m_before_any_query(self, field, value):
         counted, ledger = with_ledger(linear(16, {3: 1.0}))
         cfg = replace(GraceConfig(epsilon=1e-6, n=4), **{field: value})
-        with pytest.raises(ValueError, match="integers n and m"):
+        with pytest.raises(ValueError, match=f"need an integer {field},"):
             grace_estimate(counted, np.zeros(16), cfg, RngStream(0))
         assert ledger.count == 0
 
@@ -773,7 +781,7 @@ class TestGraceEstimate:
     def test_validate_rejects_a_bool_epsilon_before_any_query(self):
         # True compares as 1 and would probe with steps of 1.0.
         counted, ledger = with_ledger(linear(16, {3: 1.0}))
-        for value in (True, False):
+        for value in (True, False, np.True_):
             with pytest.raises(ValueError, match="epsilon"):
                 GraceConfig(epsilon=value, n=4).validate(8)
             with pytest.raises(ValueError, match="epsilon"):
@@ -1182,7 +1190,7 @@ class TestFiniteDifference:
     def test_rejects_a_bool_epsilon_before_any_query(self):
         # True compares as 1 and would step by 1.0, which GraceConfig rejects too.
         counted, ledger = with_ledger(linear(5, {3: 2.5}))
-        for epsilon in (True, False):
+        for epsilon in (True, False, np.True_):
             with pytest.raises(ValueError, match="epsilon"):
                 finite_difference(counted, np.zeros(5), 0.0, [3], epsilon)
         assert ledger.count == 0

@@ -77,18 +77,18 @@ class TestOptimizerConfig:
                 OptimizerConfig(method="rs", step_size=0.1, budget=10, mu=mu)
 
     def test_bool_step_size_is_rejected(self):
-        # True compares as 1 and would step by 1.0.
-        for value in (True, False):
+        # True compares as 1 and would step by 1.0; so would numpy's.
+        for value in (True, False, np.True_):
             with pytest.raises(ValueError, match="step_size"):
                 OptimizerConfig(method="rs", step_size=value, budget=10)
 
     def test_bool_mu_is_rejected(self):
-        for value in (True, False):
+        for value in (True, False, np.True_):
             with pytest.raises(ValueError, match="mu"):
                 OptimizerConfig(method="rs", step_size=0.1, budget=10, mu=value)
 
     @pytest.mark.parametrize("key", ["budget", "max_steps", "directions", "scales"])
-    @pytest.mark.parametrize("value", [2.5, 3.0, True, "4", np.float64(2.0)])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, np.True_, "4", np.float64(2.0)])
     def test_counts_must_be_integers(self, key, value):
         # As GraceConfig's n and m: 2.5 steps would run 3, and True would cap at 1.
         settings = {"budget": 10, key: value}
@@ -111,15 +111,18 @@ class TestStepArguments:
             ("rs", {"mu": math.inf}),
             ("rs", {"mu": 0.0}),
             ("rs", {"mu": True}),
+            ("rs", {"mu": np.True_}),
             ("zo-signsgd", {"mu": math.inf}),
             ("zo-signsgd", {"mu": math.nan}),
             ("zo-signsgd", {"eta": math.inf}),
             ("zo-signsgd", {"eta": -0.1}),
+            ("zo-signsgd", {"eta": np.True_}),
             ("zo-signsgd", {"directions": 0}),
             ("zo-signsgd", {"directions": 2.0}),
             ("zo-signsgd", {"directions": True}),
             ("gld", {"eta": math.inf}),
             ("gld", {"eta": 0.0}),
+            ("gld", {"eta": np.True_}),
             ("gld", {"scales": 0}),
             ("gld", {"scales": 2.5}),
             ("gld", {"scales": True}),

@@ -147,7 +147,7 @@ class TestRngStream:
         with pytest.raises(ValueError, match="nonnegative"):
             RngStream(1).derive(3, -1)
 
-    @pytest.mark.parametrize("bad", [2.7, 2.0, True, False, np.float64(2.0), "2"])
+    @pytest.mark.parametrize("bad", [2.7, 2.0, True, False, np.True_, np.float64(2.0), "2"])
     def test_rejects_keys_that_are_no_integers(self, bad):
         # int() would truncate 2.7 to 2 and read True as 1, replaying another key's draws.
         rng = RngStream(1)
