@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # By name, so a tracer that replaces blackbox.with_ledger leaves this count alone.
-from .blackbox import BATCH_FLOATS, BlackBoxFunction, BudgetExhaustedError, with_ledger
+from .blackbox import BlackBoxFunction, BudgetExhaustedError, _keeps_hook, _rows_per_call, with_ledger
 from .rng import (
     DependentPartition,
     RngStream,
@@ -175,12 +175,12 @@ def _probe(f: BlackBoxFunction, x, positions, moved, bounds, values) -> list[lis
 def _probe_rows(f: BlackBoxFunction, x, positions, bounds, values, rows) -> list[float]:
     """As :func:`_probe`, through f.batch, in one list: probe k of member j is row rows[k, j].
 
-    rows[k] is k * runs plus each member's run.  At most max(1, BATCH_FLOATS // d)
+    rows[k] is k * runs plus each member's run.  At most _rows_per_call(d)
     rows go out a call, each call's matrix x broadcast with the probes' members
     scattered in at once when one call holds every row, else probe by probe.
     """
     runs, d = len(bounds) - 1, x.size
-    count, per_call, out = len(values) * runs, max(1, BATCH_FLOATS // d), []
+    count, per_call, out = len(values) * runs, _rows_per_call(d), []
     for start in range(0, count, per_call):
         stop = min(start + per_call, count)
         probes = np.empty((stop - start, d))
@@ -259,14 +259,14 @@ def _plan(d: int, n: int, divisor: int) -> tuple:
 
     Pass 1 cuts d // n groups of n > 2, then a ragged group of d % n if that
     is > 2; the rest are found as they are.  ends and rows are its
-    :class:`DependentPartition` geometry.  labels and rows are None past d =
-    1024, where families give no batch hook, so that no cached array grows with d.
+    :class:`DependentPartition` geometry.  labels and rows are None where the
+    families give d no batch hook (d > 1024), so that no cached array grows with d.
     """
     full, rest = divmod(d, n)
     sizes = (n,) * full + (rest,) * (rest > 2)
     blocks = tuple(-(-size // divisor) for size in sizes)
     shape = DependentPartition(None, sizes, blocks, None, None)  # Read for its geometry only.
-    if d > 1024:
+    if not _keeps_hook(d):
         return sizes, blocks, tuple(shape.ends), None, None
     shape.rows.setflags(write=False)
     return sizes, blocks, tuple(shape.ends), run_labels(sizes, blocks), shape.rows

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blackbox import BATCH_FLOATS, BlackBoxFunction, BudgetExhaustedError, with_ledger
+from .blackbox import BlackBoxFunction, BudgetExhaustedError, _rows_per_call, with_ledger
 from .estimator import GraceConfig, grace_estimate
 from .rng import RngStream, StepStreams, _integer, _positive
 
@@ -139,7 +139,7 @@ def _values(f: BlackBoxFunction, points: np.ndarray) -> np.ndarray:
     """f at each row of points: through f.batch if set, BATCH_FLOATS a call, else row by row."""
     if f.batch is None:
         return np.array([f.eval(point) for point in points])
-    per_call = max(1, BATCH_FLOATS // f.dim)
+    per_call = _rows_per_call(f.dim)
     calls = range(0, len(points), per_call)
     return np.concatenate([f.batch_values(points[i : i + per_call]) for i in calls])
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zosparse import estimator
+from zosparse import blackbox, estimator
 from zosparse.blackbox import (
     BlackBoxFunction,
     BudgetExhaustedError,
@@ -581,6 +581,8 @@ class TestFirstPassPlan:
         assert estimates(False) == estimates(True)
 
     def test_cached_arrays_are_read_only_and_bounded(self):
+        # A test that patches blackbox.BATCH_FLOATS may have planned this shape without arrays.
+        estimator._plan.cache_clear()
         *_, ends, labels, rows = estimator._plan(512, 35, 20)
         for array in (labels, rows):
             with pytest.raises(ValueError):
@@ -918,8 +920,8 @@ class TestBatchedProbes:
         x = inst.x1 + 0.01 * RngStream(seed, 1).gen.standard_normal(d)
         cfg = GraceConfig(1e-3, data.draw(st.integers(3, d), label="n"), m, schedule)
         plain = grace_estimate(unhooked(inst.objective), x, cfg, RngStream(seed, 2))
-        bound = estimator.BATCH_FLOATS if per_call is None else per_call * d
-        with mock.patch.object(estimator, "BATCH_FLOATS", bound):
+        bound = blackbox.BATCH_FLOATS if per_call is None else per_call * d
+        with mock.patch.object(blackbox, "BATCH_FLOATS", bound):
             est = grace_estimate(inst.objective, x, cfg, RngStream(seed, 2))
         assert inst.objective.batch is not None
         assert list(est.entries.items()) == list(plain.entries.items())
@@ -1025,7 +1027,7 @@ class TestBatchedProbes:
         inst = make_distance(16, 3, RngStream(1))
         cfg = GraceConfig(epsilon=1e-3, n=4, m=2, schedule=DivisionSchedule([2]))
         calls = []
-        with mock.patch.object(estimator, "BATCH_FLOATS", bound):
+        with mock.patch.object(blackbox, "BATCH_FLOATS", bound):
             est = grace_estimate(hooked(inst.objective, calls), inst.x1, cfg, RngStream(3))
         plain = grace_estimate(unhooked(inst.objective), inst.x1, cfg, RngStream(3))
         assert max(calls) == max(1, bound // 16)
@@ -1049,8 +1051,8 @@ class TestBatchedProbes:
             return rows @ np.arange(1.0, d + 1)
 
         f = BlackBoxFunction(d, lambda point: float(point @ np.arange(1.0, d + 1)), batch)
-        bound = estimator.BATCH_FLOATS if per_call is None else per_call * d
-        with mock.patch.object(estimator, "BATCH_FLOATS", bound):
+        bound = blackbox.BATCH_FLOATS if per_call is None else per_call * d
+        with mock.patch.object(blackbox, "BATCH_FLOATS", bound):
             shrunk(f, x.copy(), 0.0, epsilon, members, divisor, keys, sizes)
         part = dependent_partition(members, divisor, keys, sizes)
         positions, step = part.indices - 1, epsilon * part.signs

@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from zosparse import optimizer
+from zosparse import blackbox, optimizer
 from zosparse.blackbox import (
     BlackBoxFunction,
     load_graph,
@@ -399,9 +399,9 @@ class TestBatchedSteps:
     def test_one_hook_call_per_step_within_the_float_bound(self, per_call):
         inst = make_distance(16, 3, RngStream(1))
         f, x = inst.objective, np.full(16, 0.1)
-        bound = optimizer.BATCH_FLOATS if per_call is None else per_call * 16
+        bound = blackbox.BATCH_FLOATS if per_call is None else per_call * 16
         sign_calls, gld_calls = [], []
-        with mock.patch.object(optimizer, "BATCH_FLOATS", bound):
+        with mock.patch.object(blackbox, "BATCH_FLOATS", bound):
             moved = step_zo_signsgd(noting(f, sign_calls), x, f(x), 1e-3, 10, 0.1, RngStream(2))
             best_x, best_value = step_gld(noting(f, gld_calls), x, f(x), 0.5, 4, RngStream(3))
         assert sign_calls == ([10] if per_call is None else [3, 3, 3, 1])
