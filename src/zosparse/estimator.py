@@ -35,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # By name, so a tracer that replaces blackbox.with_ledger leaves this count alone.
-from .blackbox import BlackBoxFunction, BudgetExhaustedError, _keeps_hook, _rows_per_call, with_ledger
+from .blackbox import BlackBoxFunction, BudgetExhaustedError, with_ledger
+from .blackbox import _keeps_hook, _rows_per_call
 from .rng import (
     DependentPartition,
     RngStream,

@@ -286,7 +286,7 @@ def _run_row(outcome) -> tuple:
 
 def _summary_rows(spec: ExperimentSpec, outcomes):
     """Per method and eta with an ok run: mean and stderr of best normalized, best mean marked."""
-    per_cell: dict[tuple[int, int], list[float]] = {}  # (method_index, eta_index) -> values
+    per_cell: dict = {}  # (method_index, eta_index) -> each ok run's best normalized
     for (method_index, _, _, eta_index), outcome in outcomes:
         if not isinstance(outcome, str):
             per_cell.setdefault((method_index, eta_index), []).append(_run_row(outcome)[4])

@@ -52,11 +52,10 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
-def _positive(value, name: str):
-    """value, a real in (0, inf); a bool, Python's or numpy's, which would act as 1.0, raises."""
+def _positive(value, name: str) -> None:
+    """Raise unless value is a real in (0, inf); a bool, Python's or numpy's, would act as 1.0."""
     if isinstance(value, (bool, np.bool_)) or not 0 < value < math.inf:
         raise ValueError(f"need a finite {name} > 0, got {value}")
-    return value
 
 
 class RngStream:
