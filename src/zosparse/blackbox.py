@@ -240,7 +240,9 @@ class BenchmarkInstance:
 
 
 def _random_support(d: int, s: int, rng: RngStream) -> np.ndarray:
-    """Uniform size-s subset of {0..d-1}, sorted (0-based positions)."""
+    """Uniform size-s subset of {0..d-1}, sorted (0-based positions); checks 1 <= s <= d first."""
+    if not 1 <= s <= d:
+        raise ValueError(f"need 1 <= s <= d, got s={s}, d={d}")
     return np.sort(rng.gen.permutation(d)[:s])
 
 
@@ -252,8 +254,6 @@ def make_distance(d: int, s: int, rng: RngStream) -> BenchmarkInstance:
     origin, so the initial gradient lives on the center's support.
     Draw order: support, center values, weights.
     """
-    if not 1 <= s <= d:
-        raise ValueError(f"need 1 <= s <= d, got s={s}, d={d}")
     positions = _random_support(d, s, rng)
     center = np.zeros(d)
     center[positions] = rng.gen.random(s)
@@ -290,8 +290,6 @@ def make_magnitude(d: int, s: int, lam: float, w: float, rng: RngStream) -> Benc
     the value and f is invariant to coordinate permutations.  The start
     point puts +-w on a uniformly random size-s support.
     """
-    if not 1 <= s <= d:
-        raise ValueError(f"need 1 <= s <= d, got s={s}, d={d}")
     if lam <= 0 or w <= 0:
         raise ValueError("need lam > 0 and w > 0")
     positions = _random_support(d, s, rng)
@@ -396,8 +394,6 @@ def make_planted_linear(d: int, s: int, rng: RngStream) -> BenchmarkInstance:
     family of choice for recovery measurements: the gradient is exactly
     the coefficient vector, with zero curvature to blur the probes.
     """
-    if not 1 <= s <= d:
-        raise ValueError(f"need 1 <= s <= d, got s={s}, d={d}")
     positions = _random_support(d, s, rng)
     values = 0.5 + rng.gen.random(s)
     coeffs = {int(p) + 1: float(c) for p, c in zip(positions, values)}
@@ -427,13 +423,28 @@ def make_sparse_linear(d: int, coeffs: dict) -> BenchmarkInstance:
 
 
 @dataclass(frozen=True)
+class _Integer:
+    """Parser of an integer spec value >= least, from its text or a Python value."""
+
+    least: float = float("-inf")
+
+    def __call__(self, value) -> int:
+        if isinstance(value, str) and value.strip().lstrip("+-").isdigit():
+            value = int(value)  # Other text stays text, which _integer refuses.
+        value = _integer(value, "value")
+        if value < self.least:
+            raise ValueError(f"need an integer >= {self.least}, got {value}")
+        return value
+
+
+@dataclass(frozen=True)
 class Family:
     """One row of :data:`FAMILIES`: everything decided per family name.
 
-    keys maps each parameter a spec may set to the type that parses its
-    text; required lists those without a default.  build(params, rng)
-    calls the maker with the defaults filled in.  The harness reads
-    grace_d1, the estimator's first divisor d1.
+    keys maps each parameter a spec may set to the parser of its value,
+    whose range the maker checks; required lists those without a default.
+    build(params, rng) calls the maker with the defaults filled in.  The
+    harness reads grace_d1, the estimator's first divisor d1.
     """
 
     keys: dict
@@ -445,13 +456,15 @@ class Family:
 # The builders look make_* up in this module when called, so that a maker
 # replaced here (by a tracer or a test double) is the one they call.
 FAMILIES = {
-    "distance": Family({"d": int, "s": int}, lambda p, rng: make_distance(p["d"], p["s"], rng)),
+    "distance": Family(
+        {"d": _Integer(), "s": _Integer()}, lambda p, rng: make_distance(p["d"], p["s"], rng)
+    ),
     "magnitude": Family(
-        {"d": int, "s": int, "lam": float, "w": float},
+        {"d": _Integer(), "s": _Integer(), "lam": float, "w": float},
         lambda p, rng: make_magnitude(p["d"], p["s"], p.get("lam", 0.1), p.get("w", 0.2), rng),
     ),
     "attack": Family(
-        {"graph": str, "u": int, "v": int, "hops": int, "lam": float},
+        {"graph": str, "u": _Integer(), "v": _Integer(), "hops": _Integer(), "lam": float},
         lambda p, rng: make_attack(
             p["graph"], p.get("u", 1), p.get("v", 2), p.get("hops", 4),
             p.get("lam", 100.0 / p["graph"].n ** 2),
@@ -460,6 +473,6 @@ FAMILIES = {
         grace_d1=10,
     ),
     "planted-linear": Family(
-        {"d": int, "s": int}, lambda p, rng: make_planted_linear(p["d"], p["s"], rng)
+        {"d": _Integer(), "s": _Integer()}, lambda p, rng: make_planted_linear(p["d"], p["s"], rng)
     ),
 }

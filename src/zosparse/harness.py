@@ -7,6 +7,12 @@ step), ``runs.csv`` (one status row per run, failures included), and
 ``summary.csv`` (per method and step size: mean and standard error of
 the best normalized objective, with the winning step size marked).
 
+Each spec section has one key table (:data:`EXPERIMENT_KEYS`,
+:data:`METHOD_KEYS`, a family's ``keys``) mapping each key to the parser of
+its value.  :func:`_typed` alone applies them, alike to INI text and to the
+values of an :class:`ExperimentSpec` built in Python, so that a bad value
+raises :class:`ExperimentSpecError` before any cell runs.
+
 Output is deterministic byte for byte: rows are sorted by key rather
 than completion order, and :func:`_write_csv` writes every file, the
 scaling grid's too, in one format: UTF-8, bare newlines, a header row,
@@ -28,11 +34,11 @@ import numpy as np
 # Instances are built through FAMILIES; make_attack and make_distance stay
 # bound because the benchmark's tracer (perfbench/tracing.py) replaces the
 # makers, load_graph and run_optimizer on this module by name.
-from .blackbox import FAMILIES, load_graph
+from .blackbox import FAMILIES, _Integer, load_graph
 from .blackbox import make_attack, make_distance, make_planted_linear  # noqa: F401
 from .estimator import GraceConfig, grace_estimate
 from .optimizer import OptimizerConfig, run_optimizer
-from .rng import RngStream
+from .rng import RngStream, _positive
 
 __all__ = [
     "ExperimentSpecError",
@@ -49,18 +55,39 @@ __all__ = [
 
 OUTPUT_DIR_VAR = "ZOSPARSE_OUT"
 
-# The spec keys each method reads, with their types; a baseline's keys are
-# the OptimizerConfig fields of the same name.
-METHOD_KEYS = {
-    "grace": {"s": int, "epsilon": float, "n": int, "m": int, "d1": int},
-    "rs": {"mu": float},
-    "zo-signsgd": {"mu": float, "directions": int},
-    "gld": {"scales": int},
-}
 
-# The [experiment] keys with their types; the three lists are split when read.
-EXPERIMENT_KEYS = {"budget": int, "max-steps": int, "output": str}
-EXPERIMENT_KEYS.update(dict.fromkeys(("eta-grid", "instance-seeds", "run-seeds"), str))
+def _real(value) -> float:
+    """Parser of a finite real spec value > 0, from its text or a Python value."""
+    value = float(value) if isinstance(value, str) else value
+    _positive(value, "value")
+    return float(value)
+
+
+def _nonempty(parse):
+    """Parser of a nonempty list, from whitespace-separated text or a Python list, by parse."""
+
+    def parse_list(value) -> list:
+        values = [parse(item) for item in (value.split() if isinstance(value, str) else value)]
+        if not values:
+            raise ValueError("need a nonempty list")
+        return values
+
+    return parse_list
+
+
+# Each section's keys with the parsers of their values; a baseline's keys
+# are the OptimizerConfig fields of the same name, and each [experiment] key
+# is the ExperimentSpec field with - for _.
+_COUNT, _SEEDS = _Integer(1), _nonempty(_Integer(0))
+METHOD_KEYS = {
+    "grace": {"s": _COUNT, "epsilon": _real, "n": _COUNT, "m": _COUNT, "d1": _Integer(2)},
+    "rs": {"mu": _real},
+    "zo-signsgd": {"mu": _real, "directions": _COUNT},
+    "gld": {"scales": _COUNT},
+}
+EXPERIMENT_KEYS = {"budget": _COUNT, "max-steps": _COUNT, "eta-grid": _nonempty(_real)}
+EXPERIMENT_KEYS.update({"instance-seeds": _SEEDS, "run-seeds": _SEEDS, "output": str})
+_EXPERIMENT_REQUIRED = ("budget", "eta-grid", "instance-seeds", "run-seeds")
 
 
 class ExperimentSpecError(ValueError):
@@ -92,14 +119,14 @@ class ExperimentSpec:
 
 
 def _typed(section: str, keys: dict, required: tuple, params: dict) -> dict:
-    """params with each value in its key's type; unknown and missing keys raise."""
+    """params with each value read by its key's parser; unknown and missing keys raise."""
     typed = {}
     for key, value in params.items():
         if key not in keys:
             raise ExperimentSpecError(f"[{section}] unknown key {key!r}; expected {sorted(keys)}")
         try:
             typed[key] = keys[key](value)
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, OverflowError) as err:  # float(10**400) overflows
             raise ExperimentSpecError(f"[{section}] {key}: {err}") from None
     for key in required:
         if key not in typed:
@@ -107,43 +134,29 @@ def _typed(section: str, keys: dict, required: tuple, params: dict) -> dict:
     return typed
 
 
+def _as_fields(exp: dict) -> dict:
+    """[experiment] values keyed by their ExperimentSpec fields: each key with - for _."""
+    return {key.replace("-", "_"): value for key, value in exp.items()}
+
+
 def _checked(spec: ExperimentSpec) -> ExperimentSpec:
-    """spec with typed parameters; rejects what would fail or be ignored in every cell."""
+    """spec, each value read by its key's parser; rejects what each cell would fail or ignore."""
     families = tuple(FAMILIES)
     if spec.family not in families:
         raise ExperimentSpecError(f"[family] unknown family {spec.family!r}; expected {families}")
-    if spec.budget < 1 or (spec.max_steps is not None and spec.max_steps < 1):
-        raise ExperimentSpecError("[experiment] budget and max-steps: need integers >= 1")
-    if not spec.eta_grid or not all(0 < eta < math.inf for eta in spec.eta_grid):
-        raise ExperimentSpecError("[experiment] eta-grid: need finite step sizes > 0")
-    for key, seeds in (("instance-seeds", spec.instance_seeds), ("run-seeds", spec.run_seeds)):
-        if any(seed < 0 for seed in seeds):  # Every cell's stream would refuse them.
-            raise ExperimentSpecError(f"[experiment] {key}: need seeds >= 0, got {seeds}")
-    row = FAMILIES[spec.family]
+    given = {key: getattr(spec, key.replace("-", "_")) for key in EXPERIMENT_KEYS}
+    given = {key: value for key, value in given.items() if value is not None}
+    exp = _typed("experiment", EXPERIMENT_KEYS, _EXPERIMENT_REQUIRED, given)
     methods = []
     for method in spec.methods:
         section = f"method:{method.name}"
         if method.method not in METHOD_KEYS:
             raise ExperimentSpecError(f"[{section}] unknown method {method.method!r}")
         params = _typed(section, METHOD_KEYS[method.method], (), method.params)
-        for key, value in params.items():  # No cell's d brings these into range.
-            least, real = 2 if key == "d1" else 1, isinstance(value, float)
-            if (not 0 < value < math.inf) if real else value < least:
-                need = "a finite value > 0" if real else f"an integer >= {least}"
-                raise ExperimentSpecError(f"[{section}] {key}: need {need}, got {value!r}")
         methods.append(replace(method, params=params))
+    row = FAMILIES[spec.family]
     family_params = _typed("family", row.keys, row.required, spec.family_params)
-    return replace(spec, family_params=family_params, methods=methods)
-
-
-def _int_list(section: str, key: str, raw: str) -> list:
-    try:
-        values = [int(tok) for tok in raw.split()]
-    except ValueError:
-        raise ExperimentSpecError(f"[{section}] {key}: expected integers") from None
-    if not values:
-        raise ExperimentSpecError(f"[{section}] {key}: must be nonempty")
-    return values
+    return replace(spec, family_params=family_params, methods=methods, **_as_fields(exp))
 
 
 def parse_spec(text: str) -> ExperimentSpec:
@@ -159,14 +172,7 @@ def parse_spec(text: str) -> ExperimentSpec:
         raise ExperimentSpecError("unknown section [DEFAULT]; its keys would reach every section")
     if "experiment" not in parser or "family" not in parser:
         raise ExperimentSpecError("need [experiment] and [family] sections")
-
-    exp = _typed("experiment", EXPERIMENT_KEYS, ("budget",), dict(parser["experiment"]))
-    try:
-        eta_grid = [float(tok) for tok in exp.get("eta-grid", "").split()]
-    except ValueError:
-        raise ExperimentSpecError("[experiment] eta-grid: expected floats") from None
-    instance_seeds = _int_list("experiment", "instance-seeds", exp.get("instance-seeds", ""))
-    run_seeds = _int_list("experiment", "run-seeds", exp.get("run-seeds", ""))
+    exp = _typed("experiment", EXPERIMENT_KEYS, _EXPERIMENT_REQUIRED, dict(parser["experiment"]))
 
     fam = parser["family"]
     if "name" not in fam:
@@ -189,19 +195,7 @@ def parse_spec(text: str) -> ExperimentSpec:
         methods.append(MethodSpec(name, body["method"], params))
     if not methods:
         raise ExperimentSpecError("need at least one [method:NAME] section")
-
-    spec = ExperimentSpec(
-        family=fam["name"],
-        family_params=family_params,
-        methods=methods,
-        instance_seeds=instance_seeds,
-        run_seeds=run_seeds,
-        budget=exp["budget"],
-        eta_grid=eta_grid,
-        max_steps=exp.get("max-steps"),
-        output=exp.get("output"),
-    )
-    return _checked(spec)
+    return _checked(ExperimentSpec(fam["name"], family_params, methods, **_as_fields(exp)))
 
 
 # --- running ---

@@ -285,24 +285,13 @@ def check_egamma_grid() -> tuple[int, list]:
 # --- exhaustive partition-probability checks (enumeration of all d! permutations) ---
 
 
-def _group_sizes(d: int, n: int) -> list[int]:
-    num_groups = -(-d // n)
-    sizes = [n] * num_groups
-    sizes[-1] = d - n * (num_groups - 1)
-    return sizes
-
-
 @lru_cache(maxsize=None)
 def _group_bitmasks(d: int, n: int, k: int) -> tuple[int, ...]:
-    """For every permutation of {1..d}: the bitmask of group k's members."""
-    masks = []
-    for perm in itertools.permutations(range(1, d + 1)):
-        m = 0
-        for p in range(d):
-            if (perm[p] + n - 1) // n == k:
-                m |= 1 << p
-        masks.append(m)
-    return tuple(masks)
+    """Per permutation of {1..d}, as images: the mask of slice k of n, the estimator's group k."""
+    return tuple(
+        sum(1 << (i - 1) for i in perm[(k - 1) * n : k * n])
+        for perm in itertools.permutations(range(1, d + 1))
+    )
 
 
 def _validate_enumeration_args(d: int, n: int, k: int, h_set) -> frozenset:
@@ -321,9 +310,8 @@ def _validate_enumeration_args(d: int, n: int, k: int, h_set) -> frozenset:
 def check_partition_probability(d: int, n: int, k: int, h_set, j: int):
     """Exhaustively verify Pr[S cap H = {j}] for the group construction.
 
-    S is group k of a uniformly random permutation, as ``rng.partition_groups``
-    forms it.  The estimator slices its drawn permutation instead, which is
-    that permutation's inverse, uniform too, so its groups have this law.
+    S is group k as the estimator forms it: slice k of n of a uniformly
+    random permutation of {1..d}, the last slice taking the remainder.
     Counts the event over all d! permutations and compares, as exact
     rationals, against (|S|/d) * (d-|S|)_{|H|-1} / (d-1)_{|H|-1}.  Also verifies the
     conditional membership probability Pr[i in S | S cap H = {j}] =
@@ -340,7 +328,7 @@ def check_partition_probability(d: int, n: int, k: int, h_set, j: int):
     masks = _group_bitmasks(d, n, k)
     event = [m for m in masks if m & h_mask == j_mask]
 
-    s_size = _group_sizes(d, n)[k - 1]
+    s_size = min(n, d - (k - 1) * n)
     empirical = Fraction(len(event), len(masks))
     formula = Fraction(s_size, d) * Fraction(
         falling_factorial(d - s_size, len(h) - 1), falling_factorial(d - 1, len(h) - 1)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from zosparse.blackbox import (
     FAMILIES,
     BlackBoxFunction,
+    _Integer,
     load_graph,
     make_attack,
     make_distance,
@@ -78,8 +79,8 @@ UNREAD_SECTIONS = [
     ("[DEFAULT]\nfoo = 1", "DEFAULT"),
 ]
 
-# Values that fail in every cell whatever d is, each with its method; the
-# experiment's eta-grid is checked with them.
+# Values that fail in every cell whatever d is, or that a cast would misread,
+# each with its method; the experiment's eta-grid is checked with them.
 OUT_OF_RANGE = [
     ("grace", "epsilon", "0.0"),
     ("grace", "epsilon", "-0.001"),
@@ -89,11 +90,24 @@ OUT_OF_RANGE = [
     ("grace", "m", "0"),
     ("grace", "d1", "1"),
     ("grace", "s", "0"),
+    ("grace", "n", 2.5),
+    ("grace", "m", True),
     ("rs", "mu", "-1"),
     ("rs", "mu", "inf"),
     ("zo-signsgd", "mu", "nan"),
     ("zo-signsgd", "directions", "0"),
+    ("zo-signsgd", "directions", 3.7),
     ("gld", "scales", "0"),
+]
+
+# [experiment] values built in Python that would fail in every cell, each with
+# its key; as INI text, parse_spec refuses them too.
+PYTHON_EXPERIMENT_VALUES = [
+    ("budget", 2.5),
+    ("max-steps", 2.5),
+    ("instance-seeds", [1.5]),
+    ("run-seeds", [True]),
+    ("eta-grid", [True]),
 ]
 
 
@@ -153,7 +167,7 @@ def serialize_spec(spec):
 # text that an INI value holds without quoting.
 TEXT = st.from_regex(r"[A-Za-z0-9_./-]{1,16}", fullmatch=True)
 DRAWS = {
-    int: st.integers(-(10**12), 10**12),
+    _Integer(): st.integers(-(10**12), 10**12),
     float: st.floats(allow_nan=False, allow_infinity=False),
     str: TEXT,
 }
@@ -171,11 +185,10 @@ def drawn_params(keys, required):
 
 def method_params(method):
     """Strategy for a method's params: any subset of its keys, each within its spec range."""
-    least = {"d1": 2}  # Counts start at 1, the first divisor at 2; floats are finite and > 0.
     return st.fixed_dictionaries(
         {},
         optional={
-            key: POSITIVE if kind is float else st.integers(least.get(key, 1), 10**12)
+            key: st.integers(kind.least, 10**12) if isinstance(kind, _Integer) else POSITIVE
             for key, kind in METHOD_KEYS[method].items()
         },
     )
@@ -255,10 +268,27 @@ class TestSpecDocuments:
     def test_negative_seeds_rejected(self, key, tmp_path):
         seeds = {key.replace("-", "_"): [3, -1]}
         text = serialize_spec(small_spec(**seeds))
-        with pytest.raises(ExperimentSpecError, match=rf"\[experiment\] {key}: need seeds >= 0"):
+        with pytest.raises(
+            ExperimentSpecError, match=rf"\[experiment\] {key}: need an integer >= 0"
+        ):
             parse_spec(text)
         with pytest.raises(ExperimentSpecError, match=key):
             run_experiment(small_spec(**seeds), output_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value", PYTHON_EXPERIMENT_VALUES)
+    def test_python_values_that_fail_in_every_cell_are_rejected(self, key, value, tmp_path):
+        spec = small_spec(**{key.replace("-", "_"): value})
+        with pytest.raises(ExperimentSpecError, match=rf"\[experiment\] {key}: need"):
+            run_experiment(spec, output_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+        with pytest.raises(ExperimentSpecError, match=rf"\[experiment\] {key}: "):
+            parse_spec(serialize_spec(spec))
+
+    def test_python_real_too_large_for_a_float_is_rejected(self, tmp_path):
+        spec = small_spec(methods=[MethodSpec("odd", "rs", {"mu": 10**400})])
+        with pytest.raises(ExperimentSpecError, match=r"\[method:odd\] mu: "):
+            run_experiment(spec, output_dir=tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
     def test_needs_a_method_section(self):
@@ -725,7 +755,7 @@ class TestCli:
         spec_path = self.write_spec(tmp_path, small_spec(**{key.replace("-", "_"): [-1]}))
         code = main(["run", str(spec_path), "--jobs", "1", "--output", str(tmp_path / "out")])
         assert code == 2
-        assert f"{key}: need seeds >= 0" in capsys.readouterr().err
+        assert f"{key}: need an integer >= 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()  # rejected before any cell ran
 
     def test_run_missing_file_is_usage_error(self, tmp_path, capsys):

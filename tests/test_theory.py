@@ -5,12 +5,14 @@ formulas (direct evaluation, no shared code) and frozen here.
 """
 
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from zosparse import theory
 from zosparse.theory import (
     BASELINE_CONSTANT,
     DELTA,
@@ -292,6 +294,15 @@ class TestPartitionProbability:
     def test_rejects_j_outside_h(self):
         with pytest.raises(ValueError):
             check_partition_probability(4, 2, 1, {1, 2}, 3)
+
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_enumerates_the_slices_the_estimator_draws(self, d):
+        # Group k of a drawn permutation (image form) is its slice k of n.
+        perms = list(itertools.permutations(range(1, d + 1)))
+        for n in range(1, d + 1):
+            for k in range(1, -(-d // n) + 1):
+                want = [sum(1 << (i - 1) for i in perm[(k - 1) * n : k * n]) for perm in perms]
+                assert list(theory._group_bitmasks(d, n, k)) == want
 
     def test_suite_small_sizes_all_equal(self):
         checked, failures = partition_probability_suite(max_d=4, max_h=2)
