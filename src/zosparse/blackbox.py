@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .rng import RngStream, _integer
+from .rng import RngStream, _integer, _positive
 
 __all__ = [
     "BATCH_FLOATS",
@@ -290,8 +290,8 @@ def make_magnitude(d: int, s: int, lam: float, w: float, rng: RngStream) -> Benc
     the value and f is invariant to coordinate permutations.  The start
     point puts +-w on a uniformly random size-s support.
     """
-    if lam <= 0 or w <= 0:
-        raise ValueError("need lam > 0 and w > 0")
+    _positive(lam, "lam")
+    _positive(w, "w")
     positions = _random_support(d, s, rng)
     signs = 2.0 * rng.gen.integers(0, 2, size=s) - 1.0
     x1 = np.zeros(d)
@@ -331,7 +331,9 @@ def make_attack(graph: Graph, u: int, v: int, hops: int, lam: float) -> Benchmar
     symmetrically, and the objective sums the (u,v) entries of its first
     ``hops`` powers plus a Frobenius penalty lam * ||X||^2.  A zero row
     sum leaves the normalization undefined, and the objective reads +inf
-    there, in eval and in each such batch row alike.
+    there, in eval and in each such batch row alike.  A point costs
+    O(hops * n^2): only row u of each power is formed, so the value equals
+    the matrix-power formula up to rounding.
     """
     n = graph.n
     if not (1 <= u <= n and 1 <= v <= n):
@@ -340,27 +342,39 @@ def make_attack(graph: Graph, u: int, v: int, hops: int, lam: float) -> Benchmar
         raise ValueError("need distinct vertices u != v")
     if hops < 1:
         raise ValueError(f"need hops >= 1, got {hops}")
-    if lam < 0:
-        raise ValueError(f"need lam >= 0, got {lam}")
+    _positive(lam, "lam", zero=True)
     base = graph.adjacency.astype(float)
     complement = 1.0 - base
 
     def walks(x):
-        """The walk sum over hops of the normalized adjacency, per (n, n) matrix of x."""
+        """The walk sum over hops from u to v, per (n, n) matrix of x.
+
+        The sum reads row u of N, N^2, ..., N^hops, where N = S P S for the
+        perturbed adjacency P and S = diag(1/sqrt(degree)): it carries that
+        one row, as a (1, n) slice per matrix, through the hops.
+        """
+        # In place, in two (k, n, n) temporaries: at k = 16 each fresh one
+        # costs a page fault per 4 KB.  Ufuncs and operand order are those of
+        # max(A(1-|X|) + (1-A)|X|, 0), so the bits are too.
         magnitude = np.abs(x)
-        perturbed = np.maximum(base * (1.0 - magnitude) + complement * magnitude, 0.0)
+        perturbed = np.subtract(1.0, magnitude)
+        np.multiply(base, perturbed, out=perturbed)
+        np.multiply(complement, magnitude, out=magnitude)
+        perturbed += magnitude
+        np.maximum(perturbed, 0.0, out=perturbed)
         degrees = perturbed.sum(axis=-1)
         dead = None
         if not degrees.all():  # +inf per matrix with a zero degree, taken as 1 so no 1/sqrt(0)
             dead = ~degrees.all(axis=-1)
             degrees[degrees == 0.0] = 1.0
-        scale = 1.0 / np.sqrt(degrees)
-        normalized = perturbed * (scale[..., :, None] * scale[..., None, :])
-        power = normalized
-        total = power[..., u - 1, v - 1]
+        scale = (1.0 / np.sqrt(degrees))[..., None, :]
+        walk = perturbed[..., u - 1 : u, :] * (scale * scale[..., u - 1 : u])
+        total = walk[..., 0, v - 1].copy()  # not a view: the hops scale walk in place
         for _ in range(hops - 1):
-            power = power @ normalized
-            total = total + power[..., u - 1, v - 1]
+            walk *= scale
+            walk = walk @ perturbed
+            walk *= scale
+            total += walk[..., 0, v - 1]
         return total if dead is None else np.where(dead, np.inf, total)
 
     def evaluate(x):
@@ -437,12 +451,25 @@ class _Integer:
         return value
 
 
+def _real(value, zero: bool = False) -> float:
+    """Parser of a finite real spec value > 0 (>= 0 with zero), from its text or a Python value."""
+    value = float(value) if isinstance(value, str) else value
+    _positive(value, "value", zero)
+    return float(value)
+
+
+def _real_or_zero(value) -> float:
+    """Parser of a finite real spec value >= 0, from its text or a Python value."""
+    return _real(value, zero=True)
+
+
 @dataclass(frozen=True)
 class Family:
     """One row of :data:`FAMILIES`: everything decided per family name.
 
     keys maps each parameter a spec may set to the parser of its value,
-    whose range the maker checks; required lists those without a default.
+    whose range the maker checks (a real's parser checks it too); required
+    lists those without a default.
     build(params, rng) calls the maker with the defaults filled in.  The
     harness reads grace_d1, the estimator's first divisor d1.
     """
@@ -460,11 +487,11 @@ FAMILIES = {
         {"d": _Integer(), "s": _Integer()}, lambda p, rng: make_distance(p["d"], p["s"], rng)
     ),
     "magnitude": Family(
-        {"d": _Integer(), "s": _Integer(), "lam": float, "w": float},
+        {"d": _Integer(), "s": _Integer(), "lam": _real, "w": _real},
         lambda p, rng: make_magnitude(p["d"], p["s"], p.get("lam", 0.1), p.get("w", 0.2), rng),
     ),
     "attack": Family(
-        {"graph": str, "u": _Integer(), "v": _Integer(), "hops": _Integer(), "lam": float},
+        {"graph": str, "u": _Integer(), "v": _Integer(), "hops": _Integer(), "lam": _real_or_zero},
         lambda p, rng: make_attack(
             p["graph"], p.get("u", 1), p.get("v", 2), p.get("hops", 4),
             p.get("lam", 100.0 / p["graph"].n ** 2),

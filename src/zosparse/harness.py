@@ -34,11 +34,11 @@ import numpy as np
 # Instances are built through FAMILIES; make_attack and make_distance stay
 # bound because the benchmark's tracer (perfbench/tracing.py) replaces the
 # makers, load_graph and run_optimizer on this module by name.
-from .blackbox import FAMILIES, _Integer, load_graph
+from .blackbox import FAMILIES, _Integer, _real, load_graph
 from .blackbox import make_attack, make_distance, make_planted_linear  # noqa: F401
 from .estimator import GraceConfig, grace_estimate
 from .optimizer import OptimizerConfig, run_optimizer
-from .rng import RngStream, _positive
+from .rng import RngStream
 
 __all__ = [
     "ExperimentSpecError",
@@ -54,13 +54,6 @@ __all__ = [
 ]
 
 OUTPUT_DIR_VAR = "ZOSPARSE_OUT"
-
-
-def _real(value) -> float:
-    """Parser of a finite real spec value > 0, from its text or a Python value."""
-    value = float(value) if isinstance(value, str) else value
-    _positive(value, "value")
-    return float(value)
 
 
 def _nonempty(parse):

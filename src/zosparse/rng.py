@@ -52,10 +52,10 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
-def _positive(value, name: str) -> None:
-    """Raise unless value is a real in (0, inf); a bool, Python's or numpy's, would act as 1.0."""
-    if isinstance(value, (bool, np.bool_)) or not 0 < value < math.inf:
-        raise ValueError(f"need a finite {name} > 0, got {value}")
+def _positive(value, name: str, zero: bool = False) -> None:
+    """Raise unless value is a real in (0, inf), or [0, inf) with zero; a bool would act as 1.0."""
+    if isinstance(value, (bool, np.bool_)) or not (0 < value < math.inf or zero and value == 0):
+        raise ValueError(f"need a finite {name} {'>=' if zero else '>'} 0, got {value}")
 
 
 class RngStream:

@@ -1,5 +1,6 @@
 """Benchmark objectives, query ledger, graph parsing."""
 
+import itertools
 import math
 
 import numpy as np
@@ -304,6 +305,13 @@ class TestMagnitude:
         with pytest.raises(ValueError):
             make_magnitude(8, 2, 0.1, -1.0, RngStream(0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, np.True_])
+    def test_rejects_a_non_finite_or_bool_lam_or_w(self, bad):
+        with pytest.raises(ValueError, match="need a finite lam > 0"):
+            make_magnitude(8, 2, bad, 0.2, RngStream(0))
+        with pytest.raises(ValueError, match="need a finite w > 0"):
+            make_magnitude(8, 2, 0.1, bad, RngStream(0))
+
 
 class TestAttack:
     def test_one_hop_path_value(self):
@@ -325,31 +333,33 @@ class TestAttack:
         base = make_attack(load_graph(PATH_3), 1, 2, 1, 0.0)
         assert inst.objective(x) == pytest.approx(base.objective(x) + 2.5 * 0.01)
 
-    def test_matches_matrix_power_oracle(self):
-        rng = RngStream(21)
-        for trial in range(20):
-            n = int(rng.gen.integers(3, 12))
-            adjacency = np.zeros((n, n), dtype=np.int64)
-            for i in range(1, n):  # random tree keeps every degree positive
-                parent = int(rng.gen.integers(0, i))
-                adjacency[i, parent] = adjacency[parent, i] = 1
-            graph = Graph(n, adjacency)
-            hops = int(rng.gen.integers(1, 5))
-            inst = make_attack(graph, 1, 2, hops, 0.3)
-            x = 0.4 * rng.gen.standard_normal(n * n)
-            magnitude = np.abs(x.reshape(n, n))
-            base = adjacency.astype(float)
-            perturbed = np.maximum(base * (1 - magnitude) + (1 - base) * magnitude, 0.0)
-            scale = 1 / np.sqrt(perturbed.sum(axis=1))
-            normalized = perturbed * np.outer(scale, scale)
-            expected = sum(
-                np.linalg.matrix_power(normalized, p)[0, 1] for p in range(1, hops + 1)
-            ) + 0.3 * float(x @ x)
-            assert inst.objective(x) == pytest.approx(expected, abs=1e-10)
+    @pytest.mark.parametrize("n", [3, 4, 7, 11, 17, 32, 40])
+    def test_matches_matrix_power_oracle(self, n):
+        # Every pair u != v (so u = n and v < u too) and hops 1 to 5, against
+        # the sum of matrix powers of the normalized adjacency.
+        rng = RngStream(21, n)
+        adjacency = np.zeros((n, n), dtype=np.int64)
+        for i in range(1, n):  # random tree keeps every degree positive
+            parent = int(rng.gen.integers(0, i))
+            adjacency[i, parent] = adjacency[parent, i] = 1
+        graph = Graph(n, adjacency)
+        x = 0.4 * rng.gen.standard_normal(n * n)
+        magnitude = np.abs(x.reshape(n, n))
+        base = adjacency.astype(float)
+        perturbed = np.maximum(base * (1 - magnitude) + (1 - base) * magnitude, 0.0)
+        scale = 1 / np.sqrt(perturbed.sum(axis=1))
+        normalized = perturbed * np.outer(scale, scale)
+        sums = np.cumsum([np.linalg.matrix_power(normalized, p) for p in range(1, 6)], axis=0)
+        penalty = 0.3 * float(x @ x)
+        for u, v in itertools.permutations(range(1, n + 1), 2):
+            for hops in range(1, 6):
+                value = make_attack(graph, u, v, hops, 0.3).objective(x)
+                expected = sums[hops - 1, u - 1, v - 1] + penalty
+                assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_bit_identical_to_the_plain_formula(self):
-        # The objective hoists 1 - A and scales by a broadcast product; the
-        # formula as written, with np.outer, must give the same bits.
+        # The objective carries row u of N = S P S through the hops, in place
+        # and stacked; the row walk written out plainly must give the same bits.
         rng = RngStream(22)
         n = 12
         adjacency = np.zeros((n, n), dtype=np.int64)
@@ -365,11 +375,11 @@ class TestAttack:
             magnitude = np.abs(x.reshape(n, n))
             perturbed = np.maximum(base * (1.0 - magnitude) + (1.0 - base) * magnitude, 0.0)
             scale = 1.0 / np.sqrt(perturbed.sum(axis=1))
-            normalized = perturbed * np.outer(scale, scale)
-            power, total = normalized, normalized[0, 1]
+            walk = perturbed[0] * (scale * scale[0])
+            total = walk[1]
             for _ in range(3):
-                power = power @ normalized
-                total += power[0, 1]
+                walk = ((walk * scale) @ perturbed) * scale
+                total += walk[1]
             assert inst.objective(x) == float(total + 0.3 * (x @ x))
 
     @pytest.mark.parametrize("n", [5, 12, 32])
@@ -397,6 +407,49 @@ class TestAttack:
         assert inst.objective(x) == math.inf
         assert inst.objective.batch(np.stack([x, x])).tolist() == [math.inf, math.inf]
 
+    # A non-finite coordinate makes its vertex's degree nan, and a walk of two
+    # or more hops meets every vertex's scale, so the value is nan.  One hop
+    # reads only the (u, v) term, so a coordinate off u's and v's rows leaves
+    # it finite and the penalty makes the value +inf.  A zero degree reads
+    # +inf, plus the penalty, which a nan coordinate makes nan.
+    @pytest.mark.parametrize(
+        "graph, hops, kill, position, bad, expected",
+        [
+            (ring_with_chords(12, 12), 4, False, 5, math.inf, math.nan),
+            (ring_with_chords(12, 12), 4, False, 77, -math.inf, math.nan),
+            (ring_with_chords(12, 12), 4, False, 143, math.nan, math.nan),
+            (ring_with_chords(12, 12), 1, False, 4 * 12 + 5, math.inf, math.inf),
+            (ring_with_chords(12, 12), 1, False, 12 + 7, -math.inf, math.nan),
+            (load_graph(PATH_3), 2, True, 8, -math.inf, math.inf),
+            (load_graph(PATH_3), 2, True, 8, math.nan, math.nan),
+        ],
+    )
+    def test_non_finite_coordinate_outcomes(self, graph, hops, kill, position, bad, expected):
+        inst = make_attack(graph, 1, 2, hops, 0.5)
+        rows = 0.05 * RngStream(graph.n, hops).gen.standard_normal((3, graph.n**2))
+        if kill:  # vertex 1 loses its only edge to vertex 2 and gains none
+            rows[1, : graph.n] = 0.0
+            rows[1, 1] = 1.0
+        rows[1, position] = bad
+        with np.errstate(invalid="ignore"):
+            value = inst.objective(rows[1])
+            values = inst.objective.batch(rows)
+        assert value == expected or math.isnan(value) and math.isnan(expected)
+        assert np.array_equal(values[1], value, equal_nan=True)
+        assert values[[0, 2]].tolist() == [inst.objective(rows[0]), inst.objective(rows[2])]
+
+    def test_eval_and_batch_never_write_their_input(self):
+        inst = make_attack(ring_with_chords(12, 12), 1, 2, 4, 0.5)
+        rows = 0.3 * RngStream(12).gen.standard_normal((4, 144))
+        rows[1, 5], rows[2, 77], rows[3, [0, 143]] = math.inf, -math.inf, math.nan
+        kept = rows.copy()
+        rows.setflags(write=False)  # a write raises rather than pass unseen
+        with np.errstate(invalid="ignore"):
+            for row in rows:
+                inst.objective(row)
+            inst.objective.batch(rows)
+        assert np.array_equal(rows, kept, equal_nan=True)
+
     def test_rejects_bad_vertices(self):
         graph = load_graph(PATH_3)
         with pytest.raises(ValueError):
@@ -405,6 +458,11 @@ class TestAttack:
             make_attack(graph, 2, 2, 1, 0.0)
         with pytest.raises(ValueError):
             make_attack(graph, 1, 2, 0, 0.0)
+
+    @pytest.mark.parametrize("lam", [-1.0, math.nan, math.inf, True, np.True_])
+    def test_rejects_a_negative_non_finite_or_bool_lam(self, lam):
+        with pytest.raises(ValueError, match="need a finite lam >= 0"):
+            make_attack(load_graph(PATH_3), 1, 2, 1, lam)
 
 
 class TestLinearFamilies:

@@ -17,6 +17,8 @@ from zosparse.blackbox import (
     FAMILIES,
     BlackBoxFunction,
     _Integer,
+    _real,
+    _real_or_zero,
     load_graph,
     make_attack,
     make_distance,
@@ -100,6 +102,20 @@ OUT_OF_RANGE = [
     ("gld", "scales", "0"),
 ]
 
+# Family reals out of range, or that a cast would misread, each with its
+# family: magnitude's lam and w must be > 0, attack's lam >= 0, all finite.
+FAMILY_OUT_OF_RANGE = [
+    ("magnitude", "lam", "0"),
+    ("magnitude", "lam", "nan"),
+    ("magnitude", "w", "inf"),
+    ("magnitude", "w", "-0.2"),
+    ("magnitude", "w", True),
+    ("attack", "lam", "-1"),
+    ("attack", "lam", "nan"),
+    ("attack", "lam", "inf"),
+    ("attack", "lam", True),
+]
+
 # [experiment] values built in Python that would fail in every cell, each with
 # its key; as INI text, parse_spec refuses them too.
 PYTHON_EXPERIMENT_VALUES = [
@@ -163,15 +179,16 @@ def serialize_spec(spec):
     return out.getvalue()
 
 
-# Values for each key type a spec reads: any int, any finite float, and
-# text that an INI value holds without quoting.
+# Values for each key type a spec reads: any int, any finite float in its
+# range, and text that an INI value holds without quoting.
 TEXT = st.from_regex(r"[A-Za-z0-9_./-]{1,16}", fullmatch=True)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 DRAWS = {
     _Integer(): st.integers(-(10**12), 10**12),
-    float: st.floats(allow_nan=False, allow_infinity=False),
+    _real: POSITIVE,
+    _real_or_zero: st.floats(min_value=0.0, allow_infinity=False),
     str: TEXT,
 }
-POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 SEEDS = st.lists(st.integers(0, 2**63), min_size=1, max_size=3)
 
 
@@ -322,6 +339,18 @@ class TestSpecDocuments:
         with pytest.raises(ExperimentSpecError, match=rf"\[method:odd\] {key}: need"):
             run_experiment(spec, output_dir=tmp_path / "out")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("family, key, value", FAMILY_OUT_OF_RANGE)
+    def test_family_reals_that_fail_in_every_cell_are_rejected(self, family, key, value, tmp_path):
+        (tmp_path / "g.txt").write_text(PATH_3, encoding="utf-8")
+        params = {"graph": str(tmp_path / "g.txt")} if family == "attack" else {"d": 16, "s": 3}
+        spec = small_spec(family=family, family_params={**params, key: value})
+        with pytest.raises(ExperimentSpecError, match=rf"\[family\] {key}: need a finite"):
+            run_experiment(spec, output_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+        if isinstance(value, str):
+            with pytest.raises(ExperimentSpecError, match=rf"\[family\] {key}: need a finite"):
+                parse_spec(serialize_spec(spec))
 
     def test_float_params_survive_exactly(self):
         spec = small_spec(methods=[MethodSpec("rs", "rs", {"mu": 0.1 + 0.2})])
